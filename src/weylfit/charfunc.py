@@ -1,8 +1,8 @@
-"""Characteristic functions: closed forms, Fock-space numerics, source maps.
+"""Characteristic functions: closed forms, Fock-space numerics and the
+heating substitution.
 
 All functions accept plain complex scalars or numpy arrays for the
-phase-space argument; `PhasePoint` is a thin validated wrapper used at
-module boundaries.
+phase-space argument.
 """
 
 from __future__ import annotations
@@ -14,18 +14,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import fockspace
-from .errors import (
-    InvalidParameterError,
-    InvalidTimeError,
-    TruncationWarning,
-    UnsupportedOrderError,
-)
+from .errors import InvalidParameterError, TruncationWarning, UnsupportedOrderError
 
 TWO_PI = 2.0 * np.pi
-
-# Below this |delta * t| the circle function switches to its series limit,
-# avoiding catastrophic cancellation in (e^{i delta t} - 1) / delta.
-CIRCLE_SERIES_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,81 +39,9 @@ class SqueezeSpec:
         return self.r * np.exp(1j * self.theta)
 
 
-@dataclass(frozen=True)
-class SourceSpec:
-    """Harmonic drive amplitude J0, detuning, and active window [t0, tf]."""
-
-    J0: complex
-    delta: float = 0.0
-    t0: float = 0.0
-    tf: float = np.inf
-
-    def __post_init__(self):
-        if self.tf < self.t0:
-            raise InvalidParameterError("source window must satisfy tf >= t0")
-
-    @classmethod
-    def resonant(cls, omega_eta: float, dphi: float = 0.0, t0: float = 0.0,
-                 tf: float = np.inf) -> "SourceSpec":
-        """Resonant spin-dependent force with |J0| = omega_eta."""
-        return cls(J0=-1j * omega_eta * np.exp(1j * dphi), delta=0.0, t0=t0, tf=tf)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Dimensionless phase-space displacement."""
-
-    xi: complex
-    flagged: bool = False
-
-    def __post_init__(self):
-        z = complex(self.xi)
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-            raise InvalidParameterError("phase-space point must be finite")
-
-
-def _as_complex(xi) -> complex | np.ndarray:
-    if isinstance(xi, PhasePoint):
-        return complex(xi.xi)
-    return xi
-
-
-def circle_function(delta: float, t: float):
-    """Integrated detuned response (e^{i delta t} - 1) / delta.
-
-    Continued by its series i*t - delta*t^2/2 when |delta * t| is tiny,
-    which avoids the cancellation in the difference of exponentials.
-    """
-    t = np.asarray(t, dtype=float)
-    arg = delta * t
-    small = np.abs(arg) < CIRCLE_SERIES_THRESHOLD
-    safe_delta = delta if delta != 0 else 1.0
-    with np.errstate(invalid="ignore"):
-        val = (np.exp(1j * arg) - 1.0) / safe_delta
-    out = np.where(small, t * (1j - 0.5 * arg), val)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
-def xi_of_time(source: SourceSpec, t: float) -> PhasePoint:
-    """Phase-space coordinate accumulated by the drive up to time t.
-
-    xi = J0 * C_delta(t - t0): on resonance the linear law
-    i J0 (t - t0) = omega_eta (t - t0) e^{i dphi}, off resonance a circle
-    that closes after each detuning period.
-    """
-    if t < source.t0:
-        raise InvalidTimeError(f"t = {t} precedes source start {source.t0}")
-    tau = min(t, source.tf) - source.t0
-    xi = source.J0 * circle_function(source.delta, tau)
-    return PhasePoint(complex(xi))
-
-
 def chi_vacuum(xi):
     """Ground-state value exp(-|xi|^2 / 2)."""
-    z = _as_complex(xi)
-    return np.exp(-0.5 * np.abs(z) ** 2)
+    return np.exp(-0.5 * np.abs(xi) ** 2)
 
 
 def chi_squeezed_exact(xi, spec: SqueezeSpec):
@@ -134,10 +53,9 @@ def chi_squeezed_exact(xi, spec: SqueezeSpec):
     """
     if spec.n != 2:
         raise UnsupportedOrderError("closed form available for order n=2 only")
-    z = _as_complex(xi)
     ch, sh = np.cosh(spec.r), np.sinh(spec.r)
-    u = np.conj(z) * ch + z * sh * np.exp(-1j * spec.theta)
-    v = z * ch + np.conj(z) * sh * np.exp(1j * spec.theta)
+    u = np.conj(xi) * ch + xi * sh * np.exp(-1j * spec.theta)
+    v = xi * ch + np.conj(xi) * sh * np.exp(1j * spec.theta)
     return np.real(np.exp(-0.5 * u * v))
 
 
@@ -161,54 +79,55 @@ def _cached_displacement(xi: complex, cutoff: int):
     return op.matrix, op.truncation_flagged
 
 
-def chi_numeric(rho: fockspace.DensityOperator, spec: SqueezeSpec, xi) -> complex:
-    """Tr{S_n(zeta) rho S_n(zeta)^dag D(xi)} on the truncated space.
+def chi_reference(xi, spec: SqueezeSpec, n_bar: float = 0.0,
+                  cutoff: int = fockspace.DEFAULT_CUTOFF):
+    """Characteristic function of the squeezed thermal state, without series truncation.
 
-    Emits a TruncationWarning when the squeezed state or the displacement
-    leans on the top Fock levels.
+    The closed forms at order 2, the Fock-space numerics at the other orders;
+    this is the oracle the truncated series models are measured against.
     """
-    cutoff = rho.cutoff
-    s = _cached_squeeze(spec.n, complex(spec.zeta), cutoff)
-    sigma = s @ rho.matrix @ s.conj().T
-    k = fockspace.tail_start(cutoff)
-    tail = float(np.sum(np.real(np.diag(sigma))[k:]))
-    z = complex(_as_complex(xi))
-    d, d_flagged = _cached_displacement(z, cutoff)
-    if tail > fockspace.TAIL_TOLERANCE or d_flagged:
-        warnings.warn(
-            f"truncation guard tripped (tail population {tail:.2e}, |xi|^2 = {abs(z)**2:.2f})",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return complex(np.trace(sigma @ d))
+    if spec.n == 2:
+        if n_bar > 0:
+            return chi_thermal_squeezed_exact(xi, spec, n_bar)
+        return chi_squeezed_exact(xi, spec)
+    return chi_numeric_grid(fockspace.thermal_state(n_bar, cutoff), spec, xi)
+
+
+def chi_numeric(rho: fockspace.DensityOperator, spec: SqueezeSpec, xi) -> complex:
+    """`chi_numeric_grid` at a single displacement."""
+    return complex(chi_numeric_grid(rho, spec, np.array([xi]))[0])
 
 
 def chi_numeric_grid(rho: fockspace.DensityOperator, spec: SqueezeSpec,
                      xis: np.ndarray) -> np.ndarray:
-    """Vectorized chi_numeric over a grid of displacement values."""
+    """Tr{S_n(zeta) rho S_n(zeta)^dag D(xi)} over an array of displacements.
+
+    Computed on the truncated space.  Emits one TruncationWarning when the
+    squeezed state or any displacement leans on the top Fock levels.
+    """
     cutoff = rho.cutoff
     s = _cached_squeeze(spec.n, complex(spec.zeta), cutoff)
-    sigma_t = (s @ rho.matrix @ s.conj().T).T.copy()
+    sigma = s @ rho.matrix @ s.conj().T
+    tail = float(np.sum(np.real(np.diag(sigma))[fockspace.tail_start(cutoff):]))
+    sigma_t = sigma.T.copy()
     flat = np.asarray(xis, dtype=complex).ravel()
     out = np.empty(flat.shape, dtype=complex)
+    flagged = False
     for i, z in enumerate(flat):
-        d, _ = _cached_displacement(complex(z), cutoff)
+        d, d_flagged = _cached_displacement(complex(z), cutoff)
+        flagged |= d_flagged
         out[i] = np.sum(sigma_t * d)
+    if tail > fockspace.TAIL_TOLERANCE or flagged:
+        warnings.warn(
+            f"truncation guard tripped (tail population {tail:.2e}, "
+            f"max |xi|^2 = {np.abs(flat).max(initial=0.0) ** 2:.2f})",
+            TruncationWarning,
+            stacklevel=2,
+        )
     return out.reshape(np.shape(xis))
 
 
-def xi_heated(xi, c_h: float) -> PhasePoint:
-    """Leading-order heating distortion xi -> xi + c_h xi^2.
-
-    Valid for |c_h xi| <= 0.5; beyond that the returned point is flagged
-    rather than rejected.
-    """
-    z = complex(_as_complex(xi))
-    flagged = abs(c_h * z) > 0.5
-    return PhasePoint(z + c_h * z * z, flagged=flagged)
-
-
 def heated_xi_values(xis: np.ndarray, c_h: float) -> np.ndarray:
-    """Array version of the heating substitution, without guard flags."""
+    """Leading-order heating distortion xi -> xi + c_h xi^2."""
     z = np.asarray(xis, dtype=complex)
-    return z + c_h * z * z
+    return z + c_h * (z * z)

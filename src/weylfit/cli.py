@@ -18,6 +18,7 @@ import yaml
 
 from . import charfunc, config as config_mod, estimator, fockspace, sampler, series
 from .errors import ConfigError, DatasetError, WeylfitError
+from .sampler import _fmt
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -25,6 +26,11 @@ def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     tmp.replace(path)
+
+
+def _write_resolved(cfg: config_mod.RunConfig, stem: str) -> None:
+    """Persist the fully resolved config next to a command's outputs."""
+    _atomic_write(cfg.out_dir / f"{stem}.config.yaml", config_mod.resolved_yaml(cfg))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -36,11 +42,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     for row in rows:
         writer.writerow(row)
     _atomic_write(path, buf.getvalue())
-
-
-def _fmt(value: float) -> str:
-    return np.format_float_positional(value, precision=12, unique=False,
-                                      fractional=False, trim="k")
 
 
 def _grid_points(cfg: config_mod.RunConfig) -> list[sampler.MeasurementPoint]:
@@ -118,18 +119,13 @@ def cmd_charfunc(cfg: config_mod.RunConfig, args) -> int:
     axis = np.arange(-g["xi_max"], g["xi_max"] + 0.5 * g["d_xi"], g["d_xi"])
     re, im = np.meshgrid(axis, axis, indexing="ij")
     xis = re + 1j * im
-    if n == 2:
-        chi = charfunc.chi_thermal_squeezed_exact(xis, spec, cfg.model["n_B"]) \
-            if cfg.model["n_B"] > 0 else charfunc.chi_squeezed_exact(xis, spec)
-        chi = chi.astype(complex)
-    else:
-        rho = fockspace.thermal_state(cfg.model["n_B"], cfg.protocol["cutoff"])
-        chi = charfunc.chi_numeric_grid(rho, spec, xis)
+    chi = np.asarray(charfunc.chi_reference(xis, spec, cfg.model["n_B"], cfg.protocol["cutoff"]),
+                     dtype=complex)
     out = cfg.out_dir / "charfunc.csv"
     rows = ([_fmt(x.real), _fmt(x.imag), _fmt(c.real), _fmt(c.imag)]
             for x, c in zip(xis.ravel(), chi.ravel()))
     _write_csv(out, ["re_xi", "im_xi", "re_chi", "im_chi"], rows)
-    config_mod.write_resolved(cfg, cfg.out_dir, "charfunc")
+    _write_resolved(cfg, "charfunc")
     print(f"wrote {out}")
     return 0
 
@@ -138,12 +134,11 @@ def cmd_simulate(cfg: config_mod.RunConfig, args) -> int:
     points = _grid_points(cfg)
     records = sampler.generate_dataset(
         points, cfg.shots["total"], cfg.model["n"], cfg.seed,
-        chi_source=args.source, allocation=cfg.shots["allocation"],
-        config=cfg.protocol_config(), jobs=args.jobs,
+        chi_source=args.source, config=cfg.protocol_config(), jobs=args.jobs,
     )
     out = cfg.out_dir / "dataset.csv"
     _atomic_write(out, sampler.dataset_to_string(records))
-    config_mod.write_resolved(cfg, cfg.out_dir, "dataset")
+    _write_resolved(cfg, "dataset")
     print(f"wrote {out} ({len(records)} records, {sum(r.shots for r in records)} shots)")
     return 0
 
@@ -152,13 +147,7 @@ def cmd_estimate(cfg: config_mod.RunConfig, args) -> int:
     with open(args.dataset, newline="") as fh:
         records = sampler.dataset_from_csv(fh)
     model = estimator.ModelSpec(cfg.model["n"], cfg.model["n_B"], cfg.model["heating"])
-    problem = estimator.FitProblem(model, records, cost=args.cost)
-    if model.heating:
-        report = estimator.fit_with_heating(problem)
-    elif model.n_bar > 0:
-        report = estimator.fit_thermal(problem)
-    else:
-        report = estimator.minimize(problem)
+    report = estimator.minimize(estimator.FitProblem(model, records, cost=args.cost))
 
     if not model.heating:
         first_basis = sampler.bases_for_order(model.n)[0]
@@ -175,7 +164,7 @@ def cmd_estimate(cfg: config_mod.RunConfig, args) -> int:
     out = cfg.out_dir / "report.csv"
     _save_report(report, cfg, out, extra_meta={"dataset": str(args.dataset),
                                                "seed": cfg.seed})
-    config_mod.write_resolved(cfg, cfg.out_dir, "report")
+    _write_resolved(cfg, "report")
     print(f"wrote {out}")
     for row in estimator.report_rows(report):
         print(f"  {row['name']}: {row['re']:+.6f}{row['im']:+.6f}j (std {row['std']:.2e})")
@@ -195,7 +184,7 @@ def cmd_sweep(cfg: config_mod.RunConfig, args) -> int:
         for j, xi_max in enumerate(result.xi_maxes):
             rows.append([_fmt(xi_max), _fmt(r_max), _fmt(result.rmse[i, j])])
     _write_csv(out, ["xi_max", "r_max", "rmse"], rows)
-    config_mod.write_resolved(cfg, cfg.out_dir, "rmse_sweep")
+    _write_resolved(cfg, "rmse_sweep")
     print(f"wrote {out}")
     print(f"minimum rmse {result.best_rmse:.4f} at xi_max={result.best_xi_max}, "
           f"r_max={result.best_r_max}")
@@ -219,7 +208,7 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, args) -> int:
     out = cfg.out_dir / "report_extrapolated.csv"
     _save_report(extrapolated, cfg, out, extra_meta={"inputs": list(args.reports),
                                                      "n_bars": n_bars})
-    config_mod.write_resolved(cfg, cfg.out_dir, "report_extrapolated")
+    _write_resolved(cfg, "report_extrapolated")
     print(f"wrote {out}")
     return 0
 

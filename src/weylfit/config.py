@@ -7,18 +7,13 @@ fully resolved configuration (defaults expanded) next to its outputs.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError
-from .sampler import (
-    OMEGA_B_DEFAULT,
-    OMEGA_ETA_DEFAULT,
-    PREP_DETUNING_DEFAULT,
-    ProtocolConfig,
-)
+from .sampler import ProtocolConfig
 
 DEFAULTS: dict = {
     "model": {
@@ -40,18 +35,9 @@ DEFAULTS: dict = {
     },
     "shots": {
         "total": 1_600_000,
-        "allocation": "equal",
     },
-    "protocol": {
-        "omega_b": OMEGA_B_DEFAULT,
-        "omega_eta": OMEGA_ETA_DEFAULT,
-        "heating_rate": 0.0,
-        "cutoff": 100,
-        "prep_detuning": PREP_DETUNING_DEFAULT,
-        "ramp_time": 5.0 / PREP_DETUNING_DEFAULT,
-        "prep_hold": 80e-6,
-        "idle_time": 480e-6,
-    },
+    # every ProtocolConfig field, at its default
+    "protocol": asdict(ProtocolConfig()),
     "rng": {
         "seed": 20240901,
     },
@@ -83,17 +69,8 @@ class RunConfig:
         }
 
     def protocol_config(self) -> ProtocolConfig:
-        p = self.protocol
-        return ProtocolConfig(
-            omega_eta=float(p["omega_eta"]),
-            omega_b=float(p["omega_b"]),
-            heating_rate=float(p["heating_rate"]),
-            cutoff=int(p["cutoff"]),
-            prep_detuning=float(p["prep_detuning"]),
-            ramp_time=float(p["ramp_time"]),
-            prep_hold=float(p["prep_hold"]),
-            idle_time=float(p["idle_time"]),
-        )
+        return ProtocolConfig(**{key: int(value) if key == "cutoff" else float(value)
+                                 for key, value in self.protocol.items()})
 
     @property
     def seed(self) -> int:
@@ -155,8 +132,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("model.n_B must be non-negative")
     if cfg.shots["total"] < 1:
         raise ConfigError("shots.total must be positive")
-    if cfg.shots["allocation"] not in ("equal", "proportional-to-variance"):
-        raise ConfigError(f"unknown allocation policy {cfg.shots['allocation']!r}")
     for key in ("d_xi", "d_r"):
         if cfg.grid[key] <= 0:
             raise ConfigError(f"grid.{key} must be positive")
@@ -168,13 +143,3 @@ def _validate(cfg: RunConfig) -> None:
 
 def resolved_yaml(cfg: RunConfig) -> str:
     return yaml.safe_dump(cfg.as_dict(), sort_keys=True)
-
-
-def write_resolved(cfg: RunConfig, directory: Path, stem: str) -> Path:
-    """Persist the fully resolved config next to a command's outputs."""
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{stem}.config.yaml"
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(resolved_yaml(cfg))
-    tmp.replace(path)
-    return path

@@ -29,10 +29,6 @@ class AccuracyError(WeylfitError):
         self.drift = drift
 
 
-class InvalidTimeError(WeylfitError):
-    """Evaluation time outside the source window."""
-
-
 class InvalidChiError(WeylfitError):
     """Characteristic-function value with |chi| too far above 1."""
 

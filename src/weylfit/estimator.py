@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg import block_diag
 
 from . import fockspace, sampler, series
 from .series import CoefficientVector
@@ -83,6 +84,21 @@ class FitProblem:
         if not needed <= bases:
             raise DatasetError(f"model order {self.model.n} needs bases {sorted(needed)}, "
                                f"dataset has {sorted(bases)}")
+        n_bars = {rec.point.n_bar for rec in self.records}
+        if any(not math.isclose(nb, self.model.n_bar, rel_tol=1e-9, abs_tol=1e-12)
+               for nb in n_bars):
+            raise DatasetError(f"dataset occupations n_B {sorted(n_bars)} differ from the "
+                               f"model's n_B = {self.model.n_bar}")
+
+    def subproblems(self) -> list[_Subproblem]:
+        """One subproblem per model part, from the records of its basis."""
+        subs = []
+        for part, (basis, *_) in enumerate(series.PARTS[self.model.n]):
+            rows = [rec for rec in self.records if rec.basis == basis]
+            subs.append(_subproblem(self.model, part, [rec.point for rec in rows],
+                                    [rec.shots for rec in rows],
+                                    [rec.frequency for rec in rows]))
+        return subs
 
 
 @dataclass
@@ -100,26 +116,18 @@ class EstimationReport:
     rmse: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
-    def coefficient_names(self) -> list[str]:
-        names = [f"c{j + 1}" for j in range(len(self.coefficients.values))]
-        if self.c_h is not None:
-            names.append("c_h")
-        return names
-
 
 # ---------------------------------------------------------------------------
-# Subproblems: one clipped linear model per Pauli basis component
+# Subproblems: one clipped linear model per real part of chi
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _Subproblem:
-    """One basis component of the model with its measurement rows."""
+    """One part of the model (`series.PARTS`) with its measurement rows."""
 
     n: int
-    offset: float            # 1 for the real part, 0 for the imaginary part
-    lo: float
-    hi: float
+    part: int
     nu: float
     xi: np.ndarray           # complex displacements
     r: np.ndarray
@@ -129,28 +137,11 @@ class _Subproblem:
 
     def model_probability(self, theta: np.ndarray, c_h: float = 0.0,
                           with_ch_grad: bool = False):
-        """p(+1), dp/dtheta, and optionally dp/dc_h at real parameters.
-
-        The clip acts on the model value (series bracket times the free
-        Gaussian); saturated points carry zero Jacobian rows.
-        """
-        xi2 = self.xi * self.xi
-        xi_p = self.xi + c_h * xi2
-        b = _basis_values(self.n, xi_p, self.r, self.phase)
-        bracket = self.offset + b @ theta
-        chi0 = np.exp(-0.5 * self.nu * np.abs(xi_p) ** 2)
-        value = bracket * chi0
-        interior = (value > self.lo) & (value < self.hi)
-        clipped = np.clip(value, self.lo, self.hi)
-        p = 0.5 * (1.0 + clipped)
-        dp = 0.5 * chi0[:, None] * b * interior[:, None]
-        if not with_ch_grad:
-            return p, dp, None
-        db = _basis_ch_derivative(self.n, xi_p, xi2, self.r, self.phase)
-        dchi0 = -self.nu * np.real(np.conj(xi_p) * xi2) * chi0
-        dbracket = db @ theta
-        dp_ch = 0.5 * (bracket * dchi0 + chi0 * dbracket) * interior
-        return p, dp, dp_ch
+        """p(+1), dp/dtheta, and dp/dc_h (None unless asked for) at real parameters."""
+        value, dvalue, dvalue_ch = series.part_model(self.n, self.part, theta, self.xi, self.r,
+                                                     self.phase, self.nu, c_h, with_ch_grad)
+        dp_ch = None if dvalue_ch is None else 0.5 * dvalue_ch
+        return 0.5 * (1.0 + value), 0.5 * dvalue, dp_ch
 
     def sigma2(self) -> np.ndarray:
         """LS weights: empirical binomial variance with a 1/(4N^2) floor."""
@@ -158,49 +149,10 @@ class _Subproblem:
         return np.maximum(raw, 1.0 / (4.0 * self.shots.astype(float) ** 2))
 
 
-def _basis_values(n: int, xi: np.ndarray, r: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    w = np.exp(-1j * phase)
-    if n == 2:
-        re2 = np.real(xi * xi * w)
-        return np.stack([r * re2, r**2 * np.abs(xi) ** 2, r**2 * re2**2], axis=-1)
-    im3 = np.imag(xi**3 * w)
-    a2 = np.abs(xi) ** 2
-    return np.stack([r * im3, r**2 * a2, r**2 * a2**2, r**2 * im3**2], axis=-1)
-
-
-def _basis_ch_derivative(n: int, xi_p: np.ndarray, xi2: np.ndarray,
-                         r: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """d f_j / d c_h through xi' = xi + c_h xi^2 (order 2 only)."""
-    if n != 2:
-        raise UnsupportedOrderError("heating gradient only defined for order 2")
-    w = np.exp(-1j * phase)
-    re2 = np.real(xi_p * xi_p * w)
-    dre2 = np.real(2.0 * xi_p * xi2 * w)
-    dabs2 = 2.0 * np.real(np.conj(xi_p) * xi2)
-    return np.stack([r * dre2, r**2 * dabs2, 2.0 * r**2 * re2 * dre2], axis=-1)
-
-
-def _records_to_subproblem(model: ModelSpec, records: Sequence[ShotRecord],
-                           basis: str, offset: float, lo: float, hi: float) -> _Subproblem:
-    rows = [rec for rec in records if rec.basis == basis]
-    if not rows:
-        raise DatasetError(f"no records in basis {basis!r}")
+def _subproblem(model: ModelSpec, part: int, points: Sequence[MeasurementPoint],
+                shots, freq=None) -> _Subproblem:
     return _Subproblem(
-        n=model.n, offset=offset, lo=lo, hi=hi, nu=model.nu,
-        xi=np.array([rec.point.xi for rec in rows], dtype=complex),
-        r=np.array([rec.point.r for rec in rows], dtype=float),
-        phase=np.array([rec.point.theta for rec in rows], dtype=float),
-        shots=np.array([rec.shots for rec in rows], dtype=int),
-        freq=np.array([rec.frequency for rec in rows], dtype=float),
-    )
-
-
-def _points_to_subproblem(model: ModelSpec, points: Sequence[MeasurementPoint],
-                          shots: np.ndarray, basis: str, offset: float,
-                          lo: float, hi: float,
-                          freq: np.ndarray | None = None) -> _Subproblem:
-    return _Subproblem(
-        n=model.n, offset=offset, lo=lo, hi=hi, nu=model.nu,
+        n=model.n, part=part, nu=model.nu,
         xi=np.array([p.xi for p in points], dtype=complex),
         r=np.array([p.r for p in points], dtype=float),
         phase=np.array([p.theta for p in points], dtype=float),
@@ -209,44 +161,30 @@ def _points_to_subproblem(model: ModelSpec, points: Sequence[MeasurementPoint],
     )
 
 
-def _subproblem_layout(model: ModelSpec):
-    """(basis, offset, lo, hi) per independent fit component."""
-    if model.n == 2:
-        return [("x", 1.0, 0.0, 1.0)]
-    return [("x", 1.0, -1.0, 1.0), ("y", 0.0, -1.0, 1.0)]
+def _design(model: ModelSpec, points: Sequence[MeasurementPoint], shots,
+            chi: np.ndarray | None = None) -> list[_Subproblem]:
+    """One subproblem per part on a point design.
+
+    With ``chi`` given, the frequencies are its exact probabilities (the
+    infinite-shot limit); otherwise they are left at zero.
+    """
+    return [_subproblem(model, part, points, _coerce_allocation(shots, len(points), basis),
+                        None if chi is None else np.clip(_born(chi, part), 0.0, 1.0))
+            for part, (basis, *_) in enumerate(series.PARTS[model.n])]
 
 
-# ---------------------------------------------------------------------------
-# Cost functions
-# ---------------------------------------------------------------------------
+def _born(chi: np.ndarray, part: int) -> np.ndarray:
+    """p(+1) of the part's basis: (1 + Re chi)/2 in x, (1 + Im chi)/2 in y."""
+    return 0.5 * (1.0 + (np.real(chi) if part == 0 else np.imag(chi)))
 
 
-def _ls_cost_grad(sub: _Subproblem, theta: np.ndarray, c_h: float | None):
-    with_ch = c_h is not None
-    p, dp, dp_ch = sub.model_probability(theta, c_h or 0.0, with_ch_grad=with_ch)
-    sigma = np.sqrt(sub.sigma2())
-    res = (p - sub.freq) / sigma
-    jac = dp / sigma[:, None]
-    if with_ch:
-        jac = np.hstack([jac, (dp_ch / sigma)[:, None]])
-    return res, jac
-
-
-def _ml_cost_grad(sub: _Subproblem, theta: np.ndarray, c_h: float | None):
-    with_ch = c_h is not None
-    p, dp, dp_ch = sub.model_probability(theta, c_h or 0.0, with_ch_grad=with_ch)
-    p_safe = np.clip(p, EPS_P, 1.0 - EPS_P)
-    cost = -np.sum(sub.shots * (sub.freq * np.log(p_safe)
-                                + (1.0 - sub.freq) * np.log1p(-p_safe)))
-    w = -sub.shots * (sub.freq / p_safe - (1.0 - sub.freq) / (1.0 - p_safe))
-    grad = dp.T @ w
-    if with_ch:
-        grad = np.append(grad, np.dot(dp_ch, w))
-    return float(cost), grad
+def _jacobian(dp: np.ndarray, dp_ch: np.ndarray | None) -> np.ndarray:
+    """dp/dtheta with the dp/dc_h column appended when c_h is fitted."""
+    return dp if dp_ch is None else np.hstack([dp, dp_ch[:, None]])
 
 
 def _pack_theta(model: ModelSpec, theta) -> list[np.ndarray]:
-    """Split a CoefficientVector / complex array into per-subproblem real vectors."""
+    """Split a CoefficientVector / complex array into per-part real vectors."""
     values = theta.values if isinstance(theta, CoefficientVector) else np.asarray(theta)
     if model.n == 2:
         vec = np.real(values).astype(float)
@@ -255,54 +193,64 @@ def _pack_theta(model: ModelSpec, theta) -> list[np.ndarray]:
     return [vals.real.copy(), vals.imag.copy()]
 
 
-def cost_ls(theta, problem: FitProblem, c_h: float | None = None) -> float:
-    """Weighted least-squares cost of the model against the dataset."""
-    total = 0.0
-    for packed, (basis, offset, lo, hi) in zip(_pack_theta(problem.model, theta),
-                                               _subproblem_layout(problem.model)):
-        sub = _records_to_subproblem(problem.model, problem.records, basis, offset, lo, hi)
-        res, _ = _ls_cost_grad(sub, packed, c_h)
-        total += float(np.sum(res**2))
-    return total
+# ---------------------------------------------------------------------------
+# Likelihood
+# ---------------------------------------------------------------------------
 
 
-def cost_ml(theta, problem: FitProblem, c_h: float | None = None) -> float:
-    """Negative log-likelihood of the dataset under the truncated model."""
+def _likelihood(sub: _Subproblem, x: np.ndarray, cost: str, n_coeffs: int, fit_ch: bool):
+    """The fit cost's building blocks at packed parameters x = (theta[, c_h]).
+
+    Computes p and dp once.  LS returns (residuals, Jacobian) of the
+    variance-weighted residuals; ML returns (negative log-likelihood,
+    gradient, curvature).  The model is linear in theta inside the clip,
+    so the ML curvature is the exact Hessian there; for c_h it is the
+    Gauss-Newton part.
+    """
+    c_h = float(x[n_coeffs]) if fit_ch else 0.0
+    p, dp, dp_ch = sub.model_probability(x[:n_coeffs], c_h, with_ch_grad=fit_ch)
+    if cost == "ls":
+        sigma = np.sqrt(sub.sigma2())
+        return (p - sub.freq) / sigma, _jacobian(dp, dp_ch) / sigma[:, None]
+    f, shots = sub.freq, sub.shots
+    p_safe = np.clip(p, EPS_P, 1.0 - EPS_P)
+    nll = -np.sum(shots * (f * np.log(p_safe) + (1.0 - f) * np.log1p(-p_safe)))
+    w = -shots * (f / p_safe - (1.0 - f) / (1.0 - p_safe))
+    grad = dp.T @ w
+    if fit_ch:
+        grad = np.append(grad, np.dot(dp_ch, w))
+    curv_w = shots * (f / p_safe**2 + (1.0 - f) / (1.0 - p_safe) ** 2)
+    jac = _jacobian(dp, dp_ch)
+    return float(nll), grad, (jac * curv_w[:, None]).T @ jac
+
+
+def _cost_grad_curvature(sub: _Subproblem, x: np.ndarray, cost: str,
+                         n_coeffs: int, fit_ch: bool):
+    """Cost, gradient, and Gauss-Newton curvature at packed parameters x."""
+    out = _likelihood(sub, x, cost, n_coeffs, fit_ch)
+    if cost == "ml":
+        return out
+    res, jac = out
+    return float(np.sum(res**2)), 2.0 * jac.T @ res, 2.0 * jac.T @ jac
+
+
+def cost(theta, problem: FitProblem, c_h: float | None = None) -> float:
+    """The fit cost of the model against the dataset.
+
+    Weighted least squares when ``problem.cost`` is 'ls', the negative
+    log-likelihood when it is 'ml'.
+    """
+    fit_ch = c_h is not None
     total = 0.0
-    for packed, (basis, offset, lo, hi) in zip(_pack_theta(problem.model, theta),
-                                               _subproblem_layout(problem.model)):
-        sub = _records_to_subproblem(problem.model, problem.records, basis, offset, lo, hi)
-        cost, _ = _ml_cost_grad(sub, packed, c_h)
-        total += cost
+    for sub, packed in zip(problem.subproblems(), _pack_theta(problem.model, theta)):
+        x = np.append(packed, c_h) if fit_ch else packed
+        total += _cost_grad_curvature(sub, x, problem.cost, problem.model.n_coeffs, fit_ch)[0]
     return total
 
 
 # ---------------------------------------------------------------------------
 # Solver
 # ---------------------------------------------------------------------------
-
-
-def _cost_grad_curvature(sub: _Subproblem, x: np.ndarray, cost: str,
-                         n_coeffs: int, fit_ch: bool):
-    """Cost, gradient, and Gauss-Newton curvature at packed parameters x."""
-    theta = x[:n_coeffs]
-    c_h = float(x[n_coeffs]) if fit_ch else None
-    if cost == "ls":
-        res, jac = _ls_cost_grad(sub, theta, c_h)
-        return float(np.sum(res**2)), 2.0 * jac.T @ res, 2.0 * jac.T @ jac
-    p, dp, dp_ch = sub.model_probability(theta, c_h or 0.0, with_ch_grad=fit_ch)
-    if fit_ch:
-        dp = np.hstack([dp, dp_ch[:, None]])
-    p_safe = np.clip(p, EPS_P, 1.0 - EPS_P)
-    cost_val = -np.sum(sub.shots * (sub.freq * np.log(p_safe)
-                                    + (1.0 - sub.freq) * np.log1p(-p_safe)))
-    w = -sub.shots * (sub.freq / p_safe - (1.0 - sub.freq) / (1.0 - p_safe))
-    grad = dp.T @ w
-    # the model is linear in theta inside the clip, so this is the exact
-    # Hessian there; for c_h it is the Gauss-Newton part
-    curv_w = sub.shots * (sub.freq / p_safe**2 + (1.0 - sub.freq) / (1.0 - p_safe) ** 2)
-    curv = (dp * curv_w[:, None]).T @ dp
-    return float(cost_val), grad, curv
 
 
 def _polish(sub: _Subproblem, x: np.ndarray, cost: str, n_coeffs: int,
@@ -347,35 +295,20 @@ def _solve_subproblem(sub: _Subproblem, n_coeffs: int, cost: str, x0: np.ndarray
                       fit_ch: bool, center: np.ndarray) -> tuple[np.ndarray, dict]:
     """Minimize one subproblem; multistart fallback guards the clipped region."""
 
-    def split(x):
-        return (x[:n_coeffs], float(x[n_coeffs])) if fit_ch else (x, None)
-
     def run(x_start):
         if cost == "ls":
-            def fun(x):
-                th, ch = split(x)
-                res, _ = _ls_cost_grad(sub, th, ch)
-                return res
-
-            def jac(x):
-                th, ch = split(x)
-                _, j = _ls_cost_grad(sub, th, ch)
-                return j
-
-            sol = optimize.least_squares(fun, x_start, jac=jac, method="trf",
-                                         xtol=1e-14, ftol=1e-14, gtol=1e-12,
-                                         max_nfev=400)
-            x, cost_val, grad, reason = _polish(sub, sol.x, cost, n_coeffs, fit_ch)
-            return x, cost_val, grad, reason, int(sol.nfev)
-
-        def fun(x):
-            th, ch = split(x)
-            return _ml_cost_grad(sub, th, ch)
-
-        sol = optimize.minimize(fun, x_start, jac=True, method="L-BFGS-B",
-                                options={"ftol": 1e-12, "gtol": 1e-9, "maxiter": 2000})
+            sol = optimize.least_squares(
+                lambda x: _likelihood(sub, x, cost, n_coeffs, fit_ch)[0], x_start,
+                jac=lambda x: _likelihood(sub, x, cost, n_coeffs, fit_ch)[1],
+                method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12, max_nfev=400)
+            iterations = sol.nfev
+        else:
+            sol = optimize.minimize(lambda x: _likelihood(sub, x, cost, n_coeffs, fit_ch)[:2],
+                                    x_start, jac=True, method="L-BFGS-B",
+                                    options={"ftol": 1e-12, "gtol": 1e-9, "maxiter": 2000})
+            iterations = sol.nit
         x, cost_val, grad, reason = _polish(sub, sol.x, cost, n_coeffs, fit_ch)
-        return x, cost_val, grad, reason, int(sol.nit)
+        return x, cost_val, grad, reason, int(iterations)
 
     best = None
     starts = [np.asarray(x0, dtype=float)]
@@ -403,6 +336,29 @@ def _solve_subproblem(sub: _Subproblem, n_coeffs: int, cost: str, x0: np.ndarray
     return x, diag
 
 
+def _fit(model: ModelSpec, subs: list[_Subproblem], cost: str, theta0=None):
+    """Solve every part's subproblem and reassemble (coefficients, c_h, diagnostics).
+
+    Each part starts from ``theta0`` (zeros by default); the multistart
+    fallback scatters around the exact coefficients for the first part and
+    around zero for the imaginary one.
+    """
+    n_coeffs = model.n_coeffs
+    center = np.real(series.truth_coefficients(model.n, model.n_bar).values)
+    starts = _pack_theta(model, theta0) if theta0 is not None else [np.zeros(n_coeffs)] * len(subs)
+    xs, diags = [], []
+    for part, sub in enumerate(subs):
+        x0, part_center = starts[part], center if part == 0 else np.zeros(n_coeffs)
+        if model.heating:
+            x0, part_center = np.append(x0, 0.0), np.append(part_center, 0.0)
+        x, diag = _solve_subproblem(sub, n_coeffs, cost, x0, model.heating, part_center)
+        xs.append(x)
+        diags.append(diag)
+    theta = xs[0][:n_coeffs] if model.n == 2 else xs[0][:n_coeffs] + 1j * xs[1][:n_coeffs]
+    c_h = float(xs[0][n_coeffs]) if model.heating else None
+    return CoefficientVector(model.n, theta, n_bar=model.n_bar), c_h, diags
+
+
 def minimize(problem: FitProblem) -> EstimationReport:
     """Fit the model coefficients to the dataset.
 
@@ -411,78 +367,38 @@ def minimize(problem: FitProblem) -> EstimationReport:
     at the fitted parameters under the dataset's shot allocation.
     """
     model = problem.model
-    n_coeffs = model.n_coeffs
-    fit_ch = model.heating
-    layout = _subproblem_layout(model)
-    center = np.real(series.truth_coefficients(model.n, model.n_bar).values)
-
-    if problem.theta0 is not None:
-        packed0 = _pack_theta(model, problem.theta0)
-    else:
-        packed0 = [np.zeros(n_coeffs) for _ in layout]
-
-    results = []
-    diags = []
-    for part_index, (basis, offset, lo, hi) in enumerate(layout):
-        sub = _records_to_subproblem(model, problem.records, basis, offset, lo, hi)
-        x0 = packed0[part_index]
-        part_center = center if part_index == 0 else np.zeros(n_coeffs)
-        if fit_ch:
-            x0 = np.append(x0, 0.0)
-            part_center = np.append(part_center, 0.0)
-        x, diag = _solve_subproblem(sub, n_coeffs, problem.cost, x0, fit_ch, part_center)
-        results.append(x)
-        diags.append(diag)
-
-    if model.n == 2:
-        theta = results[0][:n_coeffs].astype(complex)
-        c_h = float(results[0][n_coeffs]) if fit_ch else None
-    else:
-        theta = results[0][:n_coeffs] + 1j * results[1][:n_coeffs]
-        c_h = None
-
-    coeffs = CoefficientVector(model.n, theta, n_bar=model.n_bar)
-    shots_by_basis = {
-        basis: np.array([rec.shots for rec in problem.records if rec.basis == basis], dtype=int)
-        for basis, *_ in layout
-    }
-    points = [rec.point for rec in problem.records if rec.basis == layout[0][0]]
-    info = fisher_information(coeffs, points, shots_by_basis, c_h=c_h, model=model)
+    subs = problem.subproblems()
+    coeffs, c_h, diags = _fit(model, subs, problem.cost, problem.theta0)
+    _, info = _fisher_parts(subs, _pack_theta(model, coeffs), c_h)
     cov = _safe_inverse(info)
-    std, ch_std = _std_from_cov(model, cov, fit_ch)
-
+    var = np.diag(cov)
+    size = model.n_coeffs
     return EstimationReport(
         model=model,
         coefficients=coeffs,
         covariance=cov,
-        std=std,
+        std=np.sqrt(var[:size]) if model.n == 2 else np.sqrt(var[:size] + var[size:]),
         c_h=c_h,
-        c_h_std=ch_std,
+        c_h_std=float(np.sqrt(var[size])) if model.heating else None,
         diagnostics={"parts": diags, "cost_kind": problem.cost,
                      "n_records": len(problem.records)},
     )
 
 
-def _safe_inverse(info: np.ndarray) -> np.ndarray:
+def _checked_eigh(info: np.ndarray):
+    """Eigendecomposition of a Fisher matrix; raises if it is singular."""
     w, v = np.linalg.eigh(info)
     if w[0] <= 1e-12 * max(w[-1], 1.0):
-        direction = v[:, 0]
         raise RankDeficiencyError(
-            f"Fisher information singular along direction {np.round(direction, 4)}",
-            direction=direction,
+            f"Fisher information singular along direction {np.round(v[:, 0], 4)}",
+            direction=v[:, 0],
         )
+    return w, v
+
+
+def _safe_inverse(info: np.ndarray) -> np.ndarray:
+    w, v = _checked_eigh(info)
     return (v / w) @ v.T
-
-
-def _std_from_cov(model: ModelSpec, cov: np.ndarray, fit_ch: bool):
-    n_coeffs = model.n_coeffs
-    var = np.diag(cov)
-    if model.n == 2:
-        std = np.sqrt(var[:n_coeffs])
-        ch_std = float(np.sqrt(var[n_coeffs])) if fit_ch else None
-        return std, ch_std
-    std = np.sqrt(var[:n_coeffs] + var[n_coeffs:])
-    return std, None
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +417,20 @@ def _coerce_allocation(shots, n_points: int, basis: str | None = None) -> np.nda
     return arr.astype(int)
 
 
+def _fisher_parts(subs: list[_Subproblem], packed: list[np.ndarray], c_h: float | None):
+    """Per part (p, Fisher-weighted dp), and the total information I = sum_k N_k I_k."""
+    fit_ch = c_h is not None
+    parts, blocks = [], []
+    for sub, theta in zip(subs, packed):
+        p, dp, dp_ch = sub.model_probability(theta, c_h or 0.0, with_ch_grad=fit_ch)
+        dp = _jacobian(dp, dp_ch)
+        p_safe = np.clip(p, EPS_P, 1.0 - EPS_P)
+        dp_w = dp * (sub.shots / (p_safe * (1.0 - p_safe)))[:, None]
+        parts.append((p, dp_w))
+        blocks.append(dp_w.T @ dp)
+    return parts, block_diag(*blocks)
+
+
 def fisher_information(theta: CoefficientVector, points: Sequence[MeasurementPoint],
                        shots, c_h: float | None = None,
                        model: ModelSpec | None = None,
@@ -513,37 +443,9 @@ def fisher_information(theta: CoefficientVector, points: Sequence[MeasurementPoi
     (suppressed with ``check=False``).
     """
     model = model or ModelSpec(theta.n, theta.n_bar, heating=c_h is not None)
-    packed = _pack_theta(model, theta)
-    layout = _subproblem_layout(model)
-    fit_ch = c_h is not None
-
-    blocks = []
-    for part_index, (basis, offset, lo, hi) in enumerate(layout):
-        alloc = _coerce_allocation(shots, len(points), basis)
-        sub = _points_to_subproblem(model, points, alloc, basis, offset, lo, hi)
-        p, dp, dp_ch = sub.model_probability(packed[part_index], c_h or 0.0,
-                                             with_ch_grad=fit_ch)
-        if fit_ch:
-            dp = np.hstack([dp, dp_ch[:, None]])
-        p_safe = np.clip(p, EPS_P, 1.0 - EPS_P)
-        w = alloc / (p_safe * (1.0 - p_safe))
-        blocks.append((dp * w[:, None]).T @ dp)
-
-    if model.n == 2:
-        info = blocks[0]
-    else:
-        size = model.n_coeffs
-        info = np.zeros((2 * size, 2 * size))
-        info[:size, :size] = blocks[0]
-        info[size:, size:] = blocks[1]
-
+    _, info = _fisher_parts(_design(model, points, shots), _pack_theta(model, theta), c_h)
     if check:
-        w_eig, v = np.linalg.eigh(info)
-        if w_eig[0] <= 1e-12 * max(w_eig[-1], 1.0):
-            raise RankDeficiencyError(
-                f"Fisher information singular along direction {np.round(v[:, 0], 4)}",
-                direction=v[:, 0],
-            )
+        _checked_eigh(info)
     return info
 
 
@@ -555,28 +457,15 @@ def systematic_bias(theta_star: CoefficientVector, points: Sequence[MeasurementP
     Fock-space numerics (order 3) at the grid's own thermal occupation.
     """
     model = ModelSpec(theta_star.n, theta_star.n_bar)
-    packed = _pack_theta(model, theta_star)
-    layout = _subproblem_layout(model)
     chi_exact = sampler.analytic_chi_grid(points, model.n, cutoff)
-
-    info = fisher_information(theta_star, points, shots, model=model)
-    size = model.n_coeffs
-    rhs = np.zeros(info.shape[0])
-    for part_index, (basis, offset, lo, hi) in enumerate(layout):
-        alloc = _coerce_allocation(shots, len(points), basis)
-        sub = _points_to_subproblem(model, points, alloc, basis, offset, lo, hi)
-        p_model, dp, _ = sub.model_probability(packed[part_index])
-        comp = np.real(chi_exact) if basis == "x" else np.imag(chi_exact)
-        p_exact = 0.5 * (1.0 + comp)
-        p_safe = np.clip(p_model, EPS_P, 1.0 - EPS_P)
-        f_mat = (dp * (alloc / (p_safe * (1.0 - p_safe)))[:, None]).T
-        dp_sys = p_exact - p_model
-        sl = slice(part_index * size, (part_index + 1) * size)
-        rhs[sl] = f_mat @ dp_sys
-
+    parts, info = _fisher_parts(_design(model, points, shots), _pack_theta(model, theta_star), None)
+    _checked_eigh(info)
+    rhs = np.concatenate([dp_w.T @ (_born(chi_exact, part) - p)
+                          for part, (p, dp_w) in enumerate(parts)])
     delta = np.linalg.solve(info, rhs)
     if model.n == 2:
         return delta.astype(complex)
+    size = model.n_coeffs
     return delta[:size] + 1j * delta[size:]
 
 
@@ -710,13 +599,6 @@ def zero_noise_extrapolate(reports: Sequence[EstimationReport],
 # ---------------------------------------------------------------------------
 
 
-def fit_thermal(problem: FitProblem) -> EstimationReport:
-    """Order-2 fit at a known, fixed thermal occupation."""
-    if problem.model.n != 2:
-        raise UnsupportedOrderError("thermal fits are defined for order 2 only")
-    return minimize(problem)
-
-
 def fit_with_heating(problem: FitProblem) -> EstimationReport:
     """Joint order-2 fit of the coefficients and the heating parameter."""
     if not problem.model.heating:
@@ -737,29 +619,8 @@ def fit_exact_frequencies(points: Sequence[MeasurementPoint], model: ModelSpec,
     """
     if chi_values is None:
         chi_values = sampler.analytic_chi_grid(points, model.n, cutoff)
-    layout = _subproblem_layout(model)
-    n_coeffs = model.n_coeffs
-    center = np.real(series.truth_coefficients(model.n, model.n_bar).values)
-    solution = []
-    for part_index, (basis, offset, lo, hi) in enumerate(layout):
-        alloc = _coerce_allocation(shots, len(points), basis)
-        comp = np.real(chi_values) if basis == "x" else np.imag(chi_values)
-        freq = np.clip(0.5 * (1.0 + comp), 0.0, 1.0)
-        sub = _points_to_subproblem(model, points, alloc, basis, offset, lo, hi, freq=freq)
-        x0 = np.zeros(n_coeffs)
-        part_center = center if part_index == 0 else np.zeros(n_coeffs)
-        if model.heating:
-            x0 = np.append(x0, 0.0)
-            part_center = np.append(part_center, 0.0)
-        x, _ = _solve_subproblem(sub, n_coeffs, cost, x0, model.heating, part_center)
-        solution.append(x)
-    if model.n == 2:
-        theta = solution[0][:n_coeffs].astype(complex)
-        c_h = float(solution[0][n_coeffs]) if model.heating else None
-    else:
-        theta = solution[0][:n_coeffs] + 1j * solution[1][:n_coeffs]
-        c_h = None
-    return CoefficientVector(model.n, theta, n_bar=model.n_bar), c_h
+    coeffs, c_h, _ = _fit(model, _design(model, points, shots, chi_values), cost)
+    return coeffs, c_h
 
 
 def monte_carlo_recovery(points: Sequence[MeasurementPoint], model: ModelSpec,
@@ -777,45 +638,20 @@ def monte_carlo_recovery(points: Sequence[MeasurementPoint], model: ModelSpec,
     """
     if chi_values is None:
         chi_values = sampler.analytic_chi_grid(points, model.n, cutoff)
-    bases = sampler.bases_for_order(model.n)
-    n_cells = len(points) * len(bases)
-    alloc = sampler.allocate_shots(n_cells, total_shots)
-    alloc_by_basis = {b: alloc[k * len(points):(k + 1) * len(points)]
-                      for k, b in enumerate(bases)}
-    p_by_basis = {}
-    for b in bases:
-        comp = np.real(chi_values) if b == "x" else np.imag(chi_values)
-        p_by_basis[b] = np.clip(0.5 * (1.0 + comp), 0.0, 1.0)
-
-    layout = _subproblem_layout(model)
-    n_coeffs = model.n_coeffs
-    center = np.real(series.truth_coefficients(model.n, model.n_bar).values)
-    thetas = np.empty((repeats, n_coeffs), dtype=complex)
+    n_parts = len(series.PARTS[model.n])
+    alloc = sampler.allocate_shots(len(points) * n_parts, total_shots).reshape(n_parts, -1)
+    probs = [np.clip(_born(chi_values, part), 0.0, 1.0) for part in range(n_parts)]
+    thetas = np.empty((repeats, model.n_coeffs), dtype=complex)
     c_hs = np.empty(repeats) if model.heating else None
-
     for m in range(repeats):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
-        parts = []
-        for part_index, (basis, offset, lo, hi) in enumerate(layout):
-            counts = rng.binomial(alloc_by_basis[basis], p_by_basis[basis])
-            freq = counts / alloc_by_basis[basis]
-            parts.append(_points_to_subproblem(model, points, alloc_by_basis[basis],
-                                               basis, offset, lo, hi, freq=freq))
-        solution = []
-        for part_index, sub in enumerate(parts):
-            x0 = np.zeros(n_coeffs) if theta0 is None else _pack_theta(model, theta0)[part_index]
-            part_center = center if part_index == 0 else np.zeros(n_coeffs)
-            if model.heating:
-                x0 = np.append(x0, 0.0)
-                part_center = np.append(part_center, 0.0)
-            x, _ = _solve_subproblem(sub, n_coeffs, cost, x0, model.heating, part_center)
-            solution.append(x)
-        if model.n == 2:
-            thetas[m] = solution[0][:n_coeffs]
-            if model.heating:
-                c_hs[m] = solution[0][n_coeffs]
-        else:
-            thetas[m] = solution[0][:n_coeffs] + 1j * solution[1][:n_coeffs]
+        subs = [_subproblem(model, part, points, alloc[part],
+                            rng.binomial(alloc[part], probs[part]) / alloc[part])
+                for part in range(n_parts)]
+        coeffs, c_h, _ = _fit(model, subs, cost, theta0)
+        thetas[m] = coeffs.values
+        if model.heating:
+            c_hs[m] = c_h
     return thetas, c_hs
 
 

@@ -26,17 +26,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import charfunc, fockspace
-from .errors import DatasetError, InvalidChiError, InvalidParameterError
+from . import charfunc, fockspace, series
+from .errors import DatasetError, InvalidChiError, InvalidParameterError, TruncationWarning
 
 OMEGA_ETA_DEFAULT = 2.0 * np.pi * 4.7e3      # phase-space displacement rate, rad/s
-OMEGA_B_DEFAULT = 2.0 * np.pi * 1.2e6        # oscillator frequency, rad/s (metadata)
-PREP_DETUNING_DEFAULT = 2.0 * np.pi * 20e3   # bichromatic detuning for state prep, rad/s
 
 BASIS_CODES = {"x": 0, "y": 1}
 
@@ -116,84 +115,33 @@ def record_seed_sequence(master_seed: int, point_index: int, basis: str) -> np.r
                                   spawn_key=(point_index, BASIS_CODES[basis]))
 
 
-def allocate_shots(n_points: int, total: int, policy: str = "equal",
-                   variances: Sequence[float] | None = None) -> np.ndarray:
-    """Split a shot budget over points, preserving the total exactly.
+def allocate_shots(n_points: int, total: int) -> np.ndarray:
+    """Split a shot budget equally over points, preserving the total exactly.
 
-    'equal' gives floor(total / n) everywhere and hands the remainder to
-    the first points; 'proportional-to-variance' weights by the supplied
-    per-point Bernoulli variances with largest-remainder rounding.
+    Every point gets floor(total / n) and the first points share the
+    remainder.
     """
     if n_points < 1:
         raise DatasetError("cannot allocate shots to an empty grid")
     if total < n_points:
         raise InvalidParameterError("need at least one shot per point")
-    if policy == "equal":
-        base = total // n_points
-        alloc = np.full(n_points, base, dtype=int)
-        alloc[: total - base * n_points] += 1
-        return alloc
-    if policy == "proportional-to-variance":
-        if variances is None:
-            raise InvalidParameterError("variance-proportional policy needs variances")
-        w = np.maximum(np.asarray(variances, dtype=float), 1e-12)
-        ideal = total * w / w.sum()
-        alloc = np.maximum(np.floor(ideal).astype(int), 1)
-        remainder = total - int(alloc.sum())
-        if remainder > 0:
-            order = np.argsort(-(ideal - np.floor(ideal)))
-            alloc[order[:remainder]] += 1
-        elif remainder < 0:
-            order = np.argsort(ideal - np.floor(ideal))
-            for idx in order:
-                if remainder == 0:
-                    break
-                if alloc[idx] > 1:
-                    alloc[idx] -= 1
-                    remainder += 1
-        return alloc
-    raise InvalidParameterError(f"unknown allocation policy {policy!r}")
-
-
-# ---------------------------------------------------------------------------
-# Analytic characteristic-function source
-# ---------------------------------------------------------------------------
-
-
-def analytic_chi(point: MeasurementPoint, n: int,
-                 cutoff: int = fockspace.DEFAULT_CUTOFF) -> complex:
-    """Reference chi for a point: closed form for n=2, Fock numerics for n=3."""
-    spec = charfunc.SqueezeSpec(n=n, r=point.r, theta=point.theta)
-    if n == 2:
-        if point.n_bar > 0:
-            return complex(charfunc.chi_thermal_squeezed_exact(point.xi, spec, point.n_bar))
-        return complex(charfunc.chi_squeezed_exact(point.xi, spec))
-    rho = fockspace.thermal_state(point.n_bar, cutoff)
-    return charfunc.chi_numeric(rho, spec, point.xi)
+    base = total // n_points
+    alloc = np.full(n_points, base, dtype=int)
+    alloc[: total - base * n_points] += 1
+    return alloc
 
 
 def analytic_chi_grid(points: Sequence[MeasurementPoint], n: int,
                       cutoff: int = fockspace.DEFAULT_CUTOFF) -> np.ndarray:
-    """Vectorized analytic chi over a list of points."""
-    if n == 2:
-        out = np.empty(len(points), dtype=complex)
-        for key in {(p.r, p.theta, p.n_bar) for p in points}:
-            r, theta, n_bar = key
-            idx = [i for i, p in enumerate(points) if (p.r, p.theta, p.n_bar) == key]
-            xis = np.array([points[i].xi for i in idx])
-            spec = charfunc.SqueezeSpec(n=2, r=r, theta=theta)
-            vals = charfunc.chi_thermal_squeezed_exact(xis, spec, n_bar) if n_bar > 0 \
-                else charfunc.chi_squeezed_exact(xis, spec)
-            out[idx] = vals
-        return out
+    """Reference chi per point (`charfunc.chi_reference`), one call per state."""
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(points):
+        groups.setdefault((p.r, p.theta, p.n_bar), []).append(i)
     out = np.empty(len(points), dtype=complex)
-    for key in {(p.r, p.theta, p.n_bar) for p in points}:
-        r, theta, n_bar = key
-        idx = [i for i, p in enumerate(points) if (p.r, p.theta, p.n_bar) == key]
+    for (r, theta, n_bar), idx in groups.items():
         xis = np.array([points[i].xi for i in idx])
-        spec = charfunc.SqueezeSpec(n=n, r=r, theta=theta)
-        rho = fockspace.thermal_state(n_bar, cutoff)
-        out[idx] = charfunc.chi_numeric_grid(rho, spec, xis)
+        out[idx] = charfunc.chi_reference(xis, charfunc.SqueezeSpec(n=n, r=r, theta=theta),
+                                          n_bar, cutoff)
     return out
 
 
@@ -216,14 +164,11 @@ class ProtocolConfig:
     """
 
     omega_eta: float = OMEGA_ETA_DEFAULT
-    omega_b: float = OMEGA_B_DEFAULT
     heating_rate: float = 0.0
     cutoff: int = fockspace.DEFAULT_CUTOFF
-    prep_detuning: float = PREP_DETUNING_DEFAULT
-    ramp_time: float = 5.0 / PREP_DETUNING_DEFAULT
+    ramp_time: float = 5.0 / (2.0 * np.pi * 20e3)  # five periods of a 20 kHz detuning
     prep_hold: float = 80e-6
     idle_time: float = 480e-6
-    step_rule: float = fockspace.STEP_RULE
 
     def __post_init__(self):
         if self.heating_rate < 0:
@@ -326,20 +271,6 @@ class _LadderKernel:
         return out
 
 
-def _rk4(x: np.ndarray, rhs, duration: float, max_dt: float,
-         t_offset: float = 0.0) -> np.ndarray:
-    n_steps = max(1, int(math.ceil(duration / max_dt - 1e-12)))
-    dt = duration / n_steps
-    for i in range(n_steps):
-        t = t_offset + i * dt
-        k1 = rhs(x, t)
-        k2 = rhs(x + (0.5 * dt) * k1, t + 0.5 * dt)
-        k3 = rhs(x + (0.5 * dt) * k2, t + 0.5 * dt)
-        k4 = rhs(x + dt * k3, t + dt)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
-
-
 def prepare_state(n: int, r: float, theta: float, n_bar: float,
                   config: ProtocolConfig) -> fockspace.DensityOperator:
     """Idle slot plus squeezing pulse on a thermal state, heating included."""
@@ -357,8 +288,8 @@ def prepare_state(n: int, r: float, theta: float, n_bar: float,
     jump_norm = 4.0 * config.heating_rate * cutoff
 
     if config.idle_time > 0 and config.heating_rate > 0:
-        idle_dt = config.step_rule / jump_norm
-        x = _rk4(x, lambda m, _t: kern.dissipator(m), config.idle_time, idle_dt)
+        idle_dt = fockspace.STEP_RULE / jump_norm
+        x = fockspace.rk4(x, lambda m, _t: kern.dissipator(m), config.idle_time, idle_dt)
 
     def rhs(m, t):
         c = omega_n * _ramp_envelope(t, ramp, hold)
@@ -368,8 +299,8 @@ def prepare_state(n: int, r: float, theta: float, n_bar: float,
 
     if r > 0 or config.heating_rate > 0:
         h_norm = 2.0 * abs(omega_n) * float(kern.wn[-1]) if r > 0 else 0.0
-        max_dt = config.step_rule / max(h_norm + jump_norm, 1e-12)
-        x = _rk4(x, rhs, config.prep_duration, max_dt)
+        max_dt = fockspace.STEP_RULE / max(h_norm + jump_norm, 1e-12)
+        x = fockspace.rk4(x, rhs, config.prep_duration, max_dt)
 
     rho = fockspace.DensityOperator(cutoff, x)
     if rho.tail_population() > fockspace.TAIL_TOLERANCE:
@@ -417,7 +348,7 @@ def probe_coherences(rho_b: fockspace.DensityOperator, config: ProtocolConfig,
 
     h_norm = config.omega_eta * float(kern.wn[-1])  # ||A/2|| upper bound
     jump_norm = 4.0 * config.heating_rate * cutoff
-    max_dt = config.step_rule / max(h_norm + jump_norm, 1e-12)
+    max_dt = fockspace.STEP_RULE / max(h_norm + jump_norm, 1e-12)
 
     mags = np.asarray(xi_magnitudes, dtype=float)
     if np.any(np.diff(mags) < 0):
@@ -429,7 +360,7 @@ def probe_coherences(rho_b: fockspace.DensityOperator, config: ProtocolConfig,
     t_now = 0.0
     for i, t_target in enumerate(times):
         if t_target > t_now:
-            x = _rk4(x, rhs, t_target - t_now, max_dt)
+            x = fockspace.rk4(x, rhs, t_target - t_now, max_dt)
             t_now = t_target
         out[i] = 2.0 * np.trace(x)
     return out
@@ -460,7 +391,7 @@ def simulate_protocol(point: MeasurementPoint, n: int, config: ProtocolConfig,
     )
     spec = fockspace.LindbladSpec(hamiltonian=terms, jumps=jumps)
     duration = point.probe_time
-    max_dt = config.step_rule / max(spec.norm_bound(np.array([0.0])), 1e-12)
+    max_dt = fockspace.STEP_RULE / max(spec.norm_bound(np.array([0.0])), 1e-12)
     rho_f = fockspace.evolve_lindblad(rho0, spec, (0.0, duration), max_dt)
     block01 = rho_f.matrix[:cutoff, cutoff:]
     return complex(2.0 * np.trace(block01))
@@ -474,6 +405,8 @@ def simulate_chi_grid(points: Sequence[MeasurementPoint], n: int,
     points additionally sharing the drive direction arg(xi) are snapshots
     of a single probe integration.  ``jobs`` > 1 fans the independent rays
     out over worker threads (BLAS releases the GIL during the matmuls).
+    Emits a TruncationWarning when a prepared state leans on the top Fock
+    levels.
     """
     out = np.empty(len(points), dtype=complex)
     groups: dict[tuple, list[int]] = {}
@@ -487,7 +420,7 @@ def simulate_chi_grid(points: Sequence[MeasurementPoint], n: int,
         idx_sorted = sorted(idx, key=lambda i: abs(points[i].xi))
         mags = [abs(points[i].xi) for i in idx_sorted]
         chis = probe_coherences(rho_b, config, dphi, mags)
-        return idx_sorted, chis
+        return idx_sorted, chis, rho_b.truncation_flagged
 
     items = list(groups.items())
     if jobs > 1 and len(items) > 1:
@@ -497,9 +430,12 @@ def simulate_chi_grid(points: Sequence[MeasurementPoint], n: int,
             results = list(pool.map(run_ray, items))
     else:
         results = [run_ray(item) for item in items]
-    for idx_sorted, chis in results:
-        for j, i in enumerate(idx_sorted):
-            out[i] = chis[j]
+    for idx_sorted, chis, _ in results:
+        out[idx_sorted] = chis
+    flagged = sum(result[2] for result in results)
+    if flagged:
+        warnings.warn(f"truncation guard tripped on {flagged} of {len(results)} prepared rays",
+                      TruncationWarning, stacklevel=2)
     return out
 
 
@@ -510,12 +446,11 @@ def simulate_chi_grid(points: Sequence[MeasurementPoint], n: int,
 
 def bases_for_order(n: int) -> tuple[str, ...]:
     """Measurement bases carrying information: x only for n=2, x and y for n=3."""
-    return ("x",) if n == 2 else ("x", "y")
+    return tuple(basis for basis, *_ in series.PARTS[n])
 
 
 def generate_dataset(points: Sequence[MeasurementPoint], total_shots: int, n: int,
                      seed: int, chi_source: str = "analytic",
-                     allocation: str = "equal",
                      config: ProtocolConfig | None = None,
                      chi_values: np.ndarray | None = None,
                      jobs: int = 1) -> list[ShotRecord]:
@@ -540,7 +475,7 @@ def generate_dataset(points: Sequence[MeasurementPoint], total_shots: int, n: in
         raise InvalidParameterError(f"unknown chi source {chi_source!r}")
 
     n_cells = len(points) * len(bases)
-    alloc = allocate_shots(n_cells, total_shots, allocation)
+    alloc = allocate_shots(n_cells, total_shots)
     records = []
     cell = 0
     for basis in bases:
@@ -587,10 +522,10 @@ def dataset_from_csv(stream) -> list[ShotRecord]:
     records = []
     for row in reader:
         try:
-            point = MeasurementPoint(
-                xi=complex(float(row["re_xi"]), float(row["im_xi"])),
-                r=float(row["r"]), theta=float(row["theta"]), n_bar=float(row["n_B"]),
-            )
+            re_xi, im_xi, r, theta, n_bar = (float(row[k]) for k in CSV_FIELDS[:5])
+            if not all(map(math.isfinite, (re_xi, im_xi, r, theta, n_bar))):
+                raise ValueError("non-finite value")
+            point = MeasurementPoint(xi=complex(re_xi, im_xi), r=r, theta=theta, n_bar=n_bar)
             records.append(ShotRecord(point=point, basis=row["basis"],
                                       shots=int(row["shots"]),
                                       plus_count=int(row["plus_count"]),

@@ -1,15 +1,15 @@
 """Truncated series models of the characteristic function.
 
-The model is chi = clip(1 + sum_j theta_j f_j(xi', r, theta)) * chi0^(1+2nB)
-with xi' = xi + c_h xi^2.  Basis terms f_j are exposed separately so the
-estimator can assemble analytic Jacobians; the model is linear in theta
-inside the clip.
+The model is chi = clip((1 + sum_j theta_j f_j(xi', r, theta)) * chi0(xi')^(1+2nB))
+with xi' = xi + c_h xi^2 and chi0 the free Gaussian.  Each real part of chi
+is read in one Pauli basis and clipped on its own; `part_model` evaluates
+one part with its analytic derivatives, and is the only place the model is
+written out.  Inside the clip the model is linear in theta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -19,6 +19,16 @@ from .errors import InvalidParameterError, UnsupportedOrderError
 TruthTable = {
     2: np.array([-1.0, -1.0, 0.5], dtype=complex),
     3: np.array([-1j / 3.0, -0.5, 1.0 / 6.0, -1.0 / 18.0], dtype=complex),
+}
+
+# The real parts of the model per order: (Pauli basis, offset of the series
+# bracket, clip range).  Order 2 is real; order 3 splits into Re chi (x
+# basis, bracket 1 + ...) and Im chi (y basis, bracket 0 + ...).  The clip
+# keeps the Born probabilities well defined without distorting directions
+# where the series ratio exceeds one.
+PARTS = {
+    2: (("x", 1.0, 0.0, 1.0),),
+    3: (("x", 1.0, -1.0, 1.0), ("y", 0.0, -1.0, 1.0)),
 }
 
 
@@ -39,64 +49,59 @@ class CoefficientVector:
             )
         object.__setattr__(self, "values", vals)
 
-    @property
-    def real_values(self) -> np.ndarray:
-        return self.values.real.copy()
 
+def basis_values(n: int, xi: np.ndarray, r, phase) -> np.ndarray:
+    """Term values f_j(xi, r, phase), shape xi.shape + (terms,); the constant 1 is implicit.
 
-@dataclass(frozen=True)
-class TermBasis:
-    """Ordered term functions f_j(xi, r, theta); the constant 1 is implicit."""
-
-    n: int
-    terms: tuple[Callable, ...]
-
-    def matrix(self, xi, r, theta) -> np.ndarray:
-        """Stack of term values, shape (npoints, nterms)."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-        r = np.broadcast_to(np.asarray(r, dtype=float), xi.shape)
-        return np.stack([f(xi, r, theta) for f in self.terms], axis=-1)
-
-
-def _re_pair(xi, theta):
-    return np.real(xi**2 * np.exp(-1j * theta))
-
-
-def _im_triple(xi, theta):
-    return np.imag(xi**3 * np.exp(-1j * theta))
-
-
-def basis_n2() -> TermBasis:
-    """Second-order terms: r Re{xi^2 e^-it}, r^2 |xi|^2, r^2 (Re{xi^2 e^-it})^2."""
-    return TermBasis(
-        2,
-        (
-            lambda xi, r, theta: r * _re_pair(xi, theta),
-            lambda xi, r, theta: r**2 * np.abs(xi) ** 2,
-            lambda xi, r, theta: r**2 * _re_pair(xi, theta) ** 2,
-        ),
-    )
-
-
-def basis_n3() -> TermBasis:
-    """Third-order terms: r Im{xi^3 e^-it}, r^2 |xi|^2, r^2 |xi|^4, r^2 (Im{xi^3 e^-it})^2."""
-    return TermBasis(
-        3,
-        (
-            lambda xi, r, theta: r * _im_triple(xi, theta),
-            lambda xi, r, theta: r**2 * np.abs(xi) ** 2,
-            lambda xi, r, theta: r**2 * np.abs(xi) ** 4,
-            lambda xi, r, theta: r**2 * _im_triple(xi, theta) ** 2,
-        ),
-    )
-
-
-def basis(n: int) -> TermBasis:
+    Order 2: r Re{xi^2 e^-ip}, r^2 |xi|^2, r^2 (Re{xi^2 e^-ip})^2.
+    Order 3: r Im{xi^3 e^-ip}, r^2 |xi|^2, r^2 |xi|^4, r^2 (Im{xi^3 e^-ip})^2.
+    ``r`` and ``phase`` broadcast against ``xi``: one value per row or one for all.
+    """
+    w = np.exp(-1j * phase)
     if n == 2:
-        return basis_n2()
+        re2 = np.real(xi * xi * w)
+        return np.stack([r * re2, r**2 * np.abs(xi) ** 2, r**2 * re2**2], axis=-1)
     if n == 3:
-        return basis_n3()
+        im3 = np.imag(xi**3 * w)
+        a2 = np.abs(xi) ** 2
+        return np.stack([r * im3, r**2 * a2, r**2 * a2**2, r**2 * im3**2], axis=-1)
     raise UnsupportedOrderError(f"no term basis for order {n}")
+
+
+def _basis_ch_derivative(xi_p: np.ndarray, xi2: np.ndarray, r, phase) -> np.ndarray:
+    """d f_j / d c_h of the order-2 terms through xi' = xi + c_h xi^2."""
+    w = np.exp(-1j * phase)
+    re2 = np.real(xi_p * xi_p * w)
+    dre2 = np.real(2.0 * xi_p * xi2 * w)
+    dabs2 = 2.0 * np.real(np.conj(xi_p) * xi2)
+    return np.stack([r * dre2, r**2 * dabs2, 2.0 * r**2 * re2 * dre2], axis=-1)
+
+
+def part_model(n: int, part: int, theta: np.ndarray, xi: np.ndarray, r, phase,
+               nu: float, c_h: float = 0.0, with_ch_grad: bool = False):
+    """One clipped real part of the model and its derivatives.
+
+    ``theta`` holds that part's real coefficients and ``nu`` = 1 + 2 n_bar.
+    Returns (value, d value / d theta, d value / d c_h or None); rows where
+    the clip is active carry zero derivatives.
+    """
+    _, offset, lo, hi = PARTS[n][part]
+    xi_p = charfunc.heated_xi_values(xi, c_h)
+    b = basis_values(n, xi_p, r, phase)
+    bracket = offset + b @ theta
+    chi0 = np.exp(-0.5 * nu * np.abs(xi_p) ** 2)
+    value = bracket * chi0
+    interior = (value > lo) & (value < hi)
+    d_theta = chi0[..., None] * b * interior[..., None]
+    d_ch = None
+    if with_ch_grad:
+        if n != 2:
+            raise UnsupportedOrderError("heating gradient only defined for order 2")
+        xi2 = xi * xi
+        db = _basis_ch_derivative(xi_p, xi2, r, phase)
+        dchi0 = -nu * np.real(np.conj(xi_p) * xi2) * chi0
+        d_ch = (bracket * dchi0 + chi0 * (db @ theta)) * interior
+    return np.clip(value, lo, hi), d_theta, d_ch
 
 
 def truth_coefficients(n: int, n_bar: float = 0.0) -> CoefficientVector:
@@ -114,39 +119,23 @@ def truth_coefficients(n: int, n_bar: float = 0.0) -> CoefficientVector:
     return CoefficientVector(n, TruthTable[n].copy(), n_bar=0.0)
 
 
-def clip_model_value(n: int, value: np.ndarray) -> np.ndarray:
-    """Clip of the model value: [0,1] for n=2, [-1,1] per part for n=3.
-
-    Applied to the full truncated characteristic function (series times
-    free Gaussian), which keeps the Born probabilities well defined
-    without distorting directions where the series ratio exceeds one.
-    """
-    if n == 2:
-        return np.clip(np.real(value), 0.0, 1.0)
-    return np.clip(np.real(value), -1.0, 1.0) + 1j * np.clip(np.imag(value), -1.0, 1.0)
-
-
 def eval_model(n: int, theta, xi, r: float, phase: float = 0.0,
                n_bar: float = 0.0, c_h: float = 0.0):
     """Truncated-model characteristic function at one or many xi values.
 
     The heating substitution xi -> xi + c_h xi^2 is applied before both the
-    basis terms and the free Gaussian factor; the product of the series
-    bracket and chi0^(1+2 n_bar) is clipped at the end.
+    basis terms and the free Gaussian factor; each part of the product of
+    the series bracket and chi0^(1+2 n_bar) is clipped at the end.
     """
     values = theta.values if isinstance(theta, CoefficientVector) else np.asarray(theta, dtype=complex)
-    if isinstance(xi, charfunc.PhasePoint):
-        xi = xi.xi
     xi_in = np.asarray(xi, dtype=complex)
-    scalar = xi_in.ndim == 0
     xi_arr = np.atleast_1d(xi_in)
-    xi_p = charfunc.heated_xi_values(xi_arr, c_h)
-    b = basis(n).matrix(xi_p, r, phase)
-    bracket = 1.0 + b @ values
-    chi0 = np.exp(-0.5 * (1.0 + 2.0 * n_bar) * np.abs(xi_p) ** 2)
-    out = clip_model_value(n, bracket * chi0)
-    if scalar:
-        return complex(out[0]) if n == 3 else float(np.real(out[0]))
+    nu = 1.0 + 2.0 * n_bar
+    parts = [part_model(n, k, comp, xi_arr, r, phase, nu, c_h)[0]
+             for k, comp in enumerate((values.real, values.imag)[: len(PARTS[n])])]
+    out = parts[0] if n == 2 else parts[0] + 1j * parts[1]
+    if xi_in.ndim == 0:
+        return complex(out[0]) if n == 3 else float(out[0])
     return out
 
 
@@ -154,19 +143,10 @@ def truncation_residual(n: int, r: float, xi_grid, n_bar: float = 0.0,
                         cutoff: int = fockspace.DEFAULT_CUTOFF) -> float:
     """Max gap between the truncated model at exact coefficients and the oracle.
 
-    The oracle is the closed form for n=2 (thermal closed form when
-    n_bar > 0) and the Fock-space numeric for n=3.
+    The oracle is `charfunc.chi_reference`: the closed form for n=2 and the
+    Fock-space numeric for n=3.
     """
     xi_grid = np.asarray(xi_grid, dtype=complex)
-    theta = truth_coefficients(n, n_bar)
-    model = eval_model(n, theta, xi_grid, r, 0.0, n_bar=n_bar)
-    spec = charfunc.SqueezeSpec(n=n, r=r, theta=0.0)
-    if n == 2:
-        oracle = charfunc.chi_thermal_squeezed_exact(xi_grid, spec, n_bar) if n_bar > 0 \
-            else charfunc.chi_squeezed_exact(xi_grid, spec)
-    else:
-        if n_bar > 0:
-            raise UnsupportedOrderError("thermal oracle only available for order 2")
-        rho = fockspace.vacuum_state(cutoff).to_density()
-        oracle = charfunc.chi_numeric_grid(rho, spec, xi_grid)
+    model = eval_model(n, truth_coefficients(n, n_bar), xi_grid, r, 0.0, n_bar=n_bar)
+    oracle = charfunc.chi_reference(xi_grid, charfunc.SqueezeSpec(n=n, r=r), n_bar, cutoff)
     return float(np.max(np.abs(oracle - model)))

@@ -86,6 +86,16 @@ class TestEstimate:
         bad.write_text("a,b\n1,2\n")
         assert cli.run(["--config", str(cfg), "estimate", str(bad)]) == 2
 
+    def test_non_finite_dataset_is_input_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.yaml")
+        cli.run(["--config", str(cfg), "simulate"])
+        lines = (tmp_path / "out" / "dataset.csv").read_text().splitlines()
+        lines[1] = "nan" + lines[1][lines[1].index(","):]
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli.run(["--config", str(cfg), "estimate", str(bad)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestCharfunc:
     def test_order2_grid_is_real(self, tmp_path):

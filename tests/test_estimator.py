@@ -59,18 +59,18 @@ class TestCosts:
             f * np.log(max(f, 1e-300)) + (1 - f) * np.log(max(1 - f, 1e-300))
             for f in freqs
         )
-        assert est.cost_ml(theta, problem) == pytest.approx(entropy, rel=1e-4)
+        assert est.cost(theta, problem) == pytest.approx(entropy, rel=1e-4)
         rng = np.random.default_rng(1)
         for _ in range(5):
             probe = np.real(theta.values) + rng.normal(scale=0.3, size=3)
-            assert est.cost_ml(probe, problem) >= entropy - 1e-9
+            assert est.cost(probe, problem) >= entropy - 1e-9
 
     def test_ml_single_point_values(self):
         point = sp.MeasurementPoint(xi=0j, r=0.0)
         rec_sure = sp.ShotRecord(point=point, basis="x", shots=100, plus_count=100, seed=0)
         problem = est.FitProblem(est.ModelSpec(2), [rec_sure], cost="ml")
         # model predicts p = 1 exactly at xi = 0 for any theta
-        assert est.cost_ml(np.zeros(3), problem) == pytest.approx(0.0, abs=1e-6)
+        assert est.cost(np.zeros(3), problem) == pytest.approx(0.0, abs=1e-6)
 
     def test_ml_mismatch_arithmetic(self):
         # f = 0.6 against p = 1/2: cost is 100 log 2
@@ -79,7 +79,7 @@ class TestCosts:
         problem = est.FitProblem(est.ModelSpec(2), [rec], cost="ml")
         # at these values the clipped model saturates at 0, so p = 1/2
         theta = np.array([-10.0, -10.0, 0.0])
-        assert est.cost_ml(theta, problem) == pytest.approx(100 * np.log(2), rel=1e-10)
+        assert est.cost(theta, problem) == pytest.approx(100 * np.log(2), rel=1e-10)
 
     def test_ls_zero_at_perfect_match(self):
         points = est.build_grid(0.4, 0.2, 0.2, 0.1)
@@ -93,8 +93,8 @@ class TestCosts:
                                          plus_count=count, seed=0))
         problem = est.FitProblem(est.ModelSpec(2), records, cost="ls")
         fitted = est.minimize(problem)
-        resid = est.cost_ls(fitted.coefficients, problem)
-        assert resid <= est.cost_ls(theta, problem) + 1e-9
+        resid = est.cost(fitted.coefficients, problem)
+        assert resid <= est.cost(theta, problem) + 1e-9
 
     def test_ls_single_residual_unit(self):
         point = sp.MeasurementPoint(xi=0.5 + 0j, r=0.1)
@@ -110,7 +110,7 @@ class TestCosts:
         f_actual = count / n
         sigma2 = max(f_actual * (1 - f_actual) / n, 1 / (4 * n**2))
         expected = (p_model - f_actual) ** 2 / sigma2
-        assert est.cost_ls(theta, problem) == pytest.approx(expected, rel=1e-12)
+        assert est.cost(theta, problem) == pytest.approx(expected, rel=1e-12)
 
     def test_ls_chi_square_statistic(self):
         # at theta star with the correct model, E[cost] ~ number of points;
@@ -124,7 +124,7 @@ class TestCosts:
             records = sp.generate_dataset(points, 2000 * len(points), 2, seed,
                                           chi_values=chis)
             problem = est.FitProblem(est.ModelSpec(2), records, cost="ls")
-            costs.append(est.cost_ls(theta, problem))
+            costs.append(est.cost(theta, problem))
         assert np.mean(costs) == pytest.approx(len(points), rel=0.05)
 
 
@@ -161,10 +161,10 @@ class TestMinimize:
         rng = np.random.default_rng(0)
         for _ in range(3):
             probe = rng.normal(size=4) + 1j * rng.normal(size=4)
-            joint = est.cost_ml(probe, problem)
-            re_only = est.cost_ml(np.real(probe) + 0j, problem)
-            im_only = est.cost_ml(1j * np.imag(probe), problem)
-            base = est.cost_ml(np.zeros(4), problem)
+            joint = est.cost(probe, problem)
+            re_only = est.cost(np.real(probe) + 0j, problem)
+            im_only = est.cost(1j * np.imag(probe), problem)
+            base = est.cost(np.zeros(4), problem)
             assert joint == pytest.approx(re_only + im_only - base, rel=1e-9)
 
     def test_order3_noiseless_recovery(self):
@@ -181,6 +181,15 @@ class TestMinimize:
         with pytest.raises(DatasetError):
             est.FitProblem(est.ModelSpec(3), records)
 
+    def test_requires_matching_occupation(self):
+        # n_B = 0.3 data under the default n_B = 0 model used to fit to
+        # (-2.6, 0.1, 0.8) without complaint
+        points = est.build_grid(1.0, 0.3, 0.1, 0.1, n_bar=0.3)
+        records = sp.generate_dataset(points, 100_000, 2, seed=0)
+        with pytest.raises(DatasetError, match="n_B"):
+            est.FitProblem(est.ModelSpec(2), records)
+        est.FitProblem(est.ModelSpec(2, 0.3), records)
+
 
 class TestFisher:
     def test_single_point_bernoulli(self):
@@ -188,7 +197,7 @@ class TestFisher:
         point = sp.MeasurementPoint(xi=0.5 + 0j, r=0.2)
         theta = dg.CoefficientVector(2, np.array([-1.0, 0.0, 0.0]))
         info = est.fisher_information(theta, [point], 1000, check=False)
-        b = dg.basis(2).matrix(np.array([point.xi]), point.r, 0.0).real[0]
+        b = dg.basis_values(2, np.array([point.xi]), point.r, 0.0)[0]
         chi0 = np.exp(-0.5 * abs(point.xi) ** 2)
         p = 0.5 * (1 + (1 + theta.values.real @ b) * chi0)
         expected_11 = 1000 * (0.5 * b[0] * chi0) ** 2 / (p * (1 - p))
@@ -335,7 +344,7 @@ class TestThermalAndHeating:
         model = est.ModelSpec(2, 0.1)
         theta = dg.truth_coefficients(2, 0.1)
         records = model_dataset(points, theta, 1_600_000, seed=12, n_bar=0.1)
-        report = est.fit_thermal(est.FitProblem(model, records, cost="ls"))
+        report = est.minimize(est.FitProblem(model, records, cost="ls"))
         # well-specified data: the estimate sits within a few stochastic sigma
         gap = np.abs(np.real(report.coefficients.values) - np.array([-1.2, -1.2, 0.72]))
         assert np.all(gap <= 3.0 * report.std)

@@ -136,7 +136,9 @@ class TestThermalState:
 
     def test_positivity_and_trace(self):
         rho = fs.thermal_state(0.25, 100)
-        rho.validate()
+        np.testing.assert_array_equal(rho.matrix, rho.matrix.conj().T)
+        assert abs(rho.trace() - 1.0) <= 1e-10
+        assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
 
     def test_rejects_hot_state_beyond_tail_guard(self):
         with pytest.raises(InvalidParameterError):

@@ -1,0 +1,104 @@
+"""Property tests: CSV round-trip, shot allocation, model bounds and typed
+errors on non-finite input."""
+
+import io
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylfit import config
+from weylfit import sampler as sp
+from weylfit import series as dg
+from weylfit.errors import DatasetError
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def reals(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def shot_records(draw):
+    point = sp.MeasurementPoint(xi=complex(draw(reals(-10.0, 10.0)), draw(reals(-10.0, 10.0))),
+                                r=draw(reals(0.0, 2.0)), theta=draw(reals(0.0, 6.3)),
+                                n_bar=draw(reals(0.0, 5.0)))
+    shots = draw(st.integers(1, 10**7))
+    return sp.ShotRecord(point=point, basis=draw(st.sampled_from(["x", "y"])), shots=shots,
+                         plus_count=draw(st.integers(0, shots)),
+                         seed=draw(st.integers(0, 2**64 - 1)))
+
+
+def as_tuple(rec):
+    p = rec.point
+    return (p.xi, p.r, p.theta, p.n_bar, rec.basis, rec.shots, rec.plus_count, rec.seed)
+
+
+@PROPERTY
+@given(st.lists(shot_records(), min_size=1, max_size=20))
+def test_csv_round_trip_is_exact_at_twelve_digits(records):
+    # one write rounds every float to 12 significant digits; from then on
+    # write and read are exact inverses
+    text = sp.dataset_to_string(records)
+    once = sp.dataset_from_csv(io.StringIO(text))
+    for orig, back in zip(records, once):
+        assert as_tuple(back)[4:] == as_tuple(orig)[4:]
+        np.testing.assert_allclose(np.array(as_tuple(back)[:4], dtype=complex),
+                                   np.array(as_tuple(orig)[:4], dtype=complex),
+                                   rtol=1e-11, atol=1e-300)
+    twice = sp.dataset_from_csv(io.StringIO(sp.dataset_to_string(once)))
+    assert [as_tuple(r) for r in twice] == [as_tuple(r) for r in once]
+
+
+@PROPERTY
+@given(st.integers(1, 5000), st.integers(0, 10**9))
+def test_allocation_preserves_total_with_a_shot_everywhere(n_points, extra):
+    total = n_points + extra
+    alloc = sp.allocate_shots(n_points, total)
+    assert len(alloc) == n_points
+    assert int(alloc.sum()) == total
+    assert alloc.min() >= 1
+    assert alloc.max() - alloc.min() <= 1
+
+
+xis = st.builds(complex, reals(-5.0, 5.0), reals(-5.0, 5.0))
+
+
+@PROPERTY
+@given(st.lists(reals(-100.0, 100.0), min_size=3, max_size=3), st.lists(xis, min_size=1, max_size=8),
+       reals(0.0, 1.0), reals(0.0, 6.3), reals(0.0, 2.0), reals(-0.3, 0.3))
+def test_order2_model_is_bounded_by_one(theta, xi, r, phase, n_bar, c_h):
+    vals = dg.eval_model(2, np.array(theta), np.array(xi), r, phase, n_bar=n_bar, c_h=c_h)
+    assert np.all(np.abs(vals) <= 1.0)
+
+
+@PROPERTY
+@given(st.lists(st.builds(complex, reals(-100.0, 100.0), reals(-100.0, 100.0)),
+                min_size=4, max_size=4),
+       st.lists(xis, min_size=1, max_size=8), reals(0.0, 1.0), reals(0.0, 6.3))
+def test_order3_model_parts_lie_in_the_unit_interval(theta, xi, r, phase):
+    vals = dg.eval_model(3, np.array(theta), np.array(xi), r, phase)
+    for part in (vals.real, vals.imag):
+        assert np.all((part >= -1.0) & (part <= 1.0))
+
+
+@PROPERTY
+@given(st.sampled_from(sp.CSV_FIELDS[:5]),
+       st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"]),
+       shot_records())
+def test_non_finite_csv_field_raises_dataset_error(field, value, record):
+    header, row = sp.dataset_to_string([record]).splitlines()
+    cells = row.split(",")
+    cells[sp.CSV_FIELDS.index(field)] = value
+    with pytest.raises(DatasetError):
+        sp.dataset_from_csv(io.StringIO(header + "\n" + ",".join(cells) + "\n"))
+
+
+def test_readme_config_block_lists_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert yaml.safe_load(block) == config.DEFAULTS

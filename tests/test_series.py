@@ -13,22 +13,26 @@ def small_grid(n_angles=6, n_mags=6, max_mag=0.3):
 
 class TestBases:
     def test_order2_term_values(self):
-        f1, f2, f3 = dg.basis_n2().terms
-        assert f1(np.array([1.0 + 0j]), 1.0, 0.0)[0] == pytest.approx(1.0)
-        assert f2(np.array([1j]), 0.5, 0.0)[0] == pytest.approx(0.25)
+        def f(j, xi, r, theta):
+            return dg.basis_values(2, np.array([xi]), r, theta)[0, j]
+
+        assert f(0, 1.0 + 0j, 1.0, 0.0) == pytest.approx(1.0)
+        assert f(1, 1j, 0.5, 0.0) == pytest.approx(0.25)
         # Re{xi^2} = Re{i} = 0 at xi = e^{i pi/4}
-        assert f3(np.array([np.exp(1j * np.pi / 4)]), 1.0, 0.0)[0] == pytest.approx(0.0, abs=1e-15)
+        assert f(2, np.exp(1j * np.pi / 4), 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_order3_term_values(self):
-        f1, f2, f3, f4 = dg.basis_n3().terms
-        assert f1(np.array([0.7 + 0j]), 1.0, 0.0)[0] == pytest.approx(0.0, abs=1e-15)
-        assert f3(np.array([1.0 + 1.0j]), 1.0, 0.0)[0] == pytest.approx(4.0)
+        def f(j, xi, r, theta):
+            return dg.basis_values(3, np.array([xi]), r, theta)[0, j]
+
+        assert f(0, 0.7 + 0j, 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert f(2, 1.0 + 1.0j, 1.0, 0.0) == pytest.approx(4.0)
         # xi = i: xi^3 = -i, Im = -1, squared = 1
-        assert f4(np.array([1j]), 1.0, 0.0)[0] == pytest.approx(1.0)
+        assert f(3, 1j, 1.0, 0.0) == pytest.approx(1.0)
 
     def test_terms_vanish_at_origin(self):
         for n in (2, 3):
-            b = dg.basis(n).matrix(np.array([0.0 + 0j]), 0.7, 0.3)
+            b = dg.basis_values(n, np.array([0.0 + 0j]), 0.7, 0.3)
             np.testing.assert_allclose(np.abs(b), 0.0, atol=1e-15)
 
 
@@ -81,7 +85,7 @@ class TestEvalModel:
         t1 = rng.normal(scale=0.1, size=3)
         t2 = rng.normal(scale=0.1, size=3)
         chi0 = np.exp(-0.5 * np.abs(xis) ** 2)
-        b = dg.basis(2).matrix(xis, 0.2, 0.0).real
+        b = dg.basis_values(2, xis, 0.2, 0.0)
         unclipped = np.ones(len(xis), dtype=bool)
         for t in (t1, t2, t1 + t2):
             values = (1.0 + b @ t) * chi0
@@ -111,17 +115,20 @@ class TestEvalModel:
         vals = dg.eval_model(2, dg.truth_coefficients(2), xis, 0.78)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         # the series value does go negative on this slice, so the clip is active
-        b = dg.basis(2).matrix(xis, 0.78, 0.0)
+        b = dg.basis_values(2, xis, 0.78, 0.0)
         bracket = 1.0 + np.real(b @ dg.truth_coefficients(2).values)
         assert bracket.min() < 0.0
 
-    def test_clipping_idempotent(self):
-        vals = np.array([-0.5, 0.2, 0.9, 1.3])
-        once = dg.clip_model_value(2, vals)
-        np.testing.assert_array_equal(once, dg.clip_model_value(2, once))
-        cvals = vals + 1j * vals[::-1]
-        once3 = dg.clip_model_value(3, cvals)
-        np.testing.assert_array_equal(once3, dg.clip_model_value(3, once3))
+    def test_clip_saturates_each_part_at_its_range(self):
+        # large coefficients drive every part to both ends of its clip range
+        xis = small_grid(n_angles=8, max_mag=1.5)
+        vals2 = np.concatenate([dg.eval_model(2, np.array([s, 0.0, 0.0]), xis, 0.5)
+                                for s in (-50.0, 50.0)])
+        assert vals2.min() == 0.0 and vals2.max() == 1.0
+        theta3 = np.array([50.0 + 50.0j, 0.0, 0.0, 0.0])
+        vals3 = np.concatenate([dg.eval_model(3, s * theta3, xis, 0.5) for s in (-1.0, 1.0)])
+        for part in (vals3.real, vals3.imag):
+            assert part.min() == -1.0 and part.max() == 1.0
 
     def test_heating_substitution_moves_both_factors(self):
         xi, c_h, r = 0.8 + 0j, 0.05, 0.2
