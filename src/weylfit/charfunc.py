@@ -73,12 +73,6 @@ def _cached_squeeze(n: int, zeta: complex, cutoff: int) -> np.ndarray:
     return fockspace.generalized_squeeze(n, zeta, cutoff).matrix
 
 
-@lru_cache(maxsize=4096)
-def _cached_displacement(xi: complex, cutoff: int):
-    op = fockspace.displacement(xi, cutoff)
-    return op.matrix, op.truncation_flagged
-
-
 def chi_reference(xi, spec: SqueezeSpec, n_bar: float = 0.0,
                   cutoff: int = fockspace.DEFAULT_CUTOFF):
     """Characteristic function of the squeezed thermal state, without series truncation.
@@ -102,29 +96,23 @@ def chi_numeric_grid(rho: fockspace.DensityOperator, spec: SqueezeSpec,
                      xis: np.ndarray) -> np.ndarray:
     """Tr{S_n(zeta) rho S_n(zeta)^dag D(xi)} over an array of displacements.
 
-    Computed on the truncated space.  Emits one TruncationWarning when the
-    squeezed state or any displacement leans on the top Fock levels.
+    Computed on the truncated space by `fockspace.weyl_expectation`.  Emits
+    one TruncationWarning when the squeezed state leans on the top Fock
+    levels or some |xi|^2 exceeds cutoff/10.
     """
     cutoff = rho.cutoff
     s = _cached_squeeze(spec.n, complex(spec.zeta), cutoff)
     sigma = s @ rho.matrix @ s.conj().T
     tail = float(np.sum(np.real(np.diag(sigma))[fockspace.tail_start(cutoff):]))
-    sigma_t = sigma.T.copy()
-    flat = np.asarray(xis, dtype=complex).ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    flagged = False
-    for i, z in enumerate(flat):
-        d, d_flagged = _cached_displacement(complex(z), cutoff)
-        flagged |= d_flagged
-        out[i] = np.sum(sigma_t * d)
-    if tail > fockspace.TAIL_TOLERANCE or flagged:
+    max_xi2 = np.abs(np.asarray(xis, dtype=complex)).max(initial=0.0) ** 2
+    if tail > fockspace.TAIL_TOLERANCE or max_xi2 > cutoff / 10.0:
         warnings.warn(
             f"truncation guard tripped (tail population {tail:.2e}, "
-            f"max |xi|^2 = {np.abs(flat).max(initial=0.0) ** 2:.2f})",
+            f"max |xi|^2 = {max_xi2:.2f})",
             TruncationWarning,
             stacklevel=2,
         )
-    return out.reshape(np.shape(xis))
+    return fockspace.weyl_expectation(sigma, xis)
 
 
 def heated_xi_values(xis: np.ndarray, c_h: float) -> np.ndarray:

@@ -48,12 +48,10 @@ def _grid_points(cfg: config_mod.RunConfig) -> list[sampler.MeasurementPoint]:
     g, m = cfg.grid, cfg.model
     if m["n"] == 2:
         return estimator.build_grid(g["xi_max"], g["r_max"], g["d_xi"], g["d_r"],
-                                    n_bar=m["n_B"],
-                                    omega_eta=cfg.protocol["omega_eta"])
+                                    n_bar=m["n_B"])
     return estimator.build_grid_complex(g["re_xi_max"], g["im_xi_max"], g["r_max"],
                                         n_re=g["n_re"], n_im=g["n_im"], n_r=g["n_r"],
-                                        n_bar=m["n_B"],
-                                        omega_eta=cfg.protocol["omega_eta"])
+                                        n_bar=m["n_B"])
 
 
 def _save_report(report: estimator.EstimationReport, cfg: config_mod.RunConfig,
@@ -85,26 +83,38 @@ def _plain(obj):
     return obj
 
 
-def _load_report(path: Path) -> tuple[estimator.EstimationReport, dict]:
-    meta = yaml.safe_load(path.with_suffix(".meta.yaml").read_text())
-    model = estimator.ModelSpec(int(meta["model"]["n"]), float(meta["model"]["n_B"]),
-                                bool(meta["model"]["heating"]))
-    values, stds, c_h, c_h_std = [], [], None, None
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["name"] == "c_h":
-                c_h = float(row["re"])
-                c_h_std = float(row["std"])
-            else:
-                values.append(complex(float(row["re"]), float(row["im"])))
-                stds.append(float(row["std"]))
+def _load_report(path: Path) -> tuple[estimator.EstimationReport, float | None]:
+    """A report CSV with its ``.meta.yaml``, and the occupation its data was taken at.
+
+    The occupation is the sidecar's ``data_n_B``, else its config's
+    ``model.n_B``, else None.  Malformed content raises DatasetError.
+    """
+    try:
+        meta = yaml.safe_load(path.with_suffix(".meta.yaml").read_text())
+        model = estimator.ModelSpec(int(meta["model"]["n"]), float(meta["model"]["n_B"]),
+                                    bool(meta["model"]["heating"]))
+        data_n_bar = meta.get("data_n_B")
+        if data_n_bar is None:
+            data_n_bar = meta.get("config", {}).get("model", {}).get("n_B")
+        data_n_bar = None if data_n_bar is None else float(data_n_bar)
+        values, stds, c_h, c_h_std = [], [], None, None
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                if row["name"] == "c_h":
+                    c_h = float(row["re"])
+                    c_h_std = float(row["std"])
+                else:
+                    values.append(complex(float(row["re"]), float(row["im"])))
+                    stds.append(float(row["std"]))
+    except (yaml.YAMLError, csv.Error, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(f"malformed report {path}: {exc!r}") from exc
     coeffs = series.CoefficientVector(model.n, np.array(values), n_bar=model.n_bar)
     report = estimator.EstimationReport(
         model=model, coefficients=coeffs, covariance=np.diag(np.array(stds) ** 2),
         std=np.array(stds), c_h=c_h, c_h_std=c_h_std,
         diagnostics=meta.get("diagnostics", {}),
     )
-    return report, meta
+    return report, data_n_bar
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +204,11 @@ def cmd_sweep(cfg: config_mod.RunConfig, args) -> int:
 def cmd_extrapolate(cfg: config_mod.RunConfig, args) -> int:
     reports, n_bars = [], []
     for path in args.reports:
-        rep, meta = _load_report(Path(path))
+        rep, data_n_bar = _load_report(Path(path))
         reports.append(rep)
-        data_n_bar = meta.get("data_n_B")
-        if data_n_bar is None:
-            data_n_bar = meta.get("config", {}).get("model", {}).get("n_B")
         if data_n_bar is None:
             raise ConfigError(f"report {path} does not record its occupation")
-        n_bars.append(float(data_n_bar))
+        n_bars.append(data_n_bar)
     if args.n_bars:
         n_bars = [float(v) for v in args.n_bars.split(",")]
     extrapolated = estimator.zero_noise_extrapolate(reports, n_bars, degree=args.degree)
@@ -324,9 +331,7 @@ def _validate_checks(cfg: config_mod.RunConfig):
         pcfg = cfg.protocol_config()
         worst = 0.0
         for r in (0.1, 0.25):
-            points = [sampler.MeasurementPoint(xi=complex(x), r=r,
-                                               omega_eta=pcfg.omega_eta)
-                      for x in (0.5, 1.0, 1.5)]
+            points = [sampler.MeasurementPoint(xi=complex(x), r=r) for x in (0.5, 1.0, 1.5)]
             chis = sampler.simulate_chi_grid(points, 2, pcfg)
             exact = sampler.analytic_chi_grid(points, 2, pcfg.cutoff)
             worst = max(worst, float(np.max(np.abs(chis - exact))))
@@ -445,9 +450,6 @@ def run(argv: list[str] | None = None) -> int:
             overrides["output"] = {"directory": args.out}
         cfg = config_mod.load_config(args.config, overrides)
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, DatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except WeylfitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

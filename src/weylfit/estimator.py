@@ -456,17 +456,27 @@ def systematic_bias(theta_star: CoefficientVector, points: Sequence[MeasurementP
     The exact probabilities come from the closed forms (order 2) or the
     Fock-space numerics (order 3) at the grid's own thermal occupation.
     """
+    return _bias_and_information(theta_star, points, shots, cutoff)[0]
+
+
+def _bias_and_information(theta_star: CoefficientVector, points: Sequence[MeasurementPoint],
+                          shots, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """`systematic_bias` and the Fisher information I it solves against.
+
+    Raises RankDeficiencyError, before any exact chi is computed, when I is
+    singular.
+    """
     model = ModelSpec(theta_star.n, theta_star.n_bar)
-    chi_exact = sampler.analytic_chi_grid(points, model.n, cutoff)
     parts, info = _fisher_parts(_design(model, points, shots), _pack_theta(model, theta_star), None)
     _checked_eigh(info)
+    chi_exact = sampler.analytic_chi_grid(points, model.n, cutoff)
     rhs = np.concatenate([dp_w.T @ (_born(chi_exact, part) - p)
                           for part, (p, dp_w) in enumerate(parts)])
     delta = np.linalg.solve(info, rhs)
     if model.n == 2:
-        return delta.astype(complex)
+        return delta.astype(complex), info
     size = model.n_coeffs
-    return delta[:size] + 1j * delta[size:]
+    return delta[:size] + 1j * delta[size:], info
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +485,7 @@ def systematic_bias(theta_star: CoefficientVector, points: Sequence[MeasurementP
 
 
 def build_grid(xi_max: float, r_max: float, d_xi: float, d_r: float,
-               n_bar: float = 0.0, theta: float = 0.0,
-               omega_eta: float = sampler.OMEGA_ETA_DEFAULT) -> list[MeasurementPoint]:
+               n_bar: float = 0.0, theta: float = 0.0) -> list[MeasurementPoint]:
     """Square lattice of real displacements: xi in d_xi..xi_max, r in d_r..r_max."""
     if d_xi <= 0 or d_r <= 0:
         raise InvalidParameterError("grid spacings must be positive")
@@ -484,23 +493,20 @@ def build_grid(xi_max: float, r_max: float, d_xi: float, d_r: float,
         raise InvalidParameterError("grid maxima must reach at least one spacing")
     xis = d_xi * np.arange(1, int(round(xi_max / d_xi)) + 1)
     rs = d_r * np.arange(1, int(round(r_max / d_r)) + 1)
-    return [MeasurementPoint(xi=complex(x), r=float(r), theta=theta, n_bar=n_bar,
-                             omega_eta=omega_eta)
+    return [MeasurementPoint(xi=complex(x), r=float(r), theta=theta, n_bar=n_bar)
             for r in rs for x in xis]
 
 
 def build_grid_complex(re_max: float, im_max: float, r_max: float,
                        n_re: int = 10, n_im: int = 10, n_r: int = 3,
-                       n_bar: float = 0.0, theta: float = 0.0,
-                       omega_eta: float = sampler.OMEGA_ETA_DEFAULT) -> list[MeasurementPoint]:
+                       n_bar: float = 0.0, theta: float = 0.0) -> list[MeasurementPoint]:
     """3-D grid over (Re xi, Im xi, r) for the order-3 estimator."""
     if min(n_re, n_im, n_r) < 1:
         raise InvalidParameterError("grid needs at least one point per axis")
     res = np.linspace(0.0, re_max, n_re)
     ims = np.linspace(0.0, im_max, n_im)
     rs = np.linspace(0.0, r_max, n_r)
-    return [MeasurementPoint(xi=complex(x, y), r=float(r), theta=theta, n_bar=n_bar,
-                             omega_eta=omega_eta)
+    return [MeasurementPoint(xi=complex(x, y), r=float(r), theta=theta, n_bar=n_bar)
             for r in rs for y in ims for x in res]
 
 
@@ -536,15 +542,13 @@ def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots:
             points = build_grid(xi_max, r_max, d_xi, d_r, n_bar=n_bar)
             alloc = sampler.allocate_shots(len(points), total_shots)
             try:
-                info = fisher_information(theta_star, points, alloc)
+                bias, info = _bias_and_information(theta_star, points, alloc, cutoff)
             except RankDeficiencyError:
                 # single-r designs leave c1 and c2 exactly collinear;
                 # the expected error along the flat direction is unbounded
                 out[i, j] = np.inf
                 continue
-            cov = np.linalg.inv(info)
-            bias = systematic_bias(theta_star, points, alloc, cutoff=cutoff)
-            mse = np.abs(bias) ** 2 + np.diag(cov)
+            mse = np.abs(bias) ** 2 + np.diag(np.linalg.inv(info))
             out[i, j] = math.sqrt(float(np.mean(mse)))
     k = np.unravel_index(np.argmin(out), out.shape)
     return SweepResult(xi_maxes=xi_maxes, r_maxes=r_maxes, rmse=out,
@@ -595,16 +599,8 @@ def zero_noise_extrapolate(reports: Sequence[EstimationReport],
 
 
 # ---------------------------------------------------------------------------
-# Convenience wrappers
+# Infinite-shot and Monte Carlo fits
 # ---------------------------------------------------------------------------
-
-
-def fit_with_heating(problem: FitProblem) -> EstimationReport:
-    """Joint order-2 fit of the coefficients and the heating parameter."""
-    if not problem.model.heating:
-        problem = FitProblem(ModelSpec(2, problem.model.n_bar, heating=True),
-                             problem.records, problem.theta0, problem.cost)
-    return minimize(problem)
 
 
 def fit_exact_frequencies(points: Sequence[MeasurementPoint], model: ModelSpec,

@@ -16,9 +16,13 @@ The protocol has two stages, both run in the oscillator rotating frame:
    equal xi = Omega*eta*t*e^{i dphi}, so the qubit coherence reads the
    characteristic function at xi directly.
 
-The coherence block of the joint density matrix evolves independently of
-the populations, which the fast path exploits; `simulate_protocol` can
-also run the full qubit (x) oscillator master equation for cross-checks.
+Heating alone keeps a thermal state thermal at n_bar + gamma*t, so the
+idle slot is exact, and only the squeezing pulse is integrated.  The probe
+is exact too: its coherence is Tr(rho D(xi)), and equal-rate a/a^dag
+heating is an additive Gaussian channel that commutes with displacements,
+which multiplies that trace by exp(-gamma |xi|^2 T / 3) for a probe of
+duration T = |xi| / omega_eta.  `simulate_protocol` can also run the full
+qubit (x) oscillator master equation as the oracle for both.
 """
 
 from __future__ import annotations
@@ -50,19 +54,12 @@ class MeasurementPoint:
     r: float
     theta: float = 0.0
     n_bar: float = 0.0
-    omega_eta: float = OMEGA_ETA_DEFAULT
-    dphi: float = 0.0
 
     def __post_init__(self):
         if self.r < 0:
             raise InvalidParameterError("squeezing amplitude must be non-negative")
         if self.n_bar < 0:
             raise InvalidParameterError("mean occupation must be non-negative")
-
-    @property
-    def probe_time(self) -> float:
-        """Physical probe duration reconstructed from |xi| and the drive rate."""
-        return abs(self.xi) / self.omega_eta
 
 
 @dataclass(frozen=True)
@@ -185,17 +182,6 @@ class ProtocolConfig:
         # trapezoid envelope: each linear ramp contributes half its length
         return self.prep_hold + self.ramp_time
 
-    def jump_tuples(self, cutoff: int | None = None):
-        d = cutoff or self.cutoff
-        if self.heating_rate == 0:
-            return []
-        a = fockspace.annihilation(d).matrix
-        ad = a.conj().T
-        return [
-            (a, ad @ a, self.heating_rate),
-            (ad, a @ ad, self.heating_rate),
-        ]
-
 
 def _ramp_envelope(t: float, ramp: float, hold: float) -> float:
     """Trapezoid 0 -> 1 -> 0 over [0, 2*ramp + hold]."""
@@ -273,110 +259,82 @@ class _LadderKernel:
 
 def prepare_state(n: int, r: float, theta: float, n_bar: float,
                   config: ProtocolConfig) -> fockspace.DensityOperator:
-    """Idle slot plus squeezing pulse on a thermal state, heating included."""
+    """Idle slot plus squeezing pulse on a thermal state, heating included.
+
+    The idle slot, and at r = 0 the whole preparation, leaves a thermal
+    state at the grown occupation; only the squeezing pulse is integrated.
+    Emits a TruncationWarning when the prepared state leans on the top
+    Fock levels.
+    """
     cutoff = config.cutoff
-    rho0 = fockspace.thermal_state(n_bar, cutoff)
-    if config.heating_rate == 0 and r == 0:
-        return rho0
-    kern = _LadderKernel(cutoff, n, config.heating_rate)
-    vartheta = 0.5 * np.pi - theta
-    phase_lo, phase_hi = np.exp(1j * vartheta), np.exp(-1j * vartheta)
-    omega_n = r / (math.factorial(n) * config.prep_area) if r > 0 else 0.0
-    ramp, hold = config.ramp_time, config.prep_hold
+    if r == 0:
+        n_grown = n_bar + config.heating_rate * (config.idle_time + config.prep_duration)
+        x = fockspace.thermal_state(n_grown, cutoff).matrix
+    else:
+        n_idle = n_bar + config.heating_rate * config.idle_time
+        kern = _LadderKernel(cutoff, n, config.heating_rate)
+        vartheta = 0.5 * np.pi - theta
+        phase_lo, phase_hi = np.exp(1j * vartheta), np.exp(-1j * vartheta)
+        omega_n = r / (math.factorial(n) * config.prep_area)
+        ramp, hold = config.ramp_time, config.prep_hold
 
-    x = rho0.matrix.astype(complex)
-    jump_norm = 4.0 * config.heating_rate * cutoff
+        def rhs(m, t):
+            c = omega_n * _ramp_envelope(t, ramp, hold)
+            hm = phase_lo * kern.lower_left(m) + phase_hi * kern.raise_left(m)
+            mh = phase_lo * kern.lower_right(m) + phase_hi * kern.raise_right(m)
+            return -1j * c * (hm - mh) + kern.dissipator(m)
 
-    if config.idle_time > 0 and config.heating_rate > 0:
-        idle_dt = fockspace.STEP_RULE / jump_norm
-        x = fockspace.rk4(x, lambda m, _t: kern.dissipator(m), config.idle_time, idle_dt)
-
-    def rhs(m, t):
-        c = omega_n * _ramp_envelope(t, ramp, hold)
-        hm = phase_lo * kern.lower_left(m) + phase_hi * kern.raise_left(m)
-        mh = phase_lo * kern.lower_right(m) + phase_hi * kern.raise_right(m)
-        return -1j * c * (hm - mh) + kern.dissipator(m)
-
-    if r > 0 or config.heating_rate > 0:
-        h_norm = 2.0 * abs(omega_n) * float(kern.wn[-1]) if r > 0 else 0.0
+        h_norm = 2.0 * abs(omega_n) * float(kern.wn[-1])
+        jump_norm = 4.0 * config.heating_rate * cutoff
         max_dt = fockspace.STEP_RULE / max(h_norm + jump_norm, 1e-12)
-        x = fockspace.rk4(x, rhs, config.prep_duration, max_dt)
-
+        x = fockspace.rk4(fockspace.thermal_state(n_idle, cutoff).matrix, rhs,
+                          config.prep_duration, max_dt)
     rho = fockspace.DensityOperator(cutoff, x)
-    if rho.tail_population() > fockspace.TAIL_TOLERANCE:
+    tail = rho.tail_population()
+    if tail > fockspace.TAIL_TOLERANCE:
+        warnings.warn(f"truncation guard tripped on a prepared state (r = {r}, "
+                      f"tail population {tail:.2e})", TruncationWarning, stacklevel=2)
         rho = fockspace.DensityOperator(cutoff, x, truncation_flagged=True)
     return rho
 
 
-def probe_hamiltonians(omega_eta: float, dphi: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Branch Hamiltonians (+1, -1 conditioning) of the spin-dependent force.
+def probe_joint_hamiltonian(omega_eta: float, dphi: float, cutoff: int) -> np.ndarray:
+    """Full qubit (x) oscillator probe Hamiltonian (qubit factor first).
 
-    The force is -(J0 a^dag + J0* a) (x) sigma_z / 2 with
+    The spin-dependent force -(J0 a^dag + J0* a) (x) sigma_z / 2 with
     J0 = -i omega_eta e^{i dphi}; the halved conditioning makes the
     interbranch displacement equal to xi = omega_eta * t * e^{i dphi}.
     """
     a = fockspace.annihilation(cutoff).matrix
     j0 = -1j * omega_eta * np.exp(1j * dphi)
     force = j0 * a.conj().T + np.conj(j0) * a
-    return -0.5 * force, 0.5 * force
-
-
-def probe_joint_hamiltonian(omega_eta: float, dphi: float, cutoff: int) -> np.ndarray:
-    """Full qubit (x) oscillator probe Hamiltonian (qubit factor first)."""
-    h_plus, _ = probe_hamiltonians(omega_eta, dphi, cutoff)
     sigma_z = np.diag([1.0, -1.0]).astype(complex)
-    return fockspace.qubit_kron(sigma_z, h_plus)
+    return fockspace.qubit_kron(sigma_z, -0.5 * force)
 
 
 def probe_coherences(rho_b: fockspace.DensityOperator, config: ProtocolConfig,
                      dphi: float, xi_magnitudes: Sequence[float]) -> np.ndarray:
-    """chi-hat at increasing |xi| along one drive direction, one integration.
+    """chi-hat at the given |xi| along one drive direction.
 
-    Evolves the qubit coherence block of the joint master equation,
-    dX/dt = (i/2)(A X + X A) + dissipator(X) with A the drive operator,
-    and snapshots 2*Tr at each requested displacement magnitude.
+    Tr(rho_b D(xi)) from `fockspace.weyl_expectation`, times the heating
+    factor exp(-gamma |xi|^2 T / 3) of a probe of duration T = |xi| / omega_eta.
     """
-    cutoff = config.cutoff
-    kern = _LadderKernel(cutoff, 1, config.heating_rate)
-    j0 = -1j * config.omega_eta * np.exp(1j * dphi)
-    j0c = np.conj(j0)
-
-    def rhs(x, _t):
-        ax = j0 * kern.raise_left(x) + j0c * kern.lower_left(x)
-        xa = j0 * kern.raise_right(x) + j0c * kern.lower_right(x)
-        return 0.5j * (ax + xa) + kern.dissipator(x)
-
-    h_norm = config.omega_eta * float(kern.wn[-1])  # ||A/2|| upper bound
-    jump_norm = 4.0 * config.heating_rate * cutoff
-    max_dt = fockspace.STEP_RULE / max(h_norm + jump_norm, 1e-12)
-
     mags = np.asarray(xi_magnitudes, dtype=float)
-    if np.any(np.diff(mags) < 0):
-        raise InvalidParameterError("xi magnitudes must be non-decreasing")
-    times = mags / config.omega_eta
-
-    x = 0.5 * rho_b.matrix.astype(complex)
-    out = np.empty(len(mags), dtype=complex)
-    t_now = 0.0
-    for i, t_target in enumerate(times):
-        if t_target > t_now:
-            x = fockspace.rk4(x, rhs, t_target - t_now, max_dt)
-            t_now = t_target
-        out[i] = 2.0 * np.trace(x)
-    return out
+    chi = fockspace.weyl_expectation(rho_b.matrix, mags * np.exp(1j * dphi))
+    return chi * np.exp(-config.heating_rate * mags**3 / (3.0 * config.omega_eta))
 
 
 def simulate_protocol(point: MeasurementPoint, n: int, config: ProtocolConfig,
                       full_master_equation: bool = False) -> complex:
     """chi-hat for a single measurement point from the protocol simulation.
 
-    The default path evolves only the qubit coherence block; setting
+    The default path is `probe_coherences`; setting
     ``full_master_equation=True`` runs the complete qubit (x) oscillator
-    Lindblad equation through `fockspace.evolve_lindblad` instead (slower,
-    used for cross-checks).
+    Lindblad equation of the probe through `fockspace.evolve_lindblad`
+    instead (slower, used for cross-checks).
     """
     rho_b = prepare_state(n, point.r, point.theta, point.n_bar, config)
-    dphi = float(np.angle(point.xi)) if point.xi != 0 else point.dphi
+    dphi = float(np.angle(point.xi))
     if not full_master_equation:
         return complex(probe_coherences(rho_b, config, dphi, [abs(point.xi)])[0])
 
@@ -385,12 +343,14 @@ def simulate_protocol(point: MeasurementPoint, n: int, config: ProtocolConfig,
     plus = 0.5 * np.ones((2, 2), dtype=complex)
     rho0 = fockspace.DensityOperator(cutoff, fockspace.qubit_kron(plus, rho_b.matrix))
     terms = ((fockspace.TruncatedOperator(cutoff, h_joint), None),)
-    jumps = tuple(
-        (fockspace.TruncatedOperator(cutoff, fockspace.qubit_kron(np.eye(2, dtype=complex), l)), rate)
-        for l, _, rate in config.jump_tuples()
-    )
+    jumps = ()
+    if config.heating_rate > 0:
+        a = fockspace.annihilation(cutoff).matrix
+        eye = np.eye(2, dtype=complex)
+        jumps = tuple((fockspace.TruncatedOperator(cutoff, fockspace.qubit_kron(eye, l)),
+                       config.heating_rate) for l in (a, a.conj().T))
     spec = fockspace.LindbladSpec(hamiltonian=terms, jumps=jumps)
-    duration = point.probe_time
+    duration = abs(point.xi) / config.omega_eta
     max_dt = fockspace.STEP_RULE / max(spec.norm_bound(np.array([0.0])), 1e-12)
     rho_f = fockspace.evolve_lindblad(rho0, spec, (0.0, duration), max_dt)
     block01 = rho_f.matrix[:cutoff, cutoff:]
@@ -399,43 +359,35 @@ def simulate_protocol(point: MeasurementPoint, n: int, config: ProtocolConfig,
 
 def simulate_chi_grid(points: Sequence[MeasurementPoint], n: int,
                       config: ProtocolConfig, jobs: int = 1) -> np.ndarray:
-    """Protocol chi-hat over a grid, batching points that share a prep and ray.
+    """Protocol chi-hat over a grid, one state preparation per (r, theta, n_bar).
 
-    Points with the same (r, theta, n_bar) share one state preparation;
-    points additionally sharing the drive direction arg(xi) are snapshots
-    of a single probe integration.  ``jobs`` > 1 fans the independent rays
-    out over worker threads (BLAS releases the GIL during the matmuls).
-    Emits a TruncationWarning when a prepared state leans on the top Fock
-    levels.
+    Each prepared state is probed once per drive direction arg(xi) of its
+    points.  ``jobs`` > 1 fans the independent preparations out over worker
+    threads (BLAS releases the GIL during the matmuls).
     """
     out = np.empty(len(points), dtype=complex)
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(points):
-        dphi = float(np.angle(p.xi)) if p.xi != 0 else p.dphi
-        groups.setdefault((p.r, p.theta, p.n_bar, round(dphi, 12)), []).append(i)
+        groups.setdefault((p.r, p.theta, p.n_bar), []).append(i)
 
-    def run_ray(key_idx):
-        (r, theta, n_bar, dphi), idx = key_idx
+    def run_state(key_idx):
+        (r, theta, n_bar), idx = key_idx
         rho_b = prepare_state(n, r, theta, n_bar, config)
-        idx_sorted = sorted(idx, key=lambda i: abs(points[i].xi))
-        mags = [abs(points[i].xi) for i in idx_sorted]
-        chis = probe_coherences(rho_b, config, dphi, mags)
-        return idx_sorted, chis, rho_b.truncation_flagged
+        rays: dict[float, list[int]] = {}
+        for i in idx:
+            rays.setdefault(round(float(np.angle(points[i].xi)), 12), []).append(i)
+        for dphi, ray in rays.items():
+            out[ray] = probe_coherences(rho_b, config, dphi, [abs(points[i].xi) for i in ray])
 
     items = list(groups.items())
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_ray, items))
+            list(pool.map(run_state, items))
     else:
-        results = [run_ray(item) for item in items]
-    for idx_sorted, chis, _ in results:
-        out[idx_sorted] = chis
-    flagged = sum(result[2] for result in results)
-    if flagged:
-        warnings.warn(f"truncation guard tripped on {flagged} of {len(results)} prepared rays",
-                      TruncationWarning, stacklevel=2)
+        for item in items:
+            run_state(item)
     return out
 
 
@@ -495,7 +447,7 @@ def generate_dataset(points: Sequence[MeasurementPoint], total_shots: int, n: in
 
 def _fmt(value: float) -> str:
     return np.format_float_positional(value, precision=12, unique=False,
-                                      fractional=False, trim="k")
+                                      fractional=False, trim="-")
 
 
 def dataset_to_csv(records: Sequence[ShotRecord], stream) -> None:

@@ -178,7 +178,7 @@ def test_criterion_10_heating_mitigation():
         records = sp.generate_dataset(points, TOTAL_SHOTS, 2, seed=seed,
                                       chi_values=chis)
         plain = est.minimize(est.FitProblem(est.ModelSpec(2, 0.1), records, cost="ls"))
-        heated = est.fit_with_heating(
+        heated = est.minimize(
             est.FitProblem(est.ModelSpec(2, 0.1, heating=True), records, cost="ls"))
         plain_err.append(abs(plain.coefficients.values[1].real - TRUTH2_THERMAL[1]))
         heated_err.append(abs(heated.coefficients.values[1].real - TRUTH2_THERMAL[1]))

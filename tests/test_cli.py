@@ -171,6 +171,21 @@ class TestSweepAndExtrapolate:
         assert float(rows["c2"]["re"]) == pytest.approx(-1.0, abs=1e-9)
         assert float(rows["c1"]["std"]) > 1e-2  # propagated variance inflated
 
+    @pytest.mark.parametrize("meta, row", [
+        (yaml.safe_dump({"data_n_B": 0.1}), "c1,1.0,0.0,0.01,,"),
+        ("model: [n: 2\n", "c1,1.0,0.0,0.01,,"),
+        (yaml.safe_dump({"model": {"n": 2, "n_B": 0.0, "heating": False}}), "c1,one,0.0,0.01,,"),
+        (yaml.safe_dump({"model": {"n": 2, "n_B": 0.0, "heating": False}, "config": 3}),
+         "c1,1.0,0.0,0.01,,"),
+    ], ids=["meta-without-model", "meta-not-yaml", "non-numeric-field", "config-not-a-mapping"])
+    def test_malformed_report_is_input_error(self, tmp_path, capsys, meta, row):
+        path = tmp_path / "rep.csv"
+        path.write_text("name,re,im,std,bias_sys,mse\n" + row + "\n")
+        path.with_suffix(".meta.yaml").write_text(meta)
+        code = cli.run(["--out", str(tmp_path), "extrapolate", *[str(path)] * 3])
+        assert code == 2
+        assert "malformed report" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_default_checks_pass(self, tmp_path):

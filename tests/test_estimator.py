@@ -361,7 +361,7 @@ class TestThermalAndHeating:
         chis = np.array([dg.eval_model(2, theta, p.xi, p.r, n_bar=0.1, c_h=c_h_true)
                          for p in points], dtype=complex)
         records = sp.generate_dataset(points, 1_600_000, 2, seed=21, chi_values=chis)
-        report = est.fit_with_heating(
+        report = est.minimize(
             est.FitProblem(est.ModelSpec(2, 0.1, heating=True), records, cost="ls"))
         assert report.c_h == pytest.approx(c_h_true, abs=0.02)
         np.testing.assert_allclose(np.real(report.coefficients.values),
@@ -370,7 +370,7 @@ class TestThermalAndHeating:
     def test_zero_heating_data_yields_small_ch(self):
         points = est.build_grid(2.0, 0.78, 0.1, 0.08, n_bar=0.1)
         records = sp.generate_dataset(points, 1_600_000, 2, seed=31)
-        report = est.fit_with_heating(
+        report = est.minimize(
             est.FitProblem(est.ModelSpec(2, 0.1, heating=True), records, cost="ls"))
         assert abs(report.c_h) <= 0.03
 

@@ -76,6 +76,24 @@ class TestDisplacement:
         assert u.truncation_flagged
 
 
+class TestWeylExpectation:
+    @pytest.mark.parametrize("cutoff", [30, 100])
+    def test_matches_trace_against_displacement(self, cutoff):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T)
+        # several directions, two points on one ray, both signs of the real axis, and 0
+        xis = np.array([0.0, 0.7, 1.4, -1.3, 1.1j, -0.4 + 0.9j, 0.6 * np.exp(2.5j), 1.2 - 0.3j])
+        expected = np.array([np.trace(rho @ fs.displacement(x, cutoff).matrix) for x in xis])
+        np.testing.assert_allclose(fs.weyl_expectation(rho, xis), expected, rtol=0, atol=1e-12)
+
+    def test_keeps_the_shape_and_rejects_non_finite(self):
+        rho = fs.thermal_state(0.2, 20).matrix
+        assert fs.weyl_expectation(rho, np.full((2, 3), 0.5j)).shape == (2, 3)
+        with pytest.raises(InvalidParameterError):
+            fs.weyl_expectation(rho, np.array([0.5, np.nan]))
+
+
 class TestSqueeze:
     def test_zero_amplitude_is_identity(self):
         for n in (2, 3, 4):

@@ -42,7 +42,7 @@ def as_tuple(rec):
 @given(st.lists(shot_records(), min_size=1, max_size=20))
 def test_csv_round_trip_is_exact_at_twelve_digits(records):
     # one write rounds every float to 12 significant digits; from then on
-    # write and read are exact inverses
+    # write and read are exact inverses, and rewriting reproduces the file
     text = sp.dataset_to_string(records)
     once = sp.dataset_from_csv(io.StringIO(text))
     for orig, back in zip(records, once):
@@ -50,7 +50,9 @@ def test_csv_round_trip_is_exact_at_twelve_digits(records):
         np.testing.assert_allclose(np.array(as_tuple(back)[:4], dtype=complex),
                                    np.array(as_tuple(orig)[:4], dtype=complex),
                                    rtol=1e-11, atol=1e-300)
-    twice = sp.dataset_from_csv(io.StringIO(sp.dataset_to_string(once)))
+    rewritten = sp.dataset_to_string(once)
+    assert rewritten == text
+    twice = sp.dataset_from_csv(io.StringIO(rewritten))
     assert [as_tuple(r) for r in twice] == [as_tuple(r) for r in once]
 
 

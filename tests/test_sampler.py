@@ -176,6 +176,17 @@ class TestProtocol:
         full = sp.simulate_protocol(point, 2, cfg, full_master_equation=True)
         assert abs(fast - full) <= 1e-9
 
+    @pytest.mark.parametrize("n, cfg, point", [
+        (3, sp.ProtocolConfig(cutoff=40, heating_rate=200.0, prep_hold=60e-6, idle_time=50e-6),
+         sp.MeasurementPoint(xi=0.6 + 0.5j, r=0.15, theta=0.4, n_bar=0.1)),
+        (2, sp.ProtocolConfig(cutoff=30, omega_eta=2 * sp.OMEGA_ETA_DEFAULT, heating_rate=300.0),
+         sp.MeasurementPoint(xi=1.0 + 0j, r=0.0)),
+    ], ids=["heated-order3-complex-xi", "non-default-omega-eta"])
+    def test_exact_probe_equals_full_master_equation(self, n, cfg, point):
+        fast = sp.simulate_protocol(point, n, cfg)
+        full = sp.simulate_protocol(point, n, cfg, full_master_equation=True)
+        assert abs(fast - full) <= 1e-9
+
     def test_trisqueezed_protocol_matches_numeric(self):
         cfg = sp.ProtocolConfig(cutoff=100)
         spec = cf.SqueezeSpec(3, 0.2, 0.0)
@@ -211,8 +222,13 @@ class TestProtocol:
         # an r = 0.78 squeezed vacuum overflows the top tenth of a 20-level space
         cfg = sp.ProtocolConfig(cutoff=20)
         points = [sp.MeasurementPoint(xi=complex(x), r=0.78) for x in (0.3, 0.6)]
-        with pytest.warns(TruncationWarning, match="1 of 1 prepared rays"):
+        with pytest.warns(TruncationWarning, match="prepared state"):
             sp.simulate_chi_grid(points, 2, cfg)
+
+    def test_flagged_preparation_warns_at_a_single_point(self):
+        cfg = sp.ProtocolConfig(cutoff=20)
+        with pytest.warns(TruncationWarning, match="prepared state"):
+            sp.simulate_protocol(sp.MeasurementPoint(xi=0.3 + 0j, r=0.78), 2, cfg)
 
     def test_worker_threads_do_not_change_results(self):
         cfg = sp.ProtocolConfig(cutoff=40)
@@ -236,10 +252,6 @@ class TestProtocol:
 
 
 class TestMeasurementPoint:
-    def test_probe_time_reconstruction(self):
-        point = sp.MeasurementPoint(xi=1.0 + 0j, r=0.1)
-        assert point.probe_time == pytest.approx(1.0 / sp.OMEGA_ETA_DEFAULT)
-
     def test_rejects_negative_r(self):
         with pytest.raises(InvalidParameterError):
             sp.MeasurementPoint(xi=0j, r=-0.1)
