@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,11 +67,6 @@ def chi_thermal_squeezed_exact(xi, spec: SqueezeSpec, n_bar: float):
     return chi_squeezed_exact(xi, spec) ** (1.0 + 2.0 * n_bar)
 
 
-@lru_cache(maxsize=512)
-def _cached_squeeze(n: int, zeta: complex, cutoff: int) -> np.ndarray:
-    return fockspace.generalized_squeeze(n, zeta, cutoff).matrix
-
-
 def chi_reference(xi, spec: SqueezeSpec, n_bar: float = 0.0,
                   cutoff: int = fockspace.DEFAULT_CUTOFF):
     """Characteristic function of the squeezed thermal state, without series truncation.
@@ -101,7 +95,7 @@ def chi_numeric_grid(rho: fockspace.DensityOperator, spec: SqueezeSpec,
     levels or some |xi|^2 exceeds cutoff/10.
     """
     cutoff = rho.cutoff
-    s = _cached_squeeze(spec.n, complex(spec.zeta), cutoff)
+    s = fockspace.generalized_squeeze(spec.n, spec.zeta, cutoff).matrix
     sigma = s @ rho.matrix @ s.conj().T
     tail = float(np.sum(np.real(np.diag(sigma))[fockspace.tail_start(cutoff):]))
     max_xi2 = np.abs(np.asarray(xis, dtype=complex)).max(initial=0.0) ** 2

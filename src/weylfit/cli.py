@@ -44,6 +44,18 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     _atomic_write(path, buf.getvalue())
 
 
+def _float_list(text: str, option: str) -> list[float]:
+    """The finite numbers of a comma-separated list option; ConfigError otherwise."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{option} must be a comma-separated list of numbers, "
+                          f"got {text!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{option} values must be finite, got {text!r}")
+    return values
+
+
 def _grid_points(cfg: config_mod.RunConfig) -> list[sampler.MeasurementPoint]:
     g, m = cfg.grid, cfg.model
     if m["n"] == 2:
@@ -182,8 +194,8 @@ def cmd_estimate(cfg: config_mod.RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: config_mod.RunConfig, args) -> int:
-    xi_maxes = [float(v) for v in args.xi_max_list.split(",")]
-    r_maxes = [float(v) for v in args.r_max_list.split(",")]
+    xi_maxes = _float_list(args.xi_max_list, "--xi-max-list")
+    r_maxes = _float_list(args.r_max_list, "--r-max-list")
     result = estimator.rmse_sweep(xi_maxes, r_maxes, cfg.shots["total"],
                                   d_xi=cfg.grid["d_xi"], d_r=cfg.grid["d_r"],
                                   n_bar=cfg.model["n_B"],
@@ -210,7 +222,7 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, args) -> int:
             raise ConfigError(f"report {path} does not record its occupation")
         n_bars.append(data_n_bar)
     if args.n_bars:
-        n_bars = [float(v) for v in args.n_bars.split(",")]
+        n_bars = _float_list(args.n_bars, "--n-bars")
     extrapolated = estimator.zero_noise_extrapolate(reports, n_bars, degree=args.degree)
     out = cfg.out_dir / "report_extrapolated.csv"
     _save_report(extrapolated, cfg, out, extra_meta={"inputs": list(args.reports),

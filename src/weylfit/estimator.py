@@ -370,7 +370,7 @@ def minimize(problem: FitProblem) -> EstimationReport:
     subs = problem.subproblems()
     coeffs, c_h, diags = _fit(model, subs, problem.cost, problem.theta0)
     _, info = _fisher_parts(subs, _pack_theta(model, coeffs), c_h)
-    cov = _safe_inverse(info)
+    cov, condition = _safe_inverse(info)
     var = np.diag(cov)
     size = model.n_coeffs
     return EstimationReport(
@@ -381,7 +381,7 @@ def minimize(problem: FitProblem) -> EstimationReport:
         c_h=c_h,
         c_h_std=float(np.sqrt(var[size])) if model.heating else None,
         diagnostics={"parts": diags, "cost_kind": problem.cost,
-                     "n_records": len(problem.records)},
+                     "n_records": len(problem.records), "fisher_condition": condition},
     )
 
 
@@ -396,9 +396,10 @@ def _checked_eigh(info: np.ndarray):
     return w, v
 
 
-def _safe_inverse(info: np.ndarray) -> np.ndarray:
+def _safe_inverse(info: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse of a Fisher matrix and its condition number w_max / w_min."""
     w, v = _checked_eigh(info)
-    return (v / w) @ v.T
+    return (v / w) @ v.T, float(w[-1] / w[0])
 
 
 # ---------------------------------------------------------------------------

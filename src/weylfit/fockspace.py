@@ -194,18 +194,29 @@ def weyl_expectation(rho: np.ndarray, xis) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def generalized_squeeze(n: int, zeta: complex, cutoff: int = DEFAULT_CUTOFF) -> TruncatedOperator:
-    """Order-n squeezing unitary exp((zeta* A^n - zeta A^dag^n) / n!)."""
+@lru_cache(maxsize=512)
+def squeeze_unitary(n: int, zeta: complex, cutoff: int) -> np.ndarray:
+    """Order-n squeezing unitary exp((zeta* A^n - zeta A^dag^n) / n!) at any |zeta|.
+
+    Cached per (n, zeta, cutoff) and returned read-only, so the Fock-space
+    characteristic functions and the protocol's exact pulse share one build.
+    """
     if not 2 <= n <= 4:
         raise UnsupportedOrderError(f"squeezing order must be 2, 3 or 4, got {n}")
-    zeta = complex(zeta)
-    if abs(zeta) > 1.0 + 1e-12:
-        raise InvalidParameterError(f"|zeta| = {abs(zeta):.3f} above supported range 1")
     a = annihilation(cutoff).matrix
     an = np.linalg.matrix_power(a, n)
     gen = (np.conj(zeta) * an - zeta * an.conj().T) / math.factorial(n)
     u = expm_antihermitian(gen)
-    return TruncatedOperator(cutoff, u)
+    u.flags.writeable = False
+    return u
+
+
+def generalized_squeeze(n: int, zeta: complex, cutoff: int = DEFAULT_CUTOFF) -> TruncatedOperator:
+    """`squeeze_unitary` within the supported range |zeta| <= 1."""
+    zeta = complex(zeta)
+    if abs(zeta) > 1.0 + 1e-12:
+        raise InvalidParameterError(f"|zeta| = {abs(zeta):.3f} above supported range 1")
+    return TruncatedOperator(cutoff, squeeze_unitary(n, zeta, cutoff))
 
 
 def thermal_state(n_bar: float, cutoff: int = DEFAULT_CUTOFF) -> DensityOperator:

@@ -8,7 +8,9 @@ The protocol has two stages, both run in the oscillator rotating frame:
    acts on the oscillator (qubit parked in its +1 conditioning branch)
    with a trapezoidal envelope g(t).  The pulse area fixes the squeezing
    amplitude, r = n! * Omega_n * area, and vartheta = pi/2 - theta fixes
-   the phase.  Heating jumps act throughout the slot.
+   the phase, so that without heating the pulse is exactly the squeezing
+   unitary S_n(zeta) with zeta = r e^{i theta}.  Heating jumps act
+   throughout the slot.
 
 2. Ramsey probe.  The qubit starts in |+> and the joint system evolves
    under the spin-dependent force H = -(J0 a^dag + J0* a) (x) sigma_z/2.
@@ -17,12 +19,13 @@ The protocol has two stages, both run in the oscillator rotating frame:
    characteristic function at xi directly.
 
 Heating alone keeps a thermal state thermal at n_bar + gamma*t, so the
-idle slot is exact, and only the squeezing pulse is integrated.  The probe
-is exact too: its coherence is Tr(rho D(xi)), and equal-rate a/a^dag
-heating is an additive Gaussian channel that commutes with displacements,
-which multiplies that trace by exp(-gamma |xi|^2 T / 3) for a probe of
-duration T = |xi| / omega_eta.  `simulate_protocol` can also run the full
-qubit (x) oscillator master equation as the oracle for both.
+idle slot is exact, and only the heated squeezing pulse is integrated
+(RK4).  The probe is exact too: its coherence is Tr(rho D(xi)), and
+equal-rate a/a^dag heating is an additive Gaussian channel that commutes
+with displacements, which multiplies that trace by exp(-gamma |xi|^2 T / 3)
+for a probe of duration T = |xi| / omega_eta.  `simulate_protocol` can
+also run the full qubit (x) oscillator master equation as the oracle for
+both.
 """
 
 from __future__ import annotations
@@ -86,14 +89,20 @@ class ShotRecord:
 
 
 def born_probabilities(chi: complex) -> tuple[float, float]:
-    """(p_x(+1), p_y(+1)) = ((1 + Re chi)/2, (1 + Im chi)/2)."""
+    """(p_x(+1), p_y(+1)) = ((1 + Re chi)/2, (1 + Im chi)/2).
+
+    A component within 1e-12 of zero is taken as exactly zero, so p is
+    exactly 0.5 there: numpy's binomial draws n - B(n, 1 - p) when p > 0.5,
+    and the sign of a roundoff-level component would otherwise pick the draw.
+    """
     chi = complex(chi)
     mod = abs(chi)
     if mod > 1.0 + 1e-6:
         raise InvalidChiError(f"|chi| = {mod:.8f} exceeds 1 beyond tolerance")
     if mod > 1.0:
         chi /= mod
-    return 0.5 * (1.0 + chi.real), 0.5 * (1.0 + chi.imag)
+    re, im = (0.0 if abs(c) <= 1e-12 else c for c in (chi.real, chi.imag))
+    return 0.5 * (1.0 + re), 0.5 * (1.0 + im)
 
 
 def sample_shots(p_plus: float, n: int, seed) -> int:
@@ -262,14 +271,20 @@ def prepare_state(n: int, r: float, theta: float, n_bar: float,
     """Idle slot plus squeezing pulse on a thermal state, heating included.
 
     The idle slot, and at r = 0 the whole preparation, leaves a thermal
-    state at the grown occupation; only the squeezing pulse is integrated.
-    Emits a TruncationWarning when the prepared state leans on the top
-    Fock levels.
+    state at the grown occupation.  Without heating the pulse Hamiltonian
+    commutes with itself at all times, so the pulse is exactly
+    S_n(r e^{i theta}) from `fockspace.squeeze_unitary`, at any r; only the
+    heated pulse is integrated (RK4).  Emits a TruncationWarning when the
+    prepared state leans on the top Fock levels.
     """
     cutoff = config.cutoff
     if r == 0:
         n_grown = n_bar + config.heating_rate * (config.idle_time + config.prep_duration)
         x = fockspace.thermal_state(n_grown, cutoff).matrix
+    elif config.heating_rate == 0:
+        zeta = charfunc.SqueezeSpec(n=n, r=r, theta=theta).zeta
+        s = fockspace.squeeze_unitary(n, complex(zeta), cutoff)
+        x = s @ fockspace.thermal_state(n_bar, cutoff).matrix @ s.conj().T
     else:
         n_idle = n_bar + config.heating_rate * config.idle_time
         kern = _LadderKernel(cutoff, n, config.heating_rate)

@@ -1,5 +1,9 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,8 @@ class TestEstimate:
         assert np.max(np.abs(fitted - np.array([-1.0, -1.0, 0.5]))) <= 0.15
         meta = yaml.safe_load((tmp_path / "out" / "report.meta.yaml").read_text())
         assert meta["model"]["n"] == 2
+        condition = meta["diagnostics"]["fisher_condition"]
+        assert np.isfinite(condition) and condition >= 1.0
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml")
@@ -145,7 +151,8 @@ class TestSweepAndExtrapolate:
         assert len(rows) == 4
         assert all(float(r["rmse"]) > 0 for r in rows)
 
-    def test_extrapolate_affine_reports(self, tmp_path):
+    @staticmethod
+    def affine_reports(tmp_path):
         from weylfit import config as config_mod
         from weylfit import series as dg
         from weylfit import estimator as est
@@ -163,6 +170,10 @@ class TestSweepAndExtrapolate:
             path = tmp_path / f"rep{int(nb * 10)}.csv"
             cli._save_report(report, cfg, path, extra_meta={"data_n_B": nb})
             paths.append(str(path))
+        return paths
+
+    def test_extrapolate_affine_reports(self, tmp_path):
+        paths = self.affine_reports(tmp_path)
         code = cli.run(["--out", str(tmp_path), "extrapolate", *paths])
         assert code == 0
         with open(tmp_path / "report_extrapolated.csv", newline="") as fh:
@@ -187,6 +198,20 @@ class TestSweepAndExtrapolate:
         assert "malformed report" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("sweep", "--xi-max-list", "abc"),
+        ("sweep", "--xi-max-list", "nan"),
+        ("sweep", "--r-max-list", "0.3,inf"),
+        ("extrapolate", "--n-bars", "0.1,x,0.3"),
+        ("extrapolate", "--n-bars", "0.1,nan,0.3"),
+    ])
+    def test_bad_list_option_is_input_error(self, tmp_path, capsys, command, option, value):
+        paths = self.affine_reports(tmp_path) if command == "extrapolate" else []
+        code = cli.run(["--out", str(tmp_path), command, *paths, option, value])
+        assert code == 2
+        assert option in capsys.readouterr().err
+
+
 class TestValidate:
     def test_default_checks_pass(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml")
@@ -206,3 +231,14 @@ class TestValidate:
                        "0.5,0.,0.1,0.,0.,x,0,0,7\n")
         assert cli.run(["--config", str(cfg), "validate",
                         "--dataset", str(bad)]) == 2
+
+
+def test_module_entry_point_runs_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "weylfit", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "simulate" in done.stdout

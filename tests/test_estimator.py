@@ -373,6 +373,8 @@ class TestThermalAndHeating:
         report = est.minimize(
             est.FitProblem(est.ModelSpec(2, 0.1, heating=True), records, cost="ls"))
         assert abs(report.c_h) <= 0.03
+        condition = report.diagnostics["fisher_condition"]
+        assert np.isfinite(condition) and condition >= 1.0
 
 
 class TestReportRows:

@@ -83,6 +83,16 @@ class TestGenerateDataset:
             p_plus = sp.born_probabilities(chis[i])[0]
             assert rec.plus_count == sp.sample_shots(p_plus, rec.shots, rng)
 
+    @pytest.mark.parametrize("im_chi", [2e-16, 1e-15])
+    def test_roundoff_sign_does_not_pick_the_draw(self, im_chi):
+        # Im chi = +-2e-16 is p_y = 0.5 +- 1e-16, on either side of the
+        # p > 0.5 branch of numpy's binomial
+        points = [sp.MeasurementPoint(xi=0.3 + 0.2j, r=0.0)] * 4
+        up, down = (sp.generate_dataset(points, 40_000, 3, seed=7,
+                                        chi_values=np.full(4, 0.4 + sign * im_chi * 1j))
+                    for sign in (1, -1))
+        assert up == down
+
     def test_basis_coverage_by_order(self):
         points = [sp.MeasurementPoint(xi=0.3 + 0.1j, r=0.2)]
         rec2 = sp.generate_dataset(points, 100, 2, seed=1)
@@ -186,6 +196,33 @@ class TestProtocol:
         fast = sp.simulate_protocol(point, n, cfg)
         full = sp.simulate_protocol(point, n, cfg, full_master_equation=True)
         assert abs(fast - full) <= 1e-9
+
+    @pytest.mark.parametrize("n, r", [(2, 0.65), (3, 0.25)])
+    def test_exact_pulse_matches_integrated_pulse(self, n, r):
+        # a vanishing heating rate takes the RK4 branch; this pins
+        # vartheta = pi/2 - theta to zeta = r e^{i theta}
+        integrated, exact = (
+            sp.prepare_state(n, r, 0.7, 0.1, sp.ProtocolConfig(cutoff=40, heating_rate=rate))
+            for rate in (1e-9, 0.0))
+        assert np.max(np.abs(integrated.matrix - exact.matrix)) <= 1e-7
+
+    def test_exact_pulse_matches_closed_form_on_a_ray(self):
+        cfg = sp.ProtocolConfig(cutoff=100)
+        xis = np.linspace(0.05, 2.0, 40) * np.exp(0.4j)
+        points = [sp.MeasurementPoint(xi=xi, r=0.78, theta=0.7, n_bar=0.1) for xi in xis]
+        chi = sp.simulate_chi_grid(points, 2, cfg)
+        exact = cf.chi_thermal_squeezed_exact(xis, cf.SqueezeSpec(2, 0.78, 0.7), 0.1)
+        assert np.max(np.abs(chi - exact)) <= 1e-9
+
+    def test_squeezing_above_one_is_accepted(self):
+        # the |zeta| <= 1 range of `generalized_squeeze` does not bind the
+        # protocol; at cutoff 100 only the tail guard speaks (tail 1.2e-8)
+        point = sp.MeasurementPoint(xi=0.8 + 0.3j, r=1.2, theta=0.7)
+        with pytest.warns(TruncationWarning, match="prepared state"):
+            chi = sp.simulate_protocol(point, 2, sp.ProtocolConfig(cutoff=100))
+        assert abs(chi - cf.chi_squeezed_exact(point.xi, cf.SqueezeSpec(2, 1.2, 0.7))) <= 1e-6
+        with pytest.raises(InvalidParameterError):
+            fs.generalized_squeeze(2, 1.2, 100)
 
     def test_trisqueezed_protocol_matches_numeric(self):
         cfg = sp.ProtocolConfig(cutoff=100)
