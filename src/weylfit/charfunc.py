@@ -90,12 +90,14 @@ def chi_numeric_grid(rho: fockspace.DensityOperator, spec: SqueezeSpec,
                      xis: np.ndarray) -> np.ndarray:
     """Tr{S_n(zeta) rho S_n(zeta)^dag D(xi)} over an array of displacements.
 
-    Computed on the truncated space by `fockspace.weyl_expectation`.  Emits
-    one TruncationWarning when the squeezed state leans on the top Fock
-    levels or some |xi|^2 exceeds cutoff/10.
+    Computed on the truncated space by `fockspace.weyl_expectation`, with
+    the cached `fockspace.squeeze_unitary` at any |zeta|, as the protocol
+    uses it.  Emits one TruncationWarning when the squeezed state leans on
+    the top Fock levels or some |xi|^2 exceeds cutoff/10; that guard is the
+    only limit on zeta.
     """
     cutoff = rho.cutoff
-    s = fockspace.generalized_squeeze(spec.n, spec.zeta, cutoff).matrix
+    s = fockspace.squeeze_unitary(spec.n, complex(spec.zeta), cutoff)
     sigma = s @ rho.matrix @ s.conj().T
     tail = float(np.sum(np.real(np.diag(sigma))[fockspace.tail_start(cutoff):]))
     max_xi2 = np.abs(np.asarray(xis, dtype=complex)).max(initial=0.0) ** 2

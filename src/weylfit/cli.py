@@ -208,8 +208,16 @@ def cmd_sweep(cfg: config_mod.RunConfig, args) -> int:
     _write_csv(out, ["xi_max", "r_max", "rmse"], rows)
     _write_resolved(cfg, "rmse_sweep")
     print(f"wrote {out}")
-    print(f"minimum rmse {result.best_rmse:.4f} at xi_max={result.best_xi_max}, "
-          f"r_max={result.best_r_max}")
+    xi_axis, r_axis = estimator.grid_axes(max(xi_maxes), max(r_maxes),
+                                          cfg.grid["d_xi"], cfg.grid["d_r"])
+    deficient = int(np.count_nonzero(np.isinf(result.rmse)))
+    print(f"{result.rmse.size} designs, {deficient} rank-deficient, on a "
+          f"{len(xi_axis)} x {len(r_axis)} (xi x r) lattice of {len(xi_axis) * len(r_axis)} points")
+    if np.isfinite(result.best_rmse):
+        print(f"minimum rmse {result.best_rmse:.4f} at xi_max={result.best_xi_max}, "
+              f"r_max={result.best_r_max}")
+    else:
+        print("no design in the sweep has a finite rmse")
     return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import optimize
 from scipy.linalg import block_diag
 
-from . import fockspace, sampler, series
+from . import charfunc, fockspace, sampler, series
 from .series import CoefficientVector
 from .errors import (
     DatasetError,
@@ -95,7 +95,7 @@ class FitProblem:
         subs = []
         for part, (basis, *_) in enumerate(series.PARTS[self.model.n]):
             rows = [rec for rec in self.records if rec.basis == basis]
-            subs.append(_subproblem(self.model, part, [rec.point for rec in rows],
+            subs.append(_subproblem(self.model, part, _columns([rec.point for rec in rows]),
                                     [rec.shots for rec in rows],
                                     [rec.frequency for rec in rows]))
         return subs
@@ -149,26 +149,30 @@ class _Subproblem:
         return np.maximum(raw, 1.0 / (4.0 * self.shots.astype(float) ** 2))
 
 
-def _subproblem(model: ModelSpec, part: int, points: Sequence[MeasurementPoint],
-                shots, freq=None) -> _Subproblem:
+def _columns(points: Sequence[MeasurementPoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A point design as its (xi, r, squeeze phase) columns."""
+    return (np.array([p.xi for p in points], dtype=complex),
+            np.array([p.r for p in points], dtype=float),
+            np.array([p.theta for p in points], dtype=float))
+
+
+def _subproblem(model: ModelSpec, part: int, columns, shots, freq=None) -> _Subproblem:
+    xi, r, phase = columns
     return _Subproblem(
-        n=model.n, part=part, nu=model.nu,
-        xi=np.array([p.xi for p in points], dtype=complex),
-        r=np.array([p.r for p in points], dtype=float),
-        phase=np.array([p.theta for p in points], dtype=float),
+        n=model.n, part=part, nu=model.nu, xi=xi, r=r, phase=phase,
         shots=np.asarray(shots, dtype=int),
-        freq=np.zeros(len(points)) if freq is None else np.asarray(freq, dtype=float),
+        freq=np.zeros(len(xi)) if freq is None else np.asarray(freq, dtype=float),
     )
 
 
-def _design(model: ModelSpec, points: Sequence[MeasurementPoint], shots,
-            chi: np.ndarray | None = None) -> list[_Subproblem]:
-    """One subproblem per part on a point design.
+def _design(model: ModelSpec, columns, shots, chi: np.ndarray | None = None) -> list[_Subproblem]:
+    """One subproblem per part on a design given as `_columns`.
 
     With ``chi`` given, the frequencies are its exact probabilities (the
     infinite-shot limit); otherwise they are left at zero.
     """
-    return [_subproblem(model, part, points, _coerce_allocation(shots, len(points), basis),
+    n_points = len(columns[0])
+    return [_subproblem(model, part, columns, _coerce_allocation(shots, n_points, basis),
                         None if chi is None else np.clip(_born(chi, part), 0.0, 1.0))
             for part, (basis, *_) in enumerate(series.PARTS[model.n])]
 
@@ -444,7 +448,7 @@ def fisher_information(theta: CoefficientVector, points: Sequence[MeasurementPoi
     (suppressed with ``check=False``).
     """
     model = model or ModelSpec(theta.n, theta.n_bar, heating=c_h is not None)
-    _, info = _fisher_parts(_design(model, points, shots), _pack_theta(model, theta), c_h)
+    _, info = _fisher_parts(_design(model, _columns(points), shots), _pack_theta(model, theta), c_h)
     if check:
         _checked_eigh(info)
     return info
@@ -457,21 +461,24 @@ def systematic_bias(theta_star: CoefficientVector, points: Sequence[MeasurementP
     The exact probabilities come from the closed forms (order 2) or the
     Fock-space numerics (order 3) at the grid's own thermal occupation.
     """
-    return _bias_and_information(theta_star, points, shots, cutoff)[0]
+    return _bias_and_information(
+        theta_star, _columns(points), shots,
+        lambda: sampler.analytic_chi_grid(points, theta_star.n, cutoff))[0]
 
 
-def _bias_and_information(theta_star: CoefficientVector, points: Sequence[MeasurementPoint],
-                          shots, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """`systematic_bias` and the Fisher information I it solves against.
+def _bias_and_information(theta_star: CoefficientVector, columns, shots,
+                          exact_chi) -> tuple[np.ndarray, np.ndarray]:
+    """`systematic_bias` on a design given as `_columns`, and the Fisher information I.
 
-    Raises RankDeficiencyError, before any exact chi is computed, when I is
-    singular.
+    ``exact_chi()`` returns the untruncated chi of the design's rows; it is
+    called only once I has passed the rank check, so a singular design
+    raises RankDeficiencyError before any exact chi is computed.
     """
     model = ModelSpec(theta_star.n, theta_star.n_bar)
-    parts, info = _fisher_parts(_design(model, points, shots), _pack_theta(model, theta_star), None)
+    parts, info = _fisher_parts(_design(model, columns, shots), _pack_theta(model, theta_star), None)
     _checked_eigh(info)
-    chi_exact = sampler.analytic_chi_grid(points, model.n, cutoff)
-    rhs = np.concatenate([dp_w.T @ (_born(chi_exact, part) - p)
+    chi = exact_chi()
+    rhs = np.concatenate([dp_w.T @ (_born(chi, part) - p)
                           for part, (p, dp_w) in enumerate(parts)])
     delta = np.linalg.solve(info, rhs)
     if model.n == 2:
@@ -485,15 +492,26 @@ def _bias_and_information(theta_star: CoefficientVector, points: Sequence[Measur
 # ---------------------------------------------------------------------------
 
 
-def build_grid(xi_max: float, r_max: float, d_xi: float, d_r: float,
-               n_bar: float = 0.0, theta: float = 0.0) -> list[MeasurementPoint]:
-    """Square lattice of real displacements: xi in d_xi..xi_max, r in d_r..r_max."""
+def grid_axes(xi_max: float, r_max: float, d_xi: float,
+              d_r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The axes of `build_grid`: xi in d_xi..xi_max and r in d_r..r_max.
+
+    Each axis holds the multiples of its spacing up to its maximum, rounded
+    to the nearest count, so a smaller design's axes are prefixes of a
+    larger one's.
+    """
     if d_xi <= 0 or d_r <= 0:
         raise InvalidParameterError("grid spacings must be positive")
     if xi_max < d_xi or r_max < d_r:
         raise InvalidParameterError("grid maxima must reach at least one spacing")
-    xis = d_xi * np.arange(1, int(round(xi_max / d_xi)) + 1)
-    rs = d_r * np.arange(1, int(round(r_max / d_r)) + 1)
+    return (d_xi * np.arange(1, int(round(xi_max / d_xi)) + 1),
+            d_r * np.arange(1, int(round(r_max / d_r)) + 1))
+
+
+def build_grid(xi_max: float, r_max: float, d_xi: float, d_r: float,
+               n_bar: float = 0.0, theta: float = 0.0) -> list[MeasurementPoint]:
+    """Square lattice of real displacements on `grid_axes`, r-major."""
+    xis, rs = grid_axes(xi_max, r_max, d_xi, d_r)
     return [MeasurementPoint(xi=complex(x), r=float(r), theta=theta, n_bar=n_bar)
             for r in rs for x in xis]
 
@@ -529,21 +547,32 @@ class SweepResult:
 def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots: int,
                d_xi: float = 0.02, d_r: float = 0.02, n_bar: float = 0.0,
                cutoff: int = fockspace.DEFAULT_CUTOFF) -> SweepResult:
-    """Expected total error over grid designs at a fixed shot budget.
+    """Expected total error of order-2 designs at a fixed shot budget.
 
-    Each cell combines the linearized systematic bias with the Fisher
-    covariance: rmse = sqrt(mean_j(bias_j^2 + var_j)).
+    Each cell is the `build_grid` design at (xi_max, r_max), scored as
+    rmse = sqrt(mean_j(bias_j^2 + var_j)) from the linearized systematic
+    bias and the Fisher covariance; a rank-deficient cell scores inf.  Every
+    cell is a prefix block [:n_r, :n_xi] of the lattice of the largest
+    maxima, so that lattice and its exact chi are built once and each cell
+    reads slices of them.
     """
     theta_star = series.truth_coefficients(2, n_bar)
     xi_maxes = np.asarray(list(xi_maxes), dtype=float)
     r_maxes = np.asarray(list(r_maxes), dtype=float)
+    xi_axis, r_axis = grid_axes(xi_maxes.max(), r_maxes.max(), d_xi, d_r)
+    xi_axis = xi_axis.astype(complex)
+    chi = np.stack([charfunc.chi_reference(xi_axis, charfunc.SqueezeSpec(n=2, r=float(r)),
+                                           n_bar, cutoff) for r in r_axis])
     out = np.empty((len(r_maxes), len(xi_maxes)))
     for i, r_max in enumerate(r_maxes):
         for j, xi_max in enumerate(xi_maxes):
-            points = build_grid(xi_max, r_max, d_xi, d_r, n_bar=n_bar)
-            alloc = sampler.allocate_shots(len(points), total_shots)
+            n_xi, n_r = map(len, grid_axes(xi_max, r_max, d_xi, d_r))
+            columns = (np.tile(xi_axis[:n_xi], n_r), np.repeat(r_axis[:n_r], n_xi),
+                       np.zeros(n_xi * n_r))
+            alloc = sampler.allocate_shots(n_xi * n_r, total_shots)
             try:
-                bias, info = _bias_and_information(theta_star, points, alloc, cutoff)
+                bias, info = _bias_and_information(theta_star, columns, alloc,
+                                                   lambda: chi[:n_r, :n_xi].ravel())
             except RankDeficiencyError:
                 # single-r designs leave c1 and c2 exactly collinear;
                 # the expected error along the flat direction is unbounded
@@ -616,7 +645,7 @@ def fit_exact_frequencies(points: Sequence[MeasurementPoint], model: ModelSpec,
     """
     if chi_values is None:
         chi_values = sampler.analytic_chi_grid(points, model.n, cutoff)
-    coeffs, c_h, _ = _fit(model, _design(model, points, shots, chi_values), cost)
+    coeffs, c_h, _ = _fit(model, _design(model, _columns(points), shots, chi_values), cost)
     return coeffs, c_h
 
 
@@ -638,11 +667,12 @@ def monte_carlo_recovery(points: Sequence[MeasurementPoint], model: ModelSpec,
     n_parts = len(series.PARTS[model.n])
     alloc = sampler.allocate_shots(len(points) * n_parts, total_shots).reshape(n_parts, -1)
     probs = [np.clip(_born(chi_values, part), 0.0, 1.0) for part in range(n_parts)]
+    columns = _columns(points)
     thetas = np.empty((repeats, model.n_coeffs), dtype=complex)
     c_hs = np.empty(repeats) if model.heating else None
     for m in range(repeats):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
-        subs = [_subproblem(model, part, points, alloc[part],
+        subs = [_subproblem(model, part, columns, alloc[part],
                             rng.binomial(alloc[part], probs[part]) / alloc[part])
                 for part in range(n_parts)]
         coeffs, c_h, _ = _fit(model, subs, cost, theta0)

@@ -119,6 +119,15 @@ class TestChiNumeric:
         with pytest.warns(TruncationWarning, match="tail population"):
             cf.chi_numeric_grid(rho, cf.SqueezeSpec(3, 0.78), np.array([0.5, 1.0j]))
 
+    def test_squeezing_above_one_meets_only_the_tail_guard(self):
+        # as in the protocol, |zeta| > 1 is limited by the truncation tail
+        # alone (tail 1.2e-8 at cutoff 100), not by a range check
+        spec = cf.SqueezeSpec(2, 1.2, 0.7)
+        xis = np.array([0.8 + 0.3j, -0.5j, 1.1])
+        with pytest.warns(TruncationWarning, match="tail population"):
+            num = cf.chi_numeric_grid(fs.vacuum_state(100).to_density(), spec, xis)
+        assert np.max(np.abs(num - cf.chi_squeezed_exact(xis, spec))) <= 1e-6
+
 
 class TestHeating:
     def test_zero_heating_identity(self):

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from weylfit import cli
+from weylfit.errors import TruncationWarning
 
 
 def write_config(path, **overrides):
@@ -54,6 +55,17 @@ class TestSimulate:
         first = file_hash(tmp_path / "out" / "dataset.csv")
         cli.run(["--config", str(cfg), "--seed", "999", "simulate"])
         assert file_hash(tmp_path / "out" / "dataset.csv") != first
+
+    def test_order3_squeezing_above_one_runs_on_both_sources(self, tmp_path):
+        # both chi sources take r = 1.2; only the truncation tail guard warns
+        cfg = write_config(tmp_path / "run.yaml", model={"n": 3},
+                           grid={"r_max": 1.2, "n_re": 4, "n_im": 4},
+                           protocol={"cutoff": 100})
+        dataset = tmp_path / "out" / "dataset.csv"
+        with pytest.warns(TruncationWarning):
+            assert cli.run(["--config", str(cfg), "simulate"]) == 0
+            assert cli.run(["--config", str(cfg), "simulate", "--source", "protocol"]) == 0
+            assert cli.run(["--config", str(cfg), "estimate", str(dataset)]) == 0
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml")
@@ -139,7 +151,7 @@ class TestCharfunc:
 
 
 class TestSweepAndExtrapolate:
-    def test_sweep_writes_surface(self, tmp_path):
+    def test_sweep_writes_surface(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml",
                            grid={"xi_max": 2.0, "r_max": 0.78, "d_xi": 0.1, "d_r": 0.06},
                            shots={"total": 400_000})
@@ -150,6 +162,24 @@ class TestSweepAndExtrapolate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert all(float(r["rmse"]) > 0 for r in rows)
+        out = capsys.readouterr().out
+        assert "4 designs, 0 rank-deficient, on a 20 x 13 (xi x r) lattice of 260 points" in out
+        assert "minimum rmse" in out
+
+    def test_sweep_without_a_finite_design_says_so(self, tmp_path, capsys):
+        code = cli.run(["--out", str(tmp_path), "sweep", "--r-max-list", "0.02"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "6 designs, 6 rank-deficient" in out
+        assert "no design in the sweep has a finite rmse" in out
+        assert "minimum rmse" not in out
+        with open(tmp_path / "rmse_sweep.csv", newline="") as fh:
+            assert [r["rmse"] for r in csv.DictReader(fh)] == ["inf"] * 6
+
+    def test_sweep_cell_below_one_spacing_is_input_error(self, tmp_path, capsys):
+        code = cli.run(["--out", str(tmp_path), "sweep", "--xi-max-list", "0.01,1.0"])
+        assert code == 2
+        assert "at least one spacing" in capsys.readouterr().err
 
     @staticmethod
     def affine_reports(tmp_path):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylfit import series as dg
 from weylfit import estimator as est
@@ -280,7 +284,58 @@ class TestSystematicBias:
         assert abs(bias_small[0]) < abs(bias_big[0])
 
 
+def reference_sweep(xi_maxes, r_maxes, total, d_xi, d_r, n_bar=0.0):
+    """`rmse_sweep` cell by cell, from the public per-design functions."""
+    theta = dg.truth_coefficients(2, n_bar)
+    out = np.empty((len(r_maxes), len(xi_maxes)))
+    for i, r_max in enumerate(r_maxes):
+        for j, xi_max in enumerate(xi_maxes):
+            points = est.build_grid(xi_max, r_max, d_xi, d_r, n_bar=n_bar)
+            alloc = sp.allocate_shots(len(points), total)
+            try:
+                info = est.fisher_information(theta, points, alloc)
+            except RankDeficiencyError:
+                out[i, j] = np.inf
+                continue
+            bias = est.systematic_bias(theta, points, alloc)
+            out[i, j] = math.sqrt(float(np.mean(np.abs(bias) ** 2 + np.diag(np.linalg.inv(info)))))
+    return out
+
+
 class TestSweep:
+    @pytest.mark.parametrize("xi_maxes, r_maxes, total, d_xi, d_r, n_bar", [
+        # unsorted maxima, a maximum off the lattice, an odd total, single-r cells
+        ([2.4, 0.61, 1.0], [0.9, 0.02, 0.3], 1_600_001, 0.02, 0.02, 0.0),
+        ([0.6, 2.0], [0.3, 0.78], 1_600_000, 0.02, 0.02, 0.1),
+        ([0.6, 1.0, 2.0], [0.78], 1_600_000, 0.02, 0.39, 0.0),
+    ], ids=["unsorted-offlattice-odd", "thermal", "protocol-rays"])
+    def test_lattice_sweep_equals_per_cell_designs(self, xi_maxes, r_maxes, total,
+                                                   d_xi, d_r, n_bar):
+        result = est.rmse_sweep(xi_maxes, r_maxes, total, d_xi=d_xi, d_r=d_r, n_bar=n_bar)
+        expected = reference_sweep(xi_maxes, r_maxes, total, d_xi, d_r, n_bar)
+        assert np.array_equal(result.rmse, expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(d_xi=st.floats(0.05, 0.4), d_r=st.floats(0.02, 0.4),
+           xi_steps=st.lists(st.floats(1.0, 8.0), min_size=1, max_size=3),
+           r_steps=st.lists(st.floats(1.0, 6.0), min_size=1, max_size=3),
+           total=st.integers(100, 1_000_000))
+    def test_lattice_sweep_equals_per_cell_designs_property(self, d_xi, d_r, xi_steps,
+                                                            r_steps, total):
+        xi_maxes = [d_xi * s for s in xi_steps]
+        r_maxes = [d_r * s for s in r_steps]
+        result = est.rmse_sweep(xi_maxes, r_maxes, total, d_xi=d_xi, d_r=d_r)
+        assert np.array_equal(result.rmse, reference_sweep(xi_maxes, r_maxes, total, d_xi, d_r))
+
+    @pytest.mark.parametrize("xi_maxes, r_maxes, d_xi, d_r", [
+        ([0.01, 1.0], [0.5], 0.02, 0.02),
+        ([1.0], [0.5, 0.01], 0.02, 0.02),
+        ([1.0], [0.5], 0.0, 0.02),
+    ])
+    def test_cell_below_one_spacing_is_rejected(self, xi_maxes, r_maxes, d_xi, d_r):
+        with pytest.raises(InvalidParameterError):
+            est.rmse_sweep(xi_maxes, r_maxes, 100_000, d_xi=d_xi, d_r=d_r)
+
     def test_small_grid_dominated_by_stochastic_error(self):
         result = est.rmse_sweep([0.3, 2.0], [0.02, 0.78], 100_000,
                                 d_xi=0.05, d_r=0.02)
