@@ -7,12 +7,13 @@ fully resolved configuration (defaults expanded) next to its outputs.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 from .sampler import ProtocolConfig
 
 DEFAULTS: dict = {
@@ -59,14 +60,7 @@ class RunConfig:
     output: dict
 
     def as_dict(self) -> dict:
-        return {
-            "model": dict(self.model),
-            "grid": dict(self.grid),
-            "shots": dict(self.shots),
-            "protocol": dict(self.protocol),
-            "rng": dict(self.rng),
-            "output": dict(self.output),
-        }
+        return asdict(self)
 
     def protocol_config(self) -> ProtocolConfig:
         return ProtocolConfig(**{key: int(value) if key == "cutoff" else float(value)
@@ -125,7 +119,22 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     return cfg
 
 
+def _type_ok(value, default) -> bool:
+    """A float key takes any finite real, an int key an integer; a bool is not a number."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, type(default))
+
+
 def _validate(cfg: RunConfig) -> None:
+    for name, defaults in DEFAULTS.items():
+        for key, default in defaults.items():
+            value = getattr(cfg, name)[key]
+            if not _type_ok(value, default):
+                kind = "a finite number" if isinstance(default, float) else type(default).__name__
+                raise ConfigError(f"{name}.{key} must be {kind}, got {value!r}")
     if cfg.model["n"] not in (2, 3):
         raise ConfigError(f"model.n must be 2 or 3, got {cfg.model['n']}")
     if cfg.model["n_B"] < 0:
@@ -135,10 +144,10 @@ def _validate(cfg: RunConfig) -> None:
     for key in ("d_xi", "d_r"):
         if cfg.grid[key] <= 0:
             raise ConfigError(f"grid.{key} must be positive")
-    if cfg.protocol["cutoff"] < 2:
-        raise ConfigError("protocol.cutoff must be at least 2")
-    if cfg.protocol["heating_rate"] < 0:
-        raise ConfigError("protocol.heating_rate must be non-negative")
+    try:
+        cfg.protocol_config()
+    except InvalidParameterError as exc:
+        raise ConfigError(f"protocol: {exc}") from exc
 
 
 def resolved_yaml(cfg: RunConfig) -> str:

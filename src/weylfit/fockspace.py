@@ -4,8 +4,10 @@ Everything is dense complex linear algebra in the number basis
 |0>, ..., |d-1| with an explicit cutoff d.  Unitaries are built by
 eigendecomposition of the Hermitian i*(generator), which keeps them
 exactly unitary up to roundoff even when the generator is close to
-nilpotent.  The master-equation integrator is fixed-step RK4, so runs
-are bit-reproducible for a given step size.
+nilpotent.  Motional heating (jumps a and a^dag at equal rates) has an
+exact flow too, `heating_flow`, from one eigendecomposition per diagonal
+of rho.  The dense master equation, `evolve_lindblad`, is fixed-step RK4,
+bit-reproducible for a given step size, and serves as the oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -76,10 +78,6 @@ class DensityOperator:
     matrix: np.ndarray
     truncation_flagged: bool = False
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -88,7 +86,7 @@ class DensityOperator:
 
     def tail_population(self) -> float:
         pops = np.real(np.diag(self.matrix))
-        if self.dim == 2 * self.cutoff:
+        if self.matrix.shape[0] == 2 * self.cutoff:
             pops = pops[: self.cutoff] + pops[self.cutoff :]
         k = tail_start(self.cutoff)
         return float(np.sum(pops[k:]))
@@ -126,17 +124,6 @@ def vacuum_state(cutoff: int) -> StateVector:
     return fock_state(0, cutoff)
 
 
-def expm_antihermitian(generator: np.ndarray) -> np.ndarray:
-    """exp(K) for anti-Hermitian K, via eigendecomposition of i*K.
-
-    i*K is Hermitian, so the result is unitary up to roundoff regardless
-    of the near-nilpotent ladder structure of K.
-    """
-    h = 1j * generator
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)) @ v.conj().T
-
-
 def displacement(xi: complex, cutoff: int = DEFAULT_CUTOFF) -> TruncatedOperator:
     """Displacement unitary exp(xi A^dag - xi* A).
 
@@ -148,8 +135,8 @@ def displacement(xi: complex, cutoff: int = DEFAULT_CUTOFF) -> TruncatedOperator
     if not np.isfinite(xi.real) or not np.isfinite(xi.imag):
         raise InvalidParameterError("displacement amplitude must be finite")
     a = annihilation(cutoff).matrix
-    gen = xi * a.conj().T - np.conj(xi) * a
-    u = expm_antihermitian(gen)
+    w, v = np.linalg.eigh(1j * (xi * a.conj().T - np.conj(xi) * a))
+    u = (v * np.exp(-1j * w)) @ v.conj().T
     flagged = abs(xi) ** 2 > cutoff / 10.0
     return TruncatedOperator(cutoff, u, truncation_flagged=flagged)
 
@@ -195,18 +182,30 @@ def weyl_expectation(rho: np.ndarray, xis) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
+def squeeze_eigh(n: int, zeta: complex, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, V) of i (zeta* A^n - zeta A^dag^n) / n!, read-only.
+
+    exp(f (zeta* A^n - zeta A^dag^n) / n!) = V e^{-i f w} V^dag for every
+    real f, so a pulse splits into exact unitary steps of any area.
+    """
+    if not 2 <= n <= 4:
+        raise UnsupportedOrderError(f"squeezing order must be 2, 3 or 4, got {n}")
+    an = np.linalg.matrix_power(annihilation(cutoff).matrix, n)
+    w, v = np.linalg.eigh(1j * ((np.conj(zeta) * an - zeta * an.conj().T) / math.factorial(n)))
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
+
+
+@lru_cache(maxsize=512)
 def squeeze_unitary(n: int, zeta: complex, cutoff: int) -> np.ndarray:
     """Order-n squeezing unitary exp((zeta* A^n - zeta A^dag^n) / n!) at any |zeta|.
 
     Cached per (n, zeta, cutoff) and returned read-only, so the Fock-space
     characteristic functions and the protocol's exact pulse share one build.
     """
-    if not 2 <= n <= 4:
-        raise UnsupportedOrderError(f"squeezing order must be 2, 3 or 4, got {n}")
-    a = annihilation(cutoff).matrix
-    an = np.linalg.matrix_power(a, n)
-    gen = (np.conj(zeta) * an - zeta * an.conj().T) / math.factorial(n)
-    u = expm_antihermitian(gen)
+    w, v = squeeze_eigh(n, zeta, cutoff)
+    u = (v * np.exp(-1j * w)) @ v.conj().T
     u.flags.writeable = False
     return u
 
@@ -238,6 +237,47 @@ def thermal_state(n_bar: float, cutoff: int = DEFAULT_CUTOFF) -> DensityOperator
     pops = (1.0 - q) * q ** np.arange(cutoff)
     pops /= pops.sum()
     return DensityOperator(cutoff, np.diag(pops.astype(complex)))
+
+
+@lru_cache(maxsize=8)
+def _heating_propagator(cutoff: int, rate_time: float) -> np.ndarray:
+    """exp(rate_time * T_q) for every diagonal offset q, as one read-only (d, d, d) stack.
+
+    The jumps A and A^dag at equal unit rates map the diagonal rho[i, i+q]
+    to itself through the real symmetric tridiagonal T_q; each exponential
+    comes from its eigendecomposition and is zero-padded to d x d.
+    """
+    from scipy.linalg import eigh_tridiagonal  # at module level it slows CLI start by ~10 ms
+
+    levels = np.arange(cutoff, dtype=float)
+    s = levels + np.append(levels[1:], 0.0)  # diagonal of A^dag A + A A^dag
+    prop = np.zeros((cutoff, cutoff, cutoff))
+    for q in range(cutoff):
+        i, m = levels[1 : cutoff - q], cutoff - q
+        lam, vec = eigh_tridiagonal(-0.5 * (s[:m] + s[q:]), np.sqrt(i * (i + q)))
+        prop[q, :m, :m] = (vec * np.exp(rate_time * lam)) @ vec.T
+    prop.flags.writeable = False
+    return prop
+
+
+def heating_flow(rho: np.ndarray, rate_time: float) -> np.ndarray:
+    """Hermitian rho after heating (jumps A and A^dag, each at rate gamma) for gamma*t = rate_time.
+
+    Exact and completely positive and trace-preserving on the truncated
+    space.  The diagonals of the upper triangle evolve on their own, all in
+    one batched matmul; the lower triangle is their conjugate.
+    """
+    d = rho.shape[0]
+    rows, cols = np.triu_indices(d)
+    stack = (cols - rows, rows)  # diagonal offset q, position along it
+    x = np.zeros((d, d), dtype=complex)
+    x[stack] = rho[rows, cols]
+    y = _heating_propagator(d, float(rate_time)) @ x.view(float).reshape(d, d, 2)
+    y = y.reshape(d, 2 * d).view(complex)[stack]
+    out = np.empty_like(x)
+    out[cols, rows] = y.conj()
+    out[rows, cols] = y
+    return out
 
 
 def apply_unitary(u: TruncatedOperator, state: StateVector) -> StateVector:
@@ -295,39 +335,13 @@ class LindbladSpec:
         return h
 
 
-def lindblad_rhs(rho: np.ndarray, h: np.ndarray,
-                 jumps: Sequence[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
-    """d rho / dt for given H and precomputed jump tuples (L, L^dag L, rate)."""
-    out = -1j * (h @ rho - rho @ h)
-    for l_op, ldl, rate in jumps:
-        out += rate * (l_op @ rho @ l_op.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
-    return out
-
-
-def rk4(x: np.ndarray, rhs: Callable, duration: float, max_dt: float,
-        t_offset: float = 0.0) -> np.ndarray:
-    """Fixed-step classic Runge-Kutta for dx/dt = rhs(x, t) over ``duration``.
-
-    Takes the fewest equal steps no longer than ``max_dt``.
-    """
-    n_steps = max(1, int(math.ceil(duration / max_dt - 1e-12)))
-    dt = duration / n_steps
-    for i in range(n_steps):
-        t = t_offset + i * dt
-        k1 = rhs(x, t)
-        k2 = rhs(x + (0.5 * dt) * k1, t + 0.5 * dt)
-        k3 = rhs(x + (0.5 * dt) * k2, t + 0.5 * dt)
-        k4 = rhs(x + dt * k3, t + dt)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
-
-
 def evolve_lindblad(rho0: DensityOperator, spec: LindbladSpec,
                     t_span: tuple[float, float], dt: float) -> DensityOperator:
-    """Fixed-step `rk4` integration of the Lindblad master equation.
+    """Fixed-step classic Runge-Kutta integration of the Lindblad master equation.
 
-    The step must satisfy dt * ||H|| <= 0.05; the trace may drift by at
-    most 1e-8 over the run, otherwise an AccuracyError reports the drift.
+    Takes the fewest equal steps no longer than ``dt``, which must satisfy
+    dt * ||H|| <= 0.05; the trace may drift by at most 1e-8 over the run,
+    otherwise an AccuracyError reports the drift.
     """
     t0, tf = t_span
     if tf < t0:
@@ -356,10 +370,21 @@ def evolve_lindblad(rho0: DensityOperator, spec: LindbladSpec,
             raise InvalidDimensionError("jump operator dimension does not match the state")
         jumps.append((l_mat, l_mat.conj().T @ l_mat, rate))
 
+    def rhs(m, t):
+        h = spec.hamiltonian_at(t, dim)
+        out = -1j * (h @ m - m @ h)
+        for l_op, ldl, rate in jumps:
+            out += rate * (l_op @ m @ l_op.conj().T - 0.5 * (ldl @ m + m @ ldl))
+        return out
+
     rho = rho0.matrix.astype(complex)
     trace0 = np.trace(rho).real
-    rho = rk4(rho, lambda m, t: lindblad_rhs(m, spec.hamiltonian_at(t, dim), jumps),
-              duration, dt, t_offset=t0)
+    for t in times[:-1]:
+        k1 = rhs(rho, t)
+        k2 = rhs(rho + (0.5 * dt_eff) * k1, t + 0.5 * dt_eff)
+        k3 = rhs(rho + (0.5 * dt_eff) * k2, t + 0.5 * dt_eff)
+        k4 = rhs(rho + dt_eff * k3, t + dt_eff)
+        rho = rho + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     drift = abs(np.trace(rho).real - trace0)
     if drift > 1e-8:

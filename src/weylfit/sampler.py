@@ -19,13 +19,14 @@ The protocol has two stages, both run in the oscillator rotating frame:
    characteristic function at xi directly.
 
 Heating alone keeps a thermal state thermal at n_bar + gamma*t, so the
-idle slot is exact, and only the heated squeezing pulse is integrated
-(RK4).  The probe is exact too: its coherence is Tr(rho D(xi)), and
-equal-rate a/a^dag heating is an additive Gaussian channel that commutes
-with displacements, which multiplies that trace by exp(-gamma |xi|^2 T / 3)
-for a probe of duration T = |xi| / omega_eta.  `simulate_protocol` can
-also run the full qubit (x) oscillator master equation as the oracle for
-both.
+idle slot is exact.  The heated squeezing pulse is a Strang composition
+of two exact flows, the pulse unitary and `fockspace.heating_flow`, with
+the step count chosen by step doubling.  The probe is exact too: its
+coherence is Tr(rho D(xi)), and equal-rate a/a^dag heating is an additive
+Gaussian channel that commutes with displacements, which multiplies that
+trace by exp(-gamma |xi|^2 T / 3) for a probe of duration
+T = |xi| / omega_eta.  `simulate_protocol` can also run the full
+qubit (x) oscillator master equation as the oracle for both.
 """
 
 from __future__ import annotations
@@ -40,9 +41,13 @@ from typing import Sequence
 import numpy as np
 
 from . import charfunc, fockspace, series
-from .errors import DatasetError, InvalidChiError, InvalidParameterError, TruncationWarning
+from .errors import (AccuracyError, ConfigError, DatasetError, InvalidChiError,
+                     InvalidParameterError, TruncationWarning)
 
 OMEGA_ETA_DEFAULT = 2.0 * np.pi * 4.7e3      # phase-space displacement rate, rad/s
+
+# Bound on the step-doubling error estimate max|rho_N - rho_2N| / 3 of the heated pulse
+PULSE_TOLERANCE = 1e-9
 
 BASIS_CODES = {"x": 0, "y": 1}
 
@@ -177,10 +182,15 @@ class ProtocolConfig:
     idle_time: float = 480e-6
 
     def __post_init__(self):
-        if self.heating_rate < 0:
-            raise InvalidParameterError("heating rate must be non-negative")
-        if self.cutoff < 2:
-            raise InvalidParameterError("cutoff must be at least 2")
+        # negated comparisons, so that NaN fails every check
+        for name in ("omega_eta", "ramp_time", "prep_hold", "idle_time", "heating_rate",
+                     "prep_area"):
+            value = getattr(self, name)
+            bound = "positive" if name in ("omega_eta", "prep_area") else "non-negative"
+            if not (value > 0 if bound == "positive" else value >= 0):
+                raise InvalidParameterError(f"{name} must be {bound}, got {value}")
+        if not self.cutoff >= 2:
+            raise InvalidParameterError(f"cutoff must be at least 2, got {self.cutoff}")
 
     @property
     def prep_duration(self) -> float:
@@ -192,78 +202,32 @@ class ProtocolConfig:
         return self.prep_hold + self.ramp_time
 
 
-def _ramp_envelope(t: float, ramp: float, hold: float) -> float:
-    """Trapezoid 0 -> 1 -> 0 over [0, 2*ramp + hold]."""
-    if t <= 0.0:
-        return 0.0
-    if t < ramp:
-        return t / ramp
-    if t <= ramp + hold:
-        return 1.0
-    end = 2.0 * ramp + hold
-    if t < end:
-        return (end - t) / ramp
-    return 0.0
+def _pulse_area(t: np.ndarray, ramp: float, hold: float) -> np.ndarray:
+    """Area under the trapezoid envelope 0 -> 1 -> 0 from 0 to t (any ramp >= 0)."""
+    up = np.clip(t, 0.0, ramp)
+    flat = np.clip(t - ramp, 0.0, hold)
+    down = np.clip(t - ramp - hold, 0.0, ramp)
+    scale = 2.0 * ramp if ramp > 0 else 1.0   # up = down = 0 for a square pulse
+    return (up**2 + 2.0 * ramp * down - down**2) / scale + flat
 
 
-class _LadderKernel:
-    """Banded applications of a^n / a^dag^n and the heating dissipator.
+def _strang_pulse(x: np.ndarray, n: int, zeta: complex, config: ProtocolConfig,
+                  n_steps: int) -> np.ndarray:
+    """Heated squeezing pulse as n_steps Strang steps H(tau/2) U_k H(tau/2).
 
-    The drive and jump operators are all shifted diagonals in the number
-    basis, so every term of the master equation is an O(d^2) elementwise
-    operation; results agree with the dense-matrix path to roundoff.
+    U_k is the exact pulse unitary over step k, from the exact envelope
+    area of the step; H is `fockspace.heating_flow`, and the two half steps
+    between consecutive U_k run as one.
     """
-
-    def __init__(self, cutoff: int, n: int, heating_rate: float):
-        self.d = cutoff
-        self.n = n
-        self.rate = heating_rate
-        levels = np.arange(cutoff)
-        prods = np.ones(cutoff - n)
-        for k in range(1, n + 1):
-            prods = prods * (levels[: cutoff - n] + k)
-        self.wn = np.sqrt(prods)                      # <i|a^n|i+n> weights
-        self.w1 = np.sqrt(levels[1:].astype(float))   # <i-1|a|i> weights
-        # diagonal of a^dag a and of the truncated a a^dag
-        self.k_lower = levels.astype(float)
-        self.k_raise = np.concatenate([levels[1:].astype(float), [0.0]])
-        self.k_sum = self.rate * (self.k_lower + self.k_raise)
-
-    def lower_left(self, m):
-        """a^n @ m"""
-        out = np.zeros_like(m)
-        out[: self.d - self.n] = self.wn[:, None] * m[self.n :]
-        return out
-
-    def raise_left(self, m):
-        """a^dag^n @ m"""
-        out = np.zeros_like(m)
-        out[self.n :] = self.wn[:, None] * m[: self.d - self.n]
-        return out
-
-    def lower_right(self, m):
-        """m @ a^n"""
-        out = np.zeros_like(m)
-        out[:, self.n :] = m[:, : self.d - self.n] * self.wn[None, :]
-        return out
-
-    def raise_right(self, m):
-        """m @ a^dag^n"""
-        out = np.zeros_like(m)
-        out[:, : self.d - self.n] = m[:, self.n :] * self.wn[None, :]
-        return out
-
-    def dissipator(self, m):
-        """Jumps a and a^dag, each at the heating rate."""
-        if self.rate == 0:
-            return 0.0
-        out = np.zeros_like(m)
-        cross = self.w1[:, None] * self.w1[None, :]
-        out[: self.d - 1, : self.d - 1] = cross * m[1:, 1:]        # a m a^dag
-        out[1:, 1:] += cross * m[: self.d - 1, : self.d - 1]       # a^dag m a
-        out *= self.rate
-        out -= 0.5 * (self.k_sum[:, None] * m + m * self.k_sum[None, :])
-        return out
+    w, v = fockspace.squeeze_eigh(n, zeta, config.cutoff)
+    edges = np.linspace(0.0, config.prep_duration, n_steps + 1)
+    areas = np.diff(_pulse_area(edges, config.ramp_time, config.prep_hold)) / config.prep_area
+    step = config.heating_rate * config.prep_duration / n_steps
+    x = fockspace.heating_flow(x, 0.5 * step)
+    for k, area in enumerate(areas, 1):
+        u = (v * np.exp(-1j * area * w)) @ v.conj().T
+        x = fockspace.heating_flow(u @ x @ u.conj().T, 0.5 * step if k == n_steps else step)
+    return x
 
 
 def prepare_state(n: int, r: float, theta: float, n_bar: float,
@@ -273,37 +237,30 @@ def prepare_state(n: int, r: float, theta: float, n_bar: float,
     The idle slot, and at r = 0 the whole preparation, leaves a thermal
     state at the grown occupation.  Without heating the pulse Hamiltonian
     commutes with itself at all times, so the pulse is exactly
-    S_n(r e^{i theta}) from `fockspace.squeeze_unitary`, at any r; only the
-    heated pulse is integrated (RK4).  Emits a TruncationWarning when the
-    prepared state leans on the top Fock levels.
+    S_n(r e^{i theta}) from `fockspace.squeeze_unitary`, at any r.  The
+    heated pulse is `_strang_pulse` at 8, 16, 32, ... steps until
+    max|rho_N - rho_2N| / 3 <= PULSE_TOLERANCE, returning rho_2N; both of
+    its flows are CPTP, so the result is a density matrix.  Emits a
+    TruncationWarning when the prepared state leans on the top Fock levels.
     """
     cutoff = config.cutoff
+    zeta = complex(charfunc.SqueezeSpec(n=n, r=r, theta=theta).zeta)
     if r == 0:
         n_grown = n_bar + config.heating_rate * (config.idle_time + config.prep_duration)
         x = fockspace.thermal_state(n_grown, cutoff).matrix
     elif config.heating_rate == 0:
-        zeta = charfunc.SqueezeSpec(n=n, r=r, theta=theta).zeta
-        s = fockspace.squeeze_unitary(n, complex(zeta), cutoff)
+        s = fockspace.squeeze_unitary(n, zeta, cutoff)
         x = s @ fockspace.thermal_state(n_bar, cutoff).matrix @ s.conj().T
     else:
-        n_idle = n_bar + config.heating_rate * config.idle_time
-        kern = _LadderKernel(cutoff, n, config.heating_rate)
-        vartheta = 0.5 * np.pi - theta
-        phase_lo, phase_hi = np.exp(1j * vartheta), np.exp(-1j * vartheta)
-        omega_n = r / (math.factorial(n) * config.prep_area)
-        ramp, hold = config.ramp_time, config.prep_hold
-
-        def rhs(m, t):
-            c = omega_n * _ramp_envelope(t, ramp, hold)
-            hm = phase_lo * kern.lower_left(m) + phase_hi * kern.raise_left(m)
-            mh = phase_lo * kern.lower_right(m) + phase_hi * kern.raise_right(m)
-            return -1j * c * (hm - mh) + kern.dissipator(m)
-
-        h_norm = 2.0 * abs(omega_n) * float(kern.wn[-1])
-        jump_norm = 4.0 * config.heating_rate * cutoff
-        max_dt = fockspace.STEP_RULE / max(h_norm + jump_norm, 1e-12)
-        x = fockspace.rk4(fockspace.thermal_state(n_idle, cutoff).matrix, rhs,
-                          config.prep_duration, max_dt)
+        x0 = fockspace.thermal_state(n_bar + config.heating_rate * config.idle_time,
+                                     cutoff).matrix
+        x = _strang_pulse(x0, n, zeta, config, 8)
+        for n_steps in (2**k for k in range(4, 13)):  # 16, 32, ..., 4096 steps
+            coarse, x = x, _strang_pulse(x0, n, zeta, config, n_steps)
+            if np.max(np.abs(x - coarse)) / 3.0 <= PULSE_TOLERANCE:
+                break
+        else:
+            raise AccuracyError(f"heated pulse not within {PULSE_TOLERANCE} at {n_steps} steps")
     rho = fockspace.DensityOperator(cutoff, x)
     tail = rho.tail_population()
     if tail > fockspace.TAIL_TOLERANCE:
@@ -424,8 +381,10 @@ def generate_dataset(points: Sequence[MeasurementPoint], total_shots: int, n: in
     """Simulate a full shot dataset over the measurement grid.
 
     ``chi_source`` selects the probability model: 'analytic' closed
-    forms / Fock numerics, or 'protocol' for the master-equation
-    simulation.  Precomputed ``chi_values`` short-circuit either source.
+    forms / Fock numerics, which carry no heating (a config with
+    heating_rate > 0 raises ConfigError), or 'protocol' for the
+    master-equation simulation.  Precomputed ``chi_values`` short-circuit
+    either source.
     The RNG stream of each record depends only on (seed, point index,
     basis), so results are independent of evaluation order.
     """
@@ -435,6 +394,9 @@ def generate_dataset(points: Sequence[MeasurementPoint], total_shots: int, n: in
     if chi_values is not None:
         chis = np.asarray(chi_values, dtype=complex)
     elif chi_source == "analytic":
+        if config is not None and config.heating_rate > 0:
+            raise ConfigError("the analytic chi source has no heating model; "
+                              "use --source protocol for heating_rate > 0")
         chis = analytic_chi_grid(points, n, config.cutoff if config else fockspace.DEFAULT_CUTOFF)
     elif chi_source == "protocol":
         chis = simulate_chi_grid(points, n, config or ProtocolConfig(), jobs=jobs)

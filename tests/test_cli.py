@@ -67,6 +67,38 @@ class TestSimulate:
             assert cli.run(["--config", str(cfg), "simulate", "--source", "protocol"]) == 0
             assert cli.run(["--config", str(cfg), "estimate", str(dataset)]) == 0
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_heated_analytic_source_is_input_error(self, tmp_path, capsys, n):
+        # the closed forms carry no heating, so a heated config needs the protocol
+        cfg = write_config(tmp_path / "run.yaml", model={"n": n},
+                           protocol={"heating_rate": 300.0})
+        assert cli.run(["--config", str(cfg), "simulate"]) == 2
+        assert "--source protocol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, entries", [
+        ("protocol", {"omega_eta": "abc"}),
+        ("model", {"n_B": "abc"}),
+        ("grid", {"d_r": "abc"}),
+        ("shots", {"total": "abc"}),
+        ("shots", {"total": 1.6e6}),
+        ("model", {"n_B": True}),
+        ("model", {"n_B": float("nan")}),
+        ("protocol", {"ramp_time": float("inf")}),
+        ("protocol", {"omega_eta": -5.0}),
+        ("protocol", {"ramp_time": -1.0e-5, "prep_hold": 0.0}),
+        ("protocol", {"ramp_time": 0.0, "prep_hold": 0.0}),
+    ], ids=["omega_eta-text", "n_B-text", "d_r-text", "total-text", "total-float", "n_B-bool",
+            "n_B-nan", "ramp_time-inf", "omega_eta-negative", "ramp_time-negative",
+            "zero-pulse-area"])
+    def test_bad_config_value_is_input_error(self, tmp_path, capsys, section, entries):
+        cfg = write_config(tmp_path / "run.yaml", **{section: entries})
+        assert cli.run(["--config", str(cfg), "simulate"]) == 2
+        assert section in capsys.readouterr().err
+
+    def test_integer_for_a_float_key_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "run.yaml", model={"n_B": 0}, protocol={"idle_time": 0})
+        assert cli.run(["--config", str(cfg), "simulate"]) == 0
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml")
         doc = yaml.safe_load(cfg.read_text())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from weylfit import fockspace as fs
 from weylfit.errors import (
@@ -165,6 +166,23 @@ class TestThermalState:
 
 def _sigma_x():
     return np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+class TestHeatingFlow:
+    def test_matches_liouvillian_exponential(self):
+        # expm of the row-major superoperator of jumps A and A^dag at unit rate
+        d = 12
+        a = fs.annihilation(d).matrix
+        eye = np.eye(d)
+        liouvillian = sum(np.kron(l, l.conj()) - 0.5 * np.kron(l.conj().T @ l, eye)
+                          - 0.5 * np.kron(eye, (l.conj().T @ l).T) for l in (a, a.conj().T))
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T)
+        exact = (scipy.linalg.expm(0.37 * liouvillian) @ rho.ravel()).reshape(d, d)
+        flowed = fs.heating_flow(rho, 0.37)
+        assert np.max(np.abs(flowed - exact)) <= 1e-13
+        assert abs(np.trace(flowed) - 1.0) <= 1e-13
 
 
 class TestLindblad:

@@ -1,7 +1,9 @@
-"""Property tests: CSV round-trip, shot allocation, model bounds and typed
-errors on non-finite input."""
+"""Property tests: CSV round-trip, shot allocation, model bounds, typed
+errors on non-finite input, and heated prepared states that are density
+matrices."""
 
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from weylfit import config
 from weylfit import sampler as sp
 from weylfit import series as dg
-from weylfit.errors import DatasetError
+from weylfit.errors import DatasetError, TruncationWarning
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -98,6 +100,19 @@ def test_non_finite_csv_field_raises_dataset_error(field, value, record):
     cells[sp.CSV_FIELDS.index(field)] = value
     with pytest.raises(DatasetError):
         sp.dataset_from_csv(io.StringIO(header + "\n" + ",".join(cells) + "\n"))
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]), reals(0.01, 0.6), reals(0.0, 6.3), reals(1.0, 1000.0))
+def test_heated_prepared_state_is_a_density_matrix(n, r, theta, rate):
+    # both flows of the split pulse are CPTP maps on the truncated space
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        rho = sp.prepare_state(n, r, theta, 0.1,
+                               sp.ProtocolConfig(cutoff=30, heating_rate=rate)).matrix
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert abs(np.trace(rho) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
 
 def test_readme_config_block_lists_the_defaults():

@@ -1,12 +1,16 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from weylfit import charfunc as cf
+from weylfit import estimator as est
 from weylfit import fockspace as fs
 from weylfit import sampler as sp
-from weylfit.errors import DatasetError, InvalidChiError, InvalidParameterError, TruncationWarning
+from weylfit.errors import (AccuracyError, ConfigError, DatasetError, InvalidChiError,
+                            InvalidParameterError, TruncationWarning)
 
 
 class TestBornProbabilities:
@@ -199,8 +203,8 @@ class TestProtocol:
 
     @pytest.mark.parametrize("n, r", [(2, 0.65), (3, 0.25)])
     def test_exact_pulse_matches_integrated_pulse(self, n, r):
-        # a vanishing heating rate takes the RK4 branch; this pins
-        # vartheta = pi/2 - theta to zeta = r e^{i theta}
+        # a vanishing heating rate takes the heated (split) branch; this
+        # pins vartheta = pi/2 - theta to zeta = r e^{i theta}
         integrated, exact = (
             sp.prepare_state(n, r, 0.7, 0.1, sp.ProtocolConfig(cutoff=40, heating_rate=rate))
             for rate in (1e-9, 0.0))
@@ -268,12 +272,14 @@ class TestProtocol:
             sp.simulate_protocol(sp.MeasurementPoint(xi=0.3 + 0j, r=0.78), 2, cfg)
 
     def test_worker_threads_do_not_change_results(self):
-        cfg = sp.ProtocolConfig(cutoff=40)
+        # the heated config has the threads share the cached propagators
         points = [sp.MeasurementPoint(xi=complex(x), r=r)
                   for r in (0.1, 0.2) for x in (0.3, 0.9)]
-        serial = sp.simulate_chi_grid(points, 2, cfg, jobs=1)
-        threaded = sp.simulate_chi_grid(points, 2, cfg, jobs=4)
-        np.testing.assert_array_equal(serial, threaded)
+        for rate in (0.0, 300.0):
+            cfg = sp.ProtocolConfig(cutoff=40, heating_rate=rate)
+            serial = sp.simulate_chi_grid(points, 2, cfg, jobs=1)
+            threaded = sp.simulate_chi_grid(points, 2, cfg, jobs=4)
+            np.testing.assert_array_equal(serial, threaded)
 
     def test_protocol_dataset_source(self):
         cfg = sp.ProtocolConfig(cutoff=40)
@@ -286,6 +292,88 @@ class TestProtocol:
         for rec, chi in zip(records, chis):
             p_plus = sp.born_probabilities(chi)[0]
             assert abs(rec.frequency - p_plus) <= 4 * np.sqrt(p_plus * (1 - p_plus) / rec.shots) + 1e-3
+
+
+def pulse_segments(cfg):
+    """Edges of the ramp-up, hold and ramp-down segments of the pulse."""
+    ramp, hold = cfg.ramp_time, cfg.prep_hold
+    return list(zip([0.0, ramp, ramp + hold], [ramp, ramp + hold, 2 * ramp + hold]))
+
+
+def envelope(cfg):
+    ramp, end = cfg.ramp_time, cfg.prep_duration
+    return (lambda t: min(1.0, t / ramp, (end - t) / ramp)) if ramp > 0 else (lambda t: 1.0)
+
+
+class TestHeatedPulse:
+    """The split-step heated pulse against two independent oracles."""
+
+    @pytest.mark.filterwarnings("ignore::weylfit.errors.TruncationWarning")
+    @pytest.mark.parametrize("n, r, shape", [(2, 0.65, {}), (3, 0.25, {}),
+                                             (2, 0.65, {"ramp_time": 0.0})],
+                             ids=["order2", "order3", "square-pulse"])
+    def test_matches_dense_master_equation(self, n, r, shape):
+        # RK4 on the dense Lindblad equation at a tenth of its step rule,
+        # segment by segment so that no step straddles a kink of g(t)
+        cfg = sp.ProtocolConfig(cutoff=40, heating_rate=300.0, **shape)
+        theta = 0.7
+        vartheta = 0.5 * np.pi - theta
+        omega_n = r / (math.factorial(n) * cfg.prep_area)
+        a = fs.annihilation(40)
+        an = np.linalg.matrix_power(a.matrix, n)
+        h0 = omega_n * (np.exp(1j * vartheta) * an + np.exp(-1j * vartheta) * an.conj().T)
+        spec = fs.LindbladSpec(hamiltonian=((fs.TruncatedOperator(40, h0), envelope(cfg)),),
+                               jumps=((a, 300.0), (a.dag(), 300.0)))
+        dt = fs.STEP_RULE / (10 * spec.norm_bound(np.array([cfg.ramp_time])))
+        rho = fs.thermal_state(0.1 + 300.0 * cfg.idle_time, 40)
+        for span in pulse_segments(cfg):
+            rho = fs.evolve_lindblad(rho, spec, span, dt)
+        split = sp.prepare_state(n, r, theta, 0.1, cfg)
+        assert np.max(np.abs(split.matrix - rho.matrix)) <= 5e-9
+
+    def test_unconverged_pulse_raises_accuracy_error(self, monkeypatch):
+        monkeypatch.setattr(sp, "PULSE_TOLERANCE", 0.0)
+        with pytest.raises(AccuracyError, match="4096 steps"):
+            sp.prepare_state(2, 0.3, 0.0, 0.1, sp.ProtocolConfig(cutoff=16, heating_rate=300.0))
+
+    @pytest.mark.parametrize("r_target", [0.1, 0.78])
+    def test_order2_chi_matches_gaussian_moments(self, r_target):
+        # at order 2 every stage is Gaussian: N = <a^dag a>, M = <a^2> obey
+        # d(N+1/2)/dt = -4c Im(e^{i vth} M) + gamma, dM/dt = -4ic e^{-i vth} (N+1/2)
+        gamma, n_bar = 300.0, 0.1
+        cfg = sp.ProtocolConfig(cutoff=100, heating_rate=gamma)
+        points = [p for p in est.build_grid(2.0, 0.78, 0.02, 0.02, n_bar=n_bar)
+                  if abs(p.r - r_target) < 1e-9]
+        r = points[0].r
+        omega_2, g = r / (2 * cfg.prep_area), envelope(cfg)
+        phase = np.exp(0.5j * np.pi)  # e^{i vartheta} at theta = 0
+
+        def moments(t, y):
+            c, m = omega_2 * g(t), complex(y[1], y[2])
+            dm = -4j * c * np.conj(phase) * y[0]
+            return [-4 * c * (phase * m).imag + gamma, dm.real, dm.imag]
+
+        y = [n_bar + gamma * cfg.idle_time + 0.5, 0.0, 0.0]
+        for span in pulse_segments(cfg):
+            y = solve_ivp(moments, span, y, method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+        xis = np.array([p.xi for p in points])
+        exact = (np.exp(-y[0] * np.abs(xis) ** 2 + (np.conj(xis) ** 2 * complex(y[1], y[2])).real)
+                 * np.exp(-gamma * np.abs(xis) ** 3 / (3 * cfg.omega_eta)))
+        chi = sp.simulate_chi_grid(points, 2, cfg)
+        assert np.max(np.abs(chi - exact)) <= 1e-8
+
+
+class TestDatasetSources:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_analytic_source_rejects_heating(self, n):
+        points = [sp.MeasurementPoint(xi=0.5 + 0.2j, r=0.2)]
+        heated = sp.ProtocolConfig(heating_rate=300.0)
+        with pytest.raises(ConfigError, match="--source protocol"):
+            sp.generate_dataset(points, 1000, n, seed=1, config=heated)
+        # precomputed chi values carry their own model
+        records = sp.generate_dataset(points, 1000, n, seed=1, config=heated,
+                                      chi_values=np.array([0.5 + 0.1j]))
+        assert sum(r.shots for r in records) == 1000
 
 
 class TestMeasurementPoint:
