@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -46,6 +47,14 @@ DEFAULTS: dict = {
         "directory": "out",
     },
 }
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as ``4e-5`` (YAML 1.1 needs a dot)."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"), list("-+.0123456789"))
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             text = Path(path).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        loaded = yaml.safe_load(text)
+        loaded = yaml.load(text, Loader=_Loader)
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

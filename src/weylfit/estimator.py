@@ -9,6 +9,13 @@ Parameters are real under the hood: order-2 models carry 3 real
 coefficients (plus an optional heating parameter), order-3 models are
 split into independent real and imaginary subproblems, one per Pauli
 basis, which is exact because the joint cost is the sum of the two.
+
+Every subproblem is solved by one damped Newton loop on the exact cost,
+gradient and curvature.  It runs from two deterministic starts, the
+caller's start (zero by default) and the exact coefficients (zero for an
+order-3 imaginary part), and keeps the lower cost; six scattered starts
+follow only if neither converges.  The ``iterations`` diagnostic counts
+accepted Newton steps over all starts.
 """
 
 from __future__ import annotations
@@ -18,8 +25,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
-from scipy.linalg import block_diag
 
 from . import charfunc, fockspace, sampler, series
 from .series import CoefficientVector
@@ -202,40 +207,28 @@ def _pack_theta(model: ModelSpec, theta) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _likelihood(sub: _Subproblem, x: np.ndarray, cost: str, n_coeffs: int, fit_ch: bool):
-    """The fit cost's building blocks at packed parameters x = (theta[, c_h]).
+def _cost_grad_curvature(sub: _Subproblem, x: np.ndarray, cost: str,
+                         n_coeffs: int, fit_ch: bool):
+    """Cost, gradient and curvature at packed parameters x = (theta[, c_h]).
 
-    Computes p and dp once.  LS returns (residuals, Jacobian) of the
-    variance-weighted residuals; ML returns (negative log-likelihood,
-    gradient, curvature).  The model is linear in theta inside the clip,
-    so the ML curvature is the exact Hessian there; for c_h it is the
-    Gauss-Newton part.
+    Computes p and dp once.  LS is the chi-square of the variance-weighted
+    residuals, ML the negative log-likelihood.  The model is linear in
+    theta inside the clip, so either curvature is the exact Hessian there;
+    for c_h it is the Gauss-Newton part.
     """
     c_h = float(x[n_coeffs]) if fit_ch else 0.0
     p, dp, dp_ch = sub.model_probability(x[:n_coeffs], c_h, with_ch_grad=fit_ch)
+    jac = _jacobian(dp, dp_ch)
     if cost == "ls":
         sigma = np.sqrt(sub.sigma2())
-        return (p - sub.freq) / sigma, _jacobian(dp, dp_ch) / sigma[:, None]
+        res, jac = (p - sub.freq) / sigma, jac / sigma[:, None]
+        return float(np.sum(res**2)), 2.0 * jac.T @ res, 2.0 * jac.T @ jac
     f, shots = sub.freq, sub.shots
     p_safe = np.clip(p, EPS_P, 1.0 - EPS_P)
     nll = -np.sum(shots * (f * np.log(p_safe) + (1.0 - f) * np.log1p(-p_safe)))
     w = -shots * (f / p_safe - (1.0 - f) / (1.0 - p_safe))
-    grad = dp.T @ w
-    if fit_ch:
-        grad = np.append(grad, np.dot(dp_ch, w))
     curv_w = shots * (f / p_safe**2 + (1.0 - f) / (1.0 - p_safe) ** 2)
-    jac = _jacobian(dp, dp_ch)
-    return float(nll), grad, (jac * curv_w[:, None]).T @ jac
-
-
-def _cost_grad_curvature(sub: _Subproblem, x: np.ndarray, cost: str,
-                         n_coeffs: int, fit_ch: bool):
-    """Cost, gradient, and Gauss-Newton curvature at packed parameters x."""
-    out = _likelihood(sub, x, cost, n_coeffs, fit_ch)
-    if cost == "ml":
-        return out
-    res, jac = out
-    return float(np.sum(res**2)), 2.0 * jac.T @ res, 2.0 * jac.T @ jac
+    return float(nll), jac.T @ w, (jac * curv_w[:, None]).T @ jac
 
 
 def cost(theta, problem: FitProblem, c_h: float | None = None) -> float:
@@ -257,18 +250,20 @@ def cost(theta, problem: FitProblem, c_h: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _polish(sub: _Subproblem, x: np.ndarray, cost: str, n_coeffs: int,
+def _newton(sub: _Subproblem, x: np.ndarray, cost: str, n_coeffs: int,
             fit_ch: bool, max_iter: int = 60):
-    """Damped Newton refinement; exits on the gradient test or stagnation.
+    """Damped Newton from x; exits on the gradient test or stagnation.
 
     The clipped model makes the cost piecewise smooth, so a minimum can sit
     on an active-set boundary where the one-sided gradient stays finite.
     Exhausting the damping ladder without any relative cost decrease then
-    certifies local optimality (the cost-stationary exit).
+    certifies local optimality (the cost-stationary exit).  Returns the
+    number of accepted steps last.
     """
     cost_val, grad, curv = _cost_grad_curvature(sub, x, cost, n_coeffs, fit_ch)
     lam = 1e-12 * (np.trace(curv) / len(x) + 1.0)
     exit_reason = "max-iterations"
+    steps = 0
     for _ in range(max_iter):
         if np.linalg.norm(grad) <= GRAD_RTOL * (1.0 + abs(cost_val)):
             exit_reason = "gradient"
@@ -287,49 +282,39 @@ def _polish(sub: _Subproblem, x: np.ndarray, cost: str, n_coeffs: int,
                 x, cost_val, grad, curv = trial, trial_cost, trial_grad, trial_curv
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
+                steps += 1
                 break
             lam = max(lam * 10.0, 1e-10)
         if not accepted:
             exit_reason = "cost-stationary"
             break
-    return x, cost_val, grad, exit_reason
+    return x, cost_val, grad, exit_reason, steps
 
 
 def _solve_subproblem(sub: _Subproblem, n_coeffs: int, cost: str, x0: np.ndarray,
                       fit_ch: bool, center: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Minimize one subproblem; multistart fallback guards the clipped region."""
+    """Minimize one subproblem with `_newton`, keeping the lowest cost reached.
 
-    def run(x_start):
-        if cost == "ls":
-            sol = optimize.least_squares(
-                lambda x: _likelihood(sub, x, cost, n_coeffs, fit_ch)[0], x_start,
-                jac=lambda x: _likelihood(sub, x, cost, n_coeffs, fit_ch)[1],
-                method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12, max_nfev=400)
-            iterations = sol.nfev
-        else:
-            sol = optimize.minimize(lambda x: _likelihood(sub, x, cost, n_coeffs, fit_ch)[:2],
-                                    x_start, jac=True, method="L-BFGS-B",
-                                    options={"ftol": 1e-12, "gtol": 1e-9, "maxiter": 2000})
-            iterations = sol.nit
-        x, cost_val, grad, reason = _polish(sub, sol.x, cost, n_coeffs, fit_ch)
-        return x, cost_val, grad, reason, int(iterations)
-
-    best = None
-    starts = [np.asarray(x0, dtype=float)]
+    The clip makes the cost piecewise with several local minima, so Newton
+    runs from both ``x0`` and ``center``; only when neither converges does a
+    multistart fallback scatter six more starts around ``center``.
+    """
+    starts = [np.asarray(x0, dtype=float)] + ([] if np.array_equal(x0, center) else [center])
     rng = np.random.default_rng(709)
-    extra = [center + rng.normal(scale=0.3, size=len(x0)) for _ in range(6)]
-    attempts = 0
-    for start in starts + extra:
-        x, cost_val, grad, reason, nit = run(start)
-        attempts += 1
-        if best is None or cost_val < best[1]:
-            best = (x, cost_val, grad, reason, nit)
-        if best[3] in ("gradient", "cost-stationary"):
+    scattered = [center + rng.normal(scale=0.3, size=len(x0)) for _ in range(6)]
+    best, attempts, steps = None, 0, 0
+    for start in starts + scattered:
+        if attempts >= len(starts) and best[3] != "max-iterations":
             break
+        *fit, nit = _newton(sub, start, cost, n_coeffs, fit_ch)
+        attempts += 1
+        steps += nit
+        if best is None or fit[1] < best[1]:
+            best = fit
 
-    x, cost_val, grad, reason, nit = best
+    x, cost_val, grad, reason = best
     gnorm = float(np.linalg.norm(grad))
-    diag = {"cost": cost_val, "grad_norm": gnorm, "iterations": nit,
+    diag = {"cost": cost_val, "grad_norm": gnorm, "iterations": steps,
             "starts": attempts, "exit": reason}
     if reason == "max-iterations":
         diag["best_parameters"] = x.tolist()
@@ -343,9 +328,9 @@ def _solve_subproblem(sub: _Subproblem, n_coeffs: int, cost: str, x0: np.ndarray
 def _fit(model: ModelSpec, subs: list[_Subproblem], cost: str, theta0=None):
     """Solve every part's subproblem and reassemble (coefficients, c_h, diagnostics).
 
-    Each part starts from ``theta0`` (zeros by default); the multistart
-    fallback scatters around the exact coefficients for the first part and
-    around zero for the imaginary one.
+    Each part runs Newton from ``theta0`` (zeros by default) and from its
+    center, the exact coefficients for the first part and zero for the
+    imaginary one; the multistart fallback scatters around that center.
     """
     n_coeffs = model.n_coeffs
     center = np.real(series.truth_coefficients(model.n, model.n_bar).values)
@@ -425,15 +410,16 @@ def _coerce_allocation(shots, n_points: int, basis: str | None = None) -> np.nda
 def _fisher_parts(subs: list[_Subproblem], packed: list[np.ndarray], c_h: float | None):
     """Per part (p, Fisher-weighted dp), and the total information I = sum_k N_k I_k."""
     fit_ch = c_h is not None
-    parts, blocks = [], []
-    for sub, theta in zip(subs, packed):
+    size = len(packed[0]) + fit_ch
+    parts, info = [], np.zeros((len(subs) * size,) * 2)
+    for k, (sub, theta) in enumerate(zip(subs, packed)):
         p, dp, dp_ch = sub.model_probability(theta, c_h or 0.0, with_ch_grad=fit_ch)
         dp = _jacobian(dp, dp_ch)
         p_safe = np.clip(p, EPS_P, 1.0 - EPS_P)
         dp_w = dp * (sub.shots / (p_safe * (1.0 - p_safe)))[:, None]
         parts.append((p, dp_w))
-        blocks.append(dp_w.T @ dp)
-    return parts, block_diag(*blocks)
+        info[k * size:(k + 1) * size, k * size:(k + 1) * size] = dp_w.T @ dp
+    return parts, info
 
 
 def fisher_information(theta: CoefficientVector, points: Sequence[MeasurementPoint],

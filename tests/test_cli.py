@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from weylfit import cli
+from weylfit import cli, config
 from weylfit.errors import TruncationWarning
 
 
@@ -98,6 +98,16 @@ class TestSimulate:
     def test_integer_for_a_float_key_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml", model={"n_B": 0}, protocol={"idle_time": 0})
         assert cli.run(["--config", str(cfg), "simulate"]) == 0
+
+    @pytest.mark.parametrize("ramp_time, n_b", [("4e-5", "1e-1"), ("4.0e-5", "1.0e-1")])
+    def test_exponent_floats_load_with_or_without_a_dot(self, tmp_path, ramp_time, n_b):
+        # YAML 1.1 reads 4e-5 as a string; configs follow YAML 1.2 floats
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"model: {{n_B: {n_b}}}\nprotocol: {{ramp_time: {ramp_time}}}\n"
+                       "grid: {xi_max: 0.5, r_max: 0.2, d_xi: 0.1, d_r: 0.1}\n")
+        loaded = config.load_config(cfg)
+        assert loaded.protocol["ramp_time"] == 4e-5 and loaded.model["n_B"] == 0.1
+        assert cli.run(["--config", str(cfg), "--out", str(tmp_path), "simulate"]) == 0
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml")
@@ -304,3 +314,27 @@ def test_module_entry_point_runs_cli():
     assert done.returncode == 0
     assert done.stderr == ""
     assert "simulate" in done.stdout
+
+
+def test_cli_never_loads_scipy(tmp_path):
+    # scipy is a test-time oracle only; no command may import it
+    heated = write_config(tmp_path / "heated.yaml", grid={"xi_max": 0.2, "r_max": 0.1},
+                          protocol={"cutoff": 30, "heating_rate": 300.0})
+    commands = [["--config", str(heated), "simulate", "--source", "protocol"]]
+    dataset = str(tmp_path / "out" / "dataset.csv")
+    for n in (2, 3):
+        cfg = write_config(tmp_path / f"o{n}.yaml", model={"n": n}, grid={"n_re": 4, "n_im": 4})
+        commands += [["--config", str(cfg), "simulate"],
+                     ["--config", str(cfg), "estimate", dataset, "--cost", "ml"],
+                     ["--config", str(cfg), "sweep", "--xi-max-list", "0.5,1.0",
+                      "--r-max-list", "0.2,0.3"]]
+    script = ("import sys, weylfit.cli\n"
+              f"codes = [weylfit.cli.run(argv) for argv in {commands!r}]\n"
+              "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from weylfit import series as dg
 from weylfit import estimator as est
@@ -193,6 +194,63 @@ class TestMinimize:
         with pytest.raises(DatasetError, match="n_B"):
             est.FitProblem(est.ModelSpec(2), records)
         est.FitProblem(est.ModelSpec(2, 0.3), records)
+
+
+ORACLE_DESIGNS = {
+    # the protocol-o2 benchmark design (2 rays x 100 xi) and the 300-point order-3 grid
+    "o2-two-rays": (2, lambda: est.build_grid(2.0, 0.78, 0.02, 0.39)),
+    "o3-complex": (3, lambda: est.build_grid_complex(1.7, 1.7, 0.78)),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_datasets():
+    cache = {}
+
+    def datasets(name):
+        if name not in cache:
+            n, grid = ORACLE_DESIGNS[name]
+            points = grid()
+            chi = sp.analytic_chi_grid(points, n)
+            cache[name] = [sp.generate_dataset(points, 1_600_000, n, seed, chi_values=chi)
+                           for seed in range(100, 115)]
+        return cache[name]
+
+    return datasets
+
+
+def scipy_warm_started_cost(sub, n_coeffs, cost):
+    """Cost of the former solve: scipy TRF (LS) or L-BFGS-B (ML) from zero, then Newton."""
+    x0, sigma = np.zeros(n_coeffs), np.sqrt(sub.sigma2())
+    if cost == "ls":
+        x = optimize.least_squares(lambda x: (sub.model_probability(x)[0] - sub.freq) / sigma,
+                                   x0, jac=lambda x: sub.model_probability(x)[1] / sigma[:, None],
+                                   method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12,
+                                   max_nfev=400).x
+    else:
+        def nll_and_grad(x):
+            return est._cost_grad_curvature(sub, x, cost, n_coeffs, False)[:2]
+
+        x = optimize.minimize(nll_and_grad, x0, jac=True, method="L-BFGS-B",
+                              options={"ftol": 1e-12, "gtol": 1e-9, "maxiter": 2000}).x
+    return est._newton(sub, x, cost, n_coeffs, False)[1]
+
+
+# the order-3 grid leans on the cutoff at its largest |xi|, as in the benchmark
+@pytest.mark.filterwarnings("ignore::weylfit.errors.TruncationWarning")
+class TestNewtonAgainstScipy:
+    @pytest.mark.parametrize("cost", ["ls", "ml"])
+    @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+    def test_no_fit_ends_above_the_scipy_warm_start(self, oracle_datasets, design, cost):
+        n = ORACLE_DESIGNS[design][0]
+        model = est.ModelSpec(n)
+        for records in oracle_datasets(design):
+            problem = est.FitProblem(model, records, cost=cost)
+            subs = problem.subproblems()
+            _, _, diags = est._fit(model, subs, cost)
+            for sub, diag in zip(subs, diags):
+                assert diag["exit"] in ("gradient", "cost-stationary")
+                assert diag["cost"] <= scipy_warm_started_cost(sub, model.n_coeffs, cost) + 1e-2
 
 
 class TestFisher:
