@@ -81,13 +81,7 @@ def chi_reference(xi, spec: SqueezeSpec, n_bar: float = 0.0,
     return chi_numeric_grid(fockspace.thermal_state(n_bar, cutoff), spec, xi)
 
 
-def chi_numeric(rho: fockspace.DensityOperator, spec: SqueezeSpec, xi) -> complex:
-    """`chi_numeric_grid` at a single displacement."""
-    return complex(chi_numeric_grid(rho, spec, np.array([xi]))[0])
-
-
-def chi_numeric_grid(rho: fockspace.DensityOperator, spec: SqueezeSpec,
-                     xis: np.ndarray) -> np.ndarray:
+def chi_numeric_grid(rho: np.ndarray, spec: SqueezeSpec, xis: np.ndarray) -> np.ndarray:
     """Tr{S_n(zeta) rho S_n(zeta)^dag D(xi)} over an array of displacements.
 
     Computed on the truncated space by `fockspace.weyl_expectation`, with
@@ -96,10 +90,10 @@ def chi_numeric_grid(rho: fockspace.DensityOperator, spec: SqueezeSpec,
     the top Fock levels or some |xi|^2 exceeds cutoff/10; that guard is the
     only limit on zeta.
     """
-    cutoff = rho.cutoff
+    cutoff = rho.shape[0]
     s = fockspace.squeeze_unitary(spec.n, complex(spec.zeta), cutoff)
-    sigma = s @ rho.matrix @ s.conj().T
-    tail = float(np.sum(np.real(np.diag(sigma))[fockspace.tail_start(cutoff):]))
+    sigma = s @ rho @ s.conj().T
+    tail = fockspace.tail_population(sigma)
     max_xi2 = np.abs(np.asarray(xis, dtype=complex)).max(initial=0.0) ** 2
     if tail > fockspace.TAIL_TOLERANCE or max_xi2 > cutoff / 10.0:
         warnings.warn(

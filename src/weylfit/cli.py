@@ -134,7 +134,18 @@ def _load_report(path: Path) -> tuple[estimator.EstimationReport, float | None]:
 # ---------------------------------------------------------------------------
 
 
+def _refuse_heating(cfg: config_mod.RunConfig, command: str, keys: tuple[str, ...]) -> None:
+    """ConfigError naming the first of `keys` that asks an unheated command for heating."""
+    values = {"protocol.heating_rate": cfg.protocol["heating_rate"],
+              "model.heating": cfg.model["heating"]}
+    for key in keys:
+        if values[key]:
+            raise ConfigError(f"{command} has no heating model, so it cannot honour "
+                              f"{key} = {values[key]}")
+
+
 def cmd_charfunc(cfg: config_mod.RunConfig, args) -> int:
+    _refuse_heating(cfg, "charfunc", ("protocol.heating_rate",))
     n = cfg.model["n"]
     spec = charfunc.SqueezeSpec(n=n, r=args.r, theta=args.theta)
     g = cfg.grid
@@ -194,6 +205,7 @@ def cmd_estimate(cfg: config_mod.RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: config_mod.RunConfig, args) -> int:
+    _refuse_heating(cfg, "sweep", ("protocol.heating_rate", "model.heating"))
     xi_maxes = _float_list(args.xi_max_list, "--xi-max-list")
     r_maxes = _float_list(args.r_max_list, "--r-max-list")
     result = estimator.rmse_sweep(xi_maxes, r_maxes, cfg.shots["total"],
@@ -247,6 +259,7 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, args) -> int:
 
 def _validate_checks(cfg: config_mod.RunConfig):
     cutoff = int(cfg.protocol["cutoff"])
+    vacuum = fockspace.thermal_state(0.0, cutoff)
     rng = np.random.default_rng(17)
     checks = []
 
@@ -255,11 +268,8 @@ def _validate_checks(cfg: config_mod.RunConfig):
 
     def unitarity():
         worst = 0.0
-        for xi in (0.7 + 0.3j, 1.2 - 0.4j):
-            u = fockspace.displacement(xi, cutoff).matrix
-            worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(cutoff)))))
         for n, zeta in ((2, 0.25), (3, 0.2 + 0.1j)):
-            u = fockspace.generalized_squeeze(n, zeta, cutoff).matrix
+            u = fockspace.squeeze_unitary(n, complex(zeta), cutoff)
             worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(cutoff)))))
         return worst <= 1e-9, f"max unitarity deviation {worst:.2e} (tol 1e-9)"
 
@@ -267,36 +277,30 @@ def _validate_checks(cfg: config_mod.RunConfig):
         # strict 1e-14 bound checked at d=30; sqrt-roundoff makes the
         # absolute deviation scale like d*eps at larger cutoffs
         d = 30
-        a = fockspace.annihilation(d).matrix
+        a = fockspace.annihilation(d)
         comm = a @ a.conj().T - a.conj().T @ a
         dev = float(np.max(np.abs((comm - np.eye(d))[: d - 1, : d - 1])))
         return dev <= 1e-14, f"ladder commutator deviation {dev:.2e} (tol 1e-14)"
 
     def trace_preservation():
-        a = fockspace.annihilation(cutoff)
-        n_op = fockspace.number_operator(cutoff)
-        spec = fockspace.LindbladSpec(hamiltonian=((n_op, None),),
-                                      jumps=((a, 50.0),))
-        rho0 = fockspace.thermal_state(0.2, cutoff)
-        dt = fockspace.STEP_RULE / spec.norm_bound(np.array([0.0]))
-        rho = fockspace.evolve_lindblad(rho0, spec, (0.0, 5e-4), dt)
-        drift = abs(np.trace(rho.matrix).real - 1.0)
+        # the heating of the reference sequence: 300 quanta/s over a millisecond
+        rho = fockspace.heating_flow(fockspace.thermal_state(0.2, cutoff), 300.0 * 1e-3)
+        drift = abs(np.trace(rho).real - 1.0)
         return drift <= 1e-8, f"trace drift {drift:.2e} (tol 1e-8)"
 
     def truncation():
-        u = fockspace.displacement(1.0, cutoff)
-        val = u.matrix[0, 0].real
-        err = abs(val - np.exp(-0.5))
-        ok = err <= 1e-6 and not u.truncation_flagged
-        return ok, f"<0|D(1)|0> error {err:.2e} (tol 1e-6), guard flag {u.truncation_flagged}"
+        xi = 1.0
+        err = abs(fockspace.weyl_expectation(vacuum, xi).real - np.exp(-0.5))
+        flagged = abs(xi) ** 2 > cutoff / 10.0  # the displacement guard of chi_numeric_grid
+        ok = err <= 1e-6 and not flagged
+        return ok, f"<0|D(1)|0> error {err:.2e} (tol 1e-6), guard flag {flagged}"
 
     def chi_agreement():
         spec = charfunc.SqueezeSpec(n=2, r=0.25, theta=0.0)
-        rho = fockspace.vacuum_state(cutoff).to_density()
         xis = (rng.uniform(-1.5, 1.5, 24) + 1j * rng.uniform(-1.5, 1.5, 24))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            num = charfunc.chi_numeric_grid(rho, spec, xis)
+            num = charfunc.chi_numeric_grid(vacuum, spec, xis)
         exact = charfunc.chi_squeezed_exact(xis, spec)
         gap = float(np.max(np.abs(num - exact)))
         return gap <= 1e-6, f"numeric-vs-exact gap {gap:.2e} (tol 1e-6)"
@@ -304,7 +308,7 @@ def _validate_checks(cfg: config_mod.RunConfig):
     def chi_hermiticity():
         g = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
         rho_m = g @ g.conj().T
-        rho = fockspace.DensityOperator(cutoff, rho_m / np.trace(rho_m))
+        rho = rho_m / np.trace(rho_m)
         spec = charfunc.SqueezeSpec(n=3, r=0.2, theta=0.3)
         xis = rng.uniform(-1.0, 1.0, 8) + 1j * rng.uniform(-1.0, 1.0, 8)
         with warnings.catch_warnings():
@@ -317,21 +321,18 @@ def _validate_checks(cfg: config_mod.RunConfig):
         return ok, f"hermiticity deviation {dev:.2e} (tol 1e-10), max |chi| {bound:.6f}"
 
     def bundle_rule():
-        state = fockspace.apply_unitary(fockspace.generalized_squeeze(3, 0.25, cutoff),
-                                        fockspace.vacuum_state(cutoff))
-        pops = np.abs(state.amplitudes) ** 2
+        pops = np.abs(fockspace.squeeze_unitary(3, 0.25 + 0j, cutoff)[:, 0]) ** 2  # S_3 |0>
         mask = np.arange(cutoff) % 3 != 0
         leak = float(np.max(pops[mask]))
         return leak <= 1e-12, f"off-bundle population {leak:.2e} (tol 1e-12)"
 
     def parity_n3():
         spec = charfunc.SqueezeSpec(n=3, r=0.25, theta=0.0)
-        rho = fockspace.vacuum_state(cutoff).to_density()
         xis = rng.uniform(-1.2, 1.2, 8) + 1j * rng.uniform(-1.2, 1.2, 8)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            plus = charfunc.chi_numeric_grid(rho, spec, xis)
-            minus = charfunc.chi_numeric_grid(rho, spec, -xis)
+            plus = charfunc.chi_numeric_grid(vacuum, spec, xis)
+            minus = charfunc.chi_numeric_grid(vacuum, spec, -xis)
         dev_re = float(np.max(np.abs(np.real(minus) - np.real(plus))))
         dev_im = float(np.max(np.abs(np.imag(minus) + np.imag(plus))))
         ok = max(dev_re, dev_im) <= 1e-10

@@ -17,16 +17,8 @@ class InvalidParameterError(WeylfitError):
     """Physical parameter out of the range the implementation supports."""
 
 
-class InvalidStepError(WeylfitError):
-    """Integrator step too coarse for the Hamiltonian scale."""
-
-
 class AccuracyError(WeylfitError):
-    """A numerical accuracy guard (e.g. trace drift) was exceeded."""
-
-    def __init__(self, message: str, drift: float | None = None):
-        super().__init__(message)
-        self.drift = drift
+    """A numerical accuracy guard (e.g. an unconverged heated pulse) was exceeded."""
 
 
 class InvalidChiError(WeylfitError):

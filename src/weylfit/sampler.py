@@ -1,5 +1,5 @@
-"""Ramsey measurement simulation: Born probabilities, finite shots, and a
-master-equation model of the trapped-ion protocol.
+"""Ramsey measurement simulation: Born probabilities, finite shots, and an
+exact model of the trapped-ion protocol.
 
 The protocol has two stages, both run in the oscillator rotating frame:
 
@@ -25,8 +25,9 @@ the step count chosen by step doubling.  The probe is exact too: its
 coherence is Tr(rho D(xi)), and equal-rate a/a^dag heating is an additive
 Gaussian channel that commutes with displacements, which multiplies that
 trace by exp(-gamma |xi|^2 T / 3) for a probe of duration
-T = |xi| / omega_eta.  `simulate_protocol` can also run the full
-qubit (x) oscillator master equation as the oracle for both.
+T = |xi| / omega_eta.  States are plain (d, d) arrays; the full
+qubit (x) oscillator master equation that checks both stages is a test
+oracle.
 """
 
 from __future__ import annotations
@@ -142,14 +143,19 @@ def allocate_shots(n_points: int, total: int) -> np.ndarray:
     return alloc
 
 
-def analytic_chi_grid(points: Sequence[MeasurementPoint], n: int,
-                      cutoff: int = fockspace.DEFAULT_CUTOFF) -> np.ndarray:
-    """Reference chi per point (`charfunc.chi_reference`), one call per state."""
+def _group_states(points: Sequence[MeasurementPoint]) -> dict[tuple, list[int]]:
+    """Point indices per prepared state (r, theta, n_bar), in first-seen order."""
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(points):
         groups.setdefault((p.r, p.theta, p.n_bar), []).append(i)
+    return groups
+
+
+def analytic_chi_grid(points: Sequence[MeasurementPoint], n: int,
+                      cutoff: int = fockspace.DEFAULT_CUTOFF) -> np.ndarray:
+    """Reference chi per point (`charfunc.chi_reference`), one call per state."""
     out = np.empty(len(points), dtype=complex)
-    for (r, theta, n_bar), idx in groups.items():
+    for (r, theta, n_bar), idx in _group_states(points).items():
         xis = np.array([points[i].xi for i in idx])
         out[idx] = charfunc.chi_reference(xis, charfunc.SqueezeSpec(n=n, r=r, theta=theta),
                                           n_bar, cutoff)
@@ -157,7 +163,7 @@ def analytic_chi_grid(points: Sequence[MeasurementPoint], n: int,
 
 
 # ---------------------------------------------------------------------------
-# Master-equation protocol
+# Protocol simulation
 # ---------------------------------------------------------------------------
 
 
@@ -231,7 +237,7 @@ def _strang_pulse(x: np.ndarray, n: int, zeta: complex, config: ProtocolConfig,
 
 
 def prepare_state(n: int, r: float, theta: float, n_bar: float,
-                  config: ProtocolConfig) -> fockspace.DensityOperator:
+                  config: ProtocolConfig) -> np.ndarray:
     """Idle slot plus squeezing pulse on a thermal state, heating included.
 
     The idle slot, and at r = 0 the whole preparation, leaves a thermal
@@ -247,13 +253,12 @@ def prepare_state(n: int, r: float, theta: float, n_bar: float,
     zeta = complex(charfunc.SqueezeSpec(n=n, r=r, theta=theta).zeta)
     if r == 0:
         n_grown = n_bar + config.heating_rate * (config.idle_time + config.prep_duration)
-        x = fockspace.thermal_state(n_grown, cutoff).matrix
+        x = fockspace.thermal_state(n_grown, cutoff)
     elif config.heating_rate == 0:
         s = fockspace.squeeze_unitary(n, zeta, cutoff)
-        x = s @ fockspace.thermal_state(n_bar, cutoff).matrix @ s.conj().T
+        x = s @ fockspace.thermal_state(n_bar, cutoff) @ s.conj().T
     else:
-        x0 = fockspace.thermal_state(n_bar + config.heating_rate * config.idle_time,
-                                     cutoff).matrix
+        x0 = fockspace.thermal_state(n_bar + config.heating_rate * config.idle_time, cutoff)
         x = _strang_pulse(x0, n, zeta, config, 8)
         for n_steps in (2**k for k in range(4, 13)):  # 16, 32, ..., 4096 steps
             coarse, x = x, _strang_pulse(x0, n, zeta, config, n_steps)
@@ -261,30 +266,14 @@ def prepare_state(n: int, r: float, theta: float, n_bar: float,
                 break
         else:
             raise AccuracyError(f"heated pulse not within {PULSE_TOLERANCE} at {n_steps} steps")
-    rho = fockspace.DensityOperator(cutoff, x)
-    tail = rho.tail_population()
+    tail = fockspace.tail_population(x)
     if tail > fockspace.TAIL_TOLERANCE:
         warnings.warn(f"truncation guard tripped on a prepared state (r = {r}, "
                       f"tail population {tail:.2e})", TruncationWarning, stacklevel=2)
-        rho = fockspace.DensityOperator(cutoff, x, truncation_flagged=True)
-    return rho
+    return x
 
 
-def probe_joint_hamiltonian(omega_eta: float, dphi: float, cutoff: int) -> np.ndarray:
-    """Full qubit (x) oscillator probe Hamiltonian (qubit factor first).
-
-    The spin-dependent force -(J0 a^dag + J0* a) (x) sigma_z / 2 with
-    J0 = -i omega_eta e^{i dphi}; the halved conditioning makes the
-    interbranch displacement equal to xi = omega_eta * t * e^{i dphi}.
-    """
-    a = fockspace.annihilation(cutoff).matrix
-    j0 = -1j * omega_eta * np.exp(1j * dphi)
-    force = j0 * a.conj().T + np.conj(j0) * a
-    sigma_z = np.diag([1.0, -1.0]).astype(complex)
-    return fockspace.qubit_kron(sigma_z, -0.5 * force)
-
-
-def probe_coherences(rho_b: fockspace.DensityOperator, config: ProtocolConfig,
+def probe_coherences(rho_b: np.ndarray, config: ProtocolConfig,
                      dphi: float, xi_magnitudes: Sequence[float]) -> np.ndarray:
     """chi-hat at the given |xi| along one drive direction.
 
@@ -292,41 +281,8 @@ def probe_coherences(rho_b: fockspace.DensityOperator, config: ProtocolConfig,
     factor exp(-gamma |xi|^2 T / 3) of a probe of duration T = |xi| / omega_eta.
     """
     mags = np.asarray(xi_magnitudes, dtype=float)
-    chi = fockspace.weyl_expectation(rho_b.matrix, mags * np.exp(1j * dphi))
+    chi = fockspace.weyl_expectation(rho_b, mags * np.exp(1j * dphi))
     return chi * np.exp(-config.heating_rate * mags**3 / (3.0 * config.omega_eta))
-
-
-def simulate_protocol(point: MeasurementPoint, n: int, config: ProtocolConfig,
-                      full_master_equation: bool = False) -> complex:
-    """chi-hat for a single measurement point from the protocol simulation.
-
-    The default path is `probe_coherences`; setting
-    ``full_master_equation=True`` runs the complete qubit (x) oscillator
-    Lindblad equation of the probe through `fockspace.evolve_lindblad`
-    instead (slower, used for cross-checks).
-    """
-    rho_b = prepare_state(n, point.r, point.theta, point.n_bar, config)
-    dphi = float(np.angle(point.xi))
-    if not full_master_equation:
-        return complex(probe_coherences(rho_b, config, dphi, [abs(point.xi)])[0])
-
-    cutoff = config.cutoff
-    h_joint = probe_joint_hamiltonian(config.omega_eta, dphi, cutoff)
-    plus = 0.5 * np.ones((2, 2), dtype=complex)
-    rho0 = fockspace.DensityOperator(cutoff, fockspace.qubit_kron(plus, rho_b.matrix))
-    terms = ((fockspace.TruncatedOperator(cutoff, h_joint), None),)
-    jumps = ()
-    if config.heating_rate > 0:
-        a = fockspace.annihilation(cutoff).matrix
-        eye = np.eye(2, dtype=complex)
-        jumps = tuple((fockspace.TruncatedOperator(cutoff, fockspace.qubit_kron(eye, l)),
-                       config.heating_rate) for l in (a, a.conj().T))
-    spec = fockspace.LindbladSpec(hamiltonian=terms, jumps=jumps)
-    duration = abs(point.xi) / config.omega_eta
-    max_dt = fockspace.STEP_RULE / max(spec.norm_bound(np.array([0.0])), 1e-12)
-    rho_f = fockspace.evolve_lindblad(rho0, spec, (0.0, duration), max_dt)
-    block01 = rho_f.matrix[:cutoff, cutoff:]
-    return complex(2.0 * np.trace(block01))
 
 
 def simulate_chi_grid(points: Sequence[MeasurementPoint], n: int,
@@ -338,9 +294,6 @@ def simulate_chi_grid(points: Sequence[MeasurementPoint], n: int,
     threads (BLAS releases the GIL during the matmuls).
     """
     out = np.empty(len(points), dtype=complex)
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(points):
-        groups.setdefault((p.r, p.theta, p.n_bar), []).append(i)
 
     def run_state(key_idx):
         (r, theta, n_bar), idx = key_idx
@@ -351,7 +304,7 @@ def simulate_chi_grid(points: Sequence[MeasurementPoint], n: int,
         for dphi, ray in rays.items():
             out[ray] = probe_coherences(rho_b, config, dphi, [abs(points[i].xi) for i in ray])
 
-    items = list(groups.items())
+    items = list(_group_states(points).items())
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -383,7 +336,7 @@ def generate_dataset(points: Sequence[MeasurementPoint], total_shots: int, n: in
     ``chi_source`` selects the probability model: 'analytic' closed
     forms / Fock numerics, which carry no heating (a config with
     heating_rate > 0 raises ConfigError), or 'protocol' for the
-    master-equation simulation.  Precomputed ``chi_values`` short-circuit
+    protocol simulation.  Precomputed ``chi_values`` short-circuit
     either source.
     The RNG stream of each record depends only on (seed, point index,
     basis), so results are independent of evaluation order.

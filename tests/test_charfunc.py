@@ -57,16 +57,16 @@ class TestClosedForms:
 
 class TestChiNumeric:
     def test_vacuum_matches_gaussian(self):
-        rho = fs.vacuum_state(60).to_density()
+        rho = fs.thermal_state(0.0, 60)
         spec = cf.SqueezeSpec(2, 0.0)
-        val = cf.chi_numeric(rho, spec, 0.8)
+        val = cf.chi_numeric_grid(rho, spec, np.array([0.8]))[0]
         assert val.real == pytest.approx(np.exp(-0.32), abs=1e-10)
         assert abs(val.imag) <= 1e-12
 
     def test_matches_exact_on_grid(self):
         # exact closed form is the oracle on a 10x10 grid with |xi| <= 2
         spec = cf.SqueezeSpec(2, 0.25, 0.0)
-        rho = fs.vacuum_state(100).to_density()
+        rho = fs.thermal_state(0.0, 100)
         axis = np.linspace(-1.4, 1.4, 10)
         re, im = np.meshgrid(axis, axis)
         xis = re + 1j * im
@@ -77,14 +77,14 @@ class TestChiNumeric:
     def test_thermal_squeezed_matches_exact(self):
         spec = cf.SqueezeSpec(2, 0.25, 0.0)
         rho = fs.thermal_state(0.1, 100)
-        val = cf.chi_numeric(rho, spec, 0.5)
+        val = cf.chi_numeric_grid(rho, spec, np.array([0.5]))[0]
         expected = cf.chi_thermal_squeezed_exact(0.5, spec, 0.1)
         assert val.real == pytest.approx(expected, abs=1e-8)
         assert abs(val.imag) <= 1e-10
 
     def test_trisqueezed_parity(self):
         spec = cf.SqueezeSpec(3, 0.25, 0.0)
-        rho = fs.vacuum_state(100).to_density()
+        rho = fs.thermal_state(0.0, 100)
         rng = np.random.default_rng(11)
         xis = rng.uniform(-1.2, 1.2, 12) + 1j * rng.uniform(-1.2, 1.2, 12)
         plus = cf.chi_numeric_grid(rho, spec, xis)
@@ -98,7 +98,7 @@ class TestChiNumeric:
         d = 40
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         rho_m = g @ g.conj().T
-        rho = fs.DensityOperator(d, rho_m / np.trace(rho_m))
+        rho = rho_m / np.trace(rho_m)
         spec = cf.SqueezeSpec(2, 0.15, 0.7)
         xis = rng.uniform(-0.8, 0.8, 10) + 1j * rng.uniform(-0.8, 0.8, 10)
         plus = cf.chi_numeric_grid(rho, spec, xis)
@@ -107,15 +107,15 @@ class TestChiNumeric:
         assert np.max(np.abs(plus)) <= 1.0 + 1e-8
 
     def test_truncation_warning_propagates(self):
-        rho = fs.vacuum_state(20).to_density()
+        rho = fs.thermal_state(0.0, 20)
         spec = cf.SqueezeSpec(2, 0.0)
         with pytest.warns(TruncationWarning):
-            cf.chi_numeric(rho, spec, 2.5)
+            cf.chi_numeric_grid(rho, spec, np.array([2.5]))
 
     def test_grid_path_warns_on_heavy_tail(self):
         # the order-3 r = 0.78 state of the reference grid puts ~5e-5 of its
         # population in the top tenth of a 100-level space
-        rho = fs.vacuum_state(100).to_density()
+        rho = fs.thermal_state(0.0, 100)
         with pytest.warns(TruncationWarning, match="tail population"):
             cf.chi_numeric_grid(rho, cf.SqueezeSpec(3, 0.78), np.array([0.5, 1.0j]))
 
@@ -125,7 +125,7 @@ class TestChiNumeric:
         spec = cf.SqueezeSpec(2, 1.2, 0.7)
         xis = np.array([0.8 + 0.3j, -0.5j, 1.1])
         with pytest.warns(TruncationWarning, match="tail population"):
-            num = cf.chi_numeric_grid(fs.vacuum_state(100).to_density(), spec, xis)
+            num = cf.chi_numeric_grid(fs.thermal_state(0.0, 100), spec, xis)
         assert np.max(np.abs(num - cf.chi_squeezed_exact(xis, spec))) <= 1e-6
 
 

@@ -223,6 +223,19 @@ class TestSweepAndExtrapolate:
         assert code == 2
         assert "at least one spacing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, entries, key", [
+        ("sweep", "protocol", {"heating_rate": 300.0}, "protocol.heating_rate"),
+        ("sweep", "model", {"heating": True}, "model.heating"),
+        ("charfunc", "protocol", {"heating_rate": 300.0}, "protocol.heating_rate"),
+    ], ids=["sweep-heating-rate", "sweep-heated-model", "charfunc-heating-rate"])
+    def test_unheated_command_refuses_heating(self, tmp_path, capsys, command, section,
+                                              entries, key):
+        # sweep and charfunc score unheated states, so a heating key would be ignored
+        cfg = write_config(tmp_path / "run.yaml", **{section: entries})
+        assert cli.run(["--config", str(cfg), command]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def affine_reports(tmp_path):
         from weylfit import config as config_mod
@@ -284,10 +297,29 @@ class TestSweepAndExtrapolate:
         assert option in capsys.readouterr().err
 
 
+CHECKS = ["fock-unitarity", "fock-commutator", "fock-trace-preservation", "fock-truncation",
+          "chi-agreement", "chi-hermiticity-bounded", "bundle-selection-rule", "parity-n3",
+          "series-residual-n2", "series-residual-n3", "protocol-vs-analytic",
+          "fisher-vs-monte-carlo"]
+
+
+def check_statuses(output):
+    """{check name: PASS or FAIL}, in the order `validate` printed them."""
+    statuses = {}
+    for line in output.splitlines():
+        status, _, rest = line.partition(" ")
+        if status in ("PASS", "FAIL"):
+            statuses[rest.split(":")[0]] = status
+    return statuses
+
+
 class TestValidate:
-    def test_default_checks_pass(self, tmp_path):
+    def test_default_checks_pass(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml")
         assert cli.run(["--config", str(cfg), "validate"]) == 0
+        statuses = check_statuses(capsys.readouterr().out)
+        assert list(statuses) == CHECKS
+        assert set(statuses.values()) == {"PASS"}
 
     def test_low_cutoff_fails_named_checks(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml", protocol={"cutoff": 5})
@@ -295,6 +327,9 @@ class TestValidate:
         output = capsys.readouterr().out
         assert "FAIL fock-truncation" in output
         assert "FAIL chi-agreement" in output
+        failed = [name for name, status in check_statuses(output).items() if status == "FAIL"]
+        assert failed == ["fock-trace-preservation", "fock-truncation", "chi-agreement",
+                          "protocol-vs-analytic"]
 
     def test_zero_shot_dataset_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml")

@@ -109,7 +109,7 @@ def test_heated_prepared_state_is_a_density_matrix(n, r, theta, rate):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         rho = sp.prepare_state(n, r, theta, 0.1,
-                               sp.ProtocolConfig(cutoff=30, heating_rate=rate)).matrix
+                               sp.ProtocolConfig(cutoff=30, heating_rate=rate))
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
     assert abs(np.trace(rho) - 1.0) <= 1e-10
     assert np.linalg.eigvalsh(rho).min() >= -1e-10

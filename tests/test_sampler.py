@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from oracles import STEP_RULE, LindbladSpec, dense_probe_chi, evolve_lindblad
 from weylfit import charfunc as cf
 from weylfit import estimator as est
 from weylfit import fockspace as fs
@@ -151,11 +152,16 @@ class TestCsvRoundTrip:
             sp.dataset_from_csv(io.StringIO(text))
 
 
+def protocol_chi(point, n, cfg):
+    """chi-hat at a single point from the protocol simulation."""
+    return complex(sp.simulate_chi_grid([point], n, cfg)[0])
+
+
 class TestProtocol:
     def test_vacuum_probe_matches_gaussian(self):
         cfg = sp.ProtocolConfig(cutoff=60)
         point = sp.MeasurementPoint(xi=1.0 + 0j, r=0.0)
-        chi = sp.simulate_protocol(point, 2, cfg)
+        chi = protocol_chi(point, 2, cfg)
         assert chi.real == pytest.approx(np.exp(-0.5), abs=1e-3)
         assert abs(chi.imag) <= 1e-8
 
@@ -164,7 +170,7 @@ class TestProtocol:
         spec = cf.SqueezeSpec(2, 0.25, 0.0)
         for x in (0.5, 1.2, 2.0):
             point = sp.MeasurementPoint(xi=complex(x), r=0.25)
-            chi = sp.simulate_protocol(point, 2, cfg)
+            chi = protocol_chi(point, 2, cfg)
             assert abs(chi - cf.chi_squeezed_exact(x, spec)) <= 1e-3
 
     def test_complex_direction_probe(self):
@@ -172,22 +178,22 @@ class TestProtocol:
         spec = cf.SqueezeSpec(2, 0.2, 0.0)
         xi = 0.7 * np.exp(0.8j)
         point = sp.MeasurementPoint(xi=xi, r=0.2)
-        chi = sp.simulate_protocol(point, 2, cfg)
+        chi = protocol_chi(point, 2, cfg)
         assert abs(chi - cf.chi_squeezed_exact(xi, spec)) <= 1e-3
 
     def test_nonzero_squeeze_phase(self):
         cfg = sp.ProtocolConfig(cutoff=80)
         spec = cf.SqueezeSpec(2, 0.2, 0.7)
         point = sp.MeasurementPoint(xi=0.5 + 0.5j, r=0.2, theta=0.7)
-        chi = sp.simulate_protocol(point, 2, cfg)
+        chi = protocol_chi(point, 2, cfg)
         assert abs(chi - cf.chi_squeezed_exact(point.xi, spec)) <= 1e-3
 
     def test_block_path_equals_full_master_equation(self):
         cfg = sp.ProtocolConfig(cutoff=40, heating_rate=200.0,
                                 prep_hold=60e-6, idle_time=50e-6)
         point = sp.MeasurementPoint(xi=0.8 + 0j, r=0.15, n_bar=0.1)
-        fast = sp.simulate_protocol(point, 2, cfg)
-        full = sp.simulate_protocol(point, 2, cfg, full_master_equation=True)
+        fast = protocol_chi(point, 2, cfg)
+        full = dense_probe_chi(point, 2, cfg)
         assert abs(fast - full) <= 1e-9
 
     @pytest.mark.parametrize("n, cfg, point", [
@@ -197,8 +203,8 @@ class TestProtocol:
          sp.MeasurementPoint(xi=1.0 + 0j, r=0.0)),
     ], ids=["heated-order3-complex-xi", "non-default-omega-eta"])
     def test_exact_probe_equals_full_master_equation(self, n, cfg, point):
-        fast = sp.simulate_protocol(point, n, cfg)
-        full = sp.simulate_protocol(point, n, cfg, full_master_equation=True)
+        fast = protocol_chi(point, n, cfg)
+        full = dense_probe_chi(point, n, cfg)
         assert abs(fast - full) <= 1e-9
 
     @pytest.mark.parametrize("n, r", [(2, 0.65), (3, 0.25)])
@@ -208,7 +214,7 @@ class TestProtocol:
         integrated, exact = (
             sp.prepare_state(n, r, 0.7, 0.1, sp.ProtocolConfig(cutoff=40, heating_rate=rate))
             for rate in (1e-9, 0.0))
-        assert np.max(np.abs(integrated.matrix - exact.matrix)) <= 1e-7
+        assert np.max(np.abs(integrated - exact)) <= 1e-7
 
     def test_exact_pulse_matches_closed_form_on_a_ray(self):
         cfg = sp.ProtocolConfig(cutoff=100)
@@ -223,7 +229,7 @@ class TestProtocol:
         # protocol; at cutoff 100 only the tail guard speaks (tail 1.2e-8)
         point = sp.MeasurementPoint(xi=0.8 + 0.3j, r=1.2, theta=0.7)
         with pytest.warns(TruncationWarning, match="prepared state"):
-            chi = sp.simulate_protocol(point, 2, sp.ProtocolConfig(cutoff=100))
+            chi = protocol_chi(point, 2, sp.ProtocolConfig(cutoff=100))
         assert abs(chi - cf.chi_squeezed_exact(point.xi, cf.SqueezeSpec(2, 1.2, 0.7))) <= 1e-6
         with pytest.raises(InvalidParameterError):
             fs.generalized_squeeze(2, 1.2, 100)
@@ -231,32 +237,32 @@ class TestProtocol:
     def test_trisqueezed_protocol_matches_numeric(self):
         cfg = sp.ProtocolConfig(cutoff=100)
         spec = cf.SqueezeSpec(3, 0.2, 0.0)
-        rho = fs.vacuum_state(100).to_density()
+        rho = fs.thermal_state(0.0, 100)
         xi = 0.9 + 0.4j
         point = sp.MeasurementPoint(xi=xi, r=0.2)
-        chi = sp.simulate_protocol(point, 3, cfg)
-        assert abs(chi - cf.chi_numeric(rho, spec, xi)) <= 1e-3
+        chi = protocol_chi(point, 3, cfg)
+        assert abs(chi - cf.chi_numeric_grid(rho, spec, np.array([xi]))[0]) <= 1e-3
 
     def test_thermal_initial_state(self):
         cfg = sp.ProtocolConfig(cutoff=80)
         spec = cf.SqueezeSpec(2, 0.15, 0.0)
         point = sp.MeasurementPoint(xi=0.9 + 0j, r=0.15, n_bar=0.2)
-        chi = sp.simulate_protocol(point, 2, cfg)
+        chi = protocol_chi(point, 2, cfg)
         assert abs(chi - cf.chi_thermal_squeezed_exact(0.9, spec, 0.2)) <= 1e-3
 
     def test_grid_batching_matches_single_points(self):
         cfg = sp.ProtocolConfig(cutoff=60)
         points = [sp.MeasurementPoint(xi=complex(x), r=0.2) for x in (0.4, 0.8, 1.2)]
         grid = sp.simulate_chi_grid(points, 2, cfg)
-        singles = [sp.simulate_protocol(p, 2, cfg) for p in points]
+        singles = [protocol_chi(p, 2, cfg) for p in points]
         np.testing.assert_allclose(grid, singles, atol=1e-12)
 
     def test_heating_dephases_the_probe(self):
         quiet = sp.ProtocolConfig(cutoff=60)
         noisy = sp.ProtocolConfig(cutoff=60, heating_rate=300.0)
         point = sp.MeasurementPoint(xi=1.5 + 0j, r=0.0, n_bar=0.1)
-        chi_q = sp.simulate_protocol(point, 2, quiet)
-        chi_n = sp.simulate_protocol(point, 2, noisy)
+        chi_q = protocol_chi(point, 2, quiet)
+        chi_n = protocol_chi(point, 2, noisy)
         assert chi_n.real < chi_q.real
 
     def test_flagged_preparation_warns(self):
@@ -269,7 +275,7 @@ class TestProtocol:
     def test_flagged_preparation_warns_at_a_single_point(self):
         cfg = sp.ProtocolConfig(cutoff=20)
         with pytest.warns(TruncationWarning, match="prepared state"):
-            sp.simulate_protocol(sp.MeasurementPoint(xi=0.3 + 0j, r=0.78), 2, cfg)
+            protocol_chi(sp.MeasurementPoint(xi=0.3 + 0j, r=0.78), 2, cfg)
 
     def test_worker_threads_do_not_change_results(self):
         # the heated config has the threads share the cached propagators
@@ -320,16 +326,16 @@ class TestHeatedPulse:
         vartheta = 0.5 * np.pi - theta
         omega_n = r / (math.factorial(n) * cfg.prep_area)
         a = fs.annihilation(40)
-        an = np.linalg.matrix_power(a.matrix, n)
+        an = np.linalg.matrix_power(a, n)
         h0 = omega_n * (np.exp(1j * vartheta) * an + np.exp(-1j * vartheta) * an.conj().T)
-        spec = fs.LindbladSpec(hamiltonian=((fs.TruncatedOperator(40, h0), envelope(cfg)),),
-                               jumps=((a, 300.0), (a.dag(), 300.0)))
-        dt = fs.STEP_RULE / (10 * spec.norm_bound(np.array([cfg.ramp_time])))
+        spec = LindbladSpec(hamiltonian=((h0, envelope(cfg)),),
+                            jumps=((a, 300.0), (a.conj().T, 300.0)))
+        dt = STEP_RULE / (10 * spec.norm_bound(np.array([cfg.ramp_time])))
         rho = fs.thermal_state(0.1 + 300.0 * cfg.idle_time, 40)
         for span in pulse_segments(cfg):
-            rho = fs.evolve_lindblad(rho, spec, span, dt)
+            rho = evolve_lindblad(rho, spec, span, dt)
         split = sp.prepare_state(n, r, theta, 0.1, cfg)
-        assert np.max(np.abs(split.matrix - rho.matrix)) <= 5e-9
+        assert np.max(np.abs(split - rho)) <= 5e-9
 
     def test_unconverged_pulse_raises_accuracy_error(self, monkeypatch):
         monkeypatch.setattr(sp, "PULSE_TOLERANCE", 0.0)
