@@ -237,6 +237,9 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, args) -> int:
     reports, n_bars = [], []
     for path in args.reports:
         rep, data_n_bar = _load_report(Path(path))
+        if rep.model.heating or rep.c_h is not None:
+            raise DatasetError(f"report {path} is a heated fit with a c_h row; extrapolation "
+                               "has no heating model and would drop c_h")
         reports.append(rep)
         if data_n_bar is None:
             raise ConfigError(f"report {path} does not record its occupation")

@@ -51,3 +51,7 @@ class DatasetError(WeylfitError):
 
 class TruncationWarning(UserWarning):
     """Top Fock levels carry more population than the truncation guard allows."""
+
+
+class IdentifiabilityWarning(UserWarning):
+    """The fitted design leaves a parameter combination too weakly determined to trust."""

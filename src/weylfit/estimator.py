@@ -11,16 +11,18 @@ split into independent real and imaginary subproblems, one per Pauli
 basis, which is exact because the joint cost is the sum of the two.
 
 Every subproblem is solved by one damped Newton loop on the exact cost,
-gradient and curvature.  It runs from two deterministic starts, the
-caller's start (zero by default) and the exact coefficients (zero for an
-order-3 imaginary part), and keeps the lower cost; six scattered starts
-follow only if neither converges.  The ``iterations`` diagnostic counts
-accepted Newton steps over all starts.
+gradient and curvature.  It runs from two deterministic starts, zero and
+the subproblem's center (the exact coefficients, zero for an order-3
+imaginary part, with c_h = 0), and keeps the lower cost; there is no
+further start, so if that fit ends at the iteration limit the solve
+raises NonConvergenceError.  The ``iterations`` diagnostic counts accepted
+Newton steps over both starts.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,6 +32,7 @@ from . import charfunc, fockspace, sampler, series
 from .series import CoefficientVector
 from .errors import (
     DatasetError,
+    IdentifiabilityWarning,
     InvalidParameterError,
     NonConvergenceError,
     RankDeficiencyError,
@@ -41,6 +44,15 @@ from .sampler import MeasurementPoint, ShotRecord
 EPS_P = 1e-9
 # Exit test on the gradient, relative to the cost scale.
 GRAD_RTOL = 1e-8
+# Newton iterations per start before the fit counts as unconverged.
+NEWTON_MAX_ITER = 60
+# Largest Fisher condition number of a fit the report calls identifiable.
+# At seed 7 the heated protocol-o2 design (2 rays x 100 xi, n_B 0.1, 300
+# quanta/s) fits c = (-4.0, 0.0, 3.4) against a truth near (-1.2, -1.2,
+# 0.72), at condition 13664 (LS) and 26464 (ML), and 13080-28899 at n_B
+# 0.2-0.3.  The heated 3900-point grid, which recovers the truth, reads
+# 1149 (LS) and 1280 (ML); the unheated benchmark reports read 87-229.
+MAX_FISHER_CONDITION = 5000.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +88,6 @@ class FitProblem:
 
     model: ModelSpec
     records: list[ShotRecord]
-    theta0: np.ndarray | None = None
     cost: str = "ls"
 
     def __post_init__(self):
@@ -129,24 +140,29 @@ class EstimationReport:
 
 @dataclass
 class _Subproblem:
-    """One part of the model (`series.PARTS`) with its measurement rows."""
+    """One part of the model (`series.PARTS`) with its measurement rows.
+
+    Its packed parameters are the part's real coefficients, followed by
+    c_h when the model is heated.
+    """
 
     n: int
     part: int
     nu: float
+    heated: bool
     xi: np.ndarray           # complex displacements
     r: np.ndarray
     phase: np.ndarray        # squeeze phase per row
     shots: np.ndarray
     freq: np.ndarray         # empirical +1 frequency per row
 
-    def model_probability(self, theta: np.ndarray, c_h: float = 0.0,
-                          with_ch_grad: bool = False):
-        """p(+1), dp/dtheta, and dp/dc_h (None unless asked for) at real parameters."""
+    def probability(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """p(+1) and its Jacobian over the packed parameters x."""
+        theta, c_h = (x[:-1], float(x[-1])) if self.heated else (x, 0.0)
         value, dvalue, dvalue_ch = series.part_model(self.n, self.part, theta, self.xi, self.r,
-                                                     self.phase, self.nu, c_h, with_ch_grad)
-        dp_ch = None if dvalue_ch is None else 0.5 * dvalue_ch
-        return 0.5 * (1.0 + value), 0.5 * dvalue, dp_ch
+                                                     self.phase, self.nu, c_h, self.heated)
+        jac = dvalue if dvalue_ch is None else np.hstack([dvalue, dvalue_ch[:, None]])
+        return 0.5 * (1.0 + value), 0.5 * jac
 
     def sigma2(self) -> np.ndarray:
         """LS weights: empirical binomial variance with a 1/(4N^2) floor."""
@@ -164,7 +180,7 @@ def _columns(points: Sequence[MeasurementPoint]) -> tuple[np.ndarray, np.ndarray
 def _subproblem(model: ModelSpec, part: int, columns, shots, freq=None) -> _Subproblem:
     xi, r, phase = columns
     return _Subproblem(
-        n=model.n, part=part, nu=model.nu, xi=xi, r=r, phase=phase,
+        n=model.n, part=part, nu=model.nu, heated=model.heating, xi=xi, r=r, phase=phase,
         shots=np.asarray(shots, dtype=int),
         freq=np.zeros(len(xi)) if freq is None else np.asarray(freq, dtype=float),
     )
@@ -187,17 +203,15 @@ def _born(chi: np.ndarray, part: int) -> np.ndarray:
     return 0.5 * (1.0 + (np.real(chi) if part == 0 else np.imag(chi)))
 
 
-def _jacobian(dp: np.ndarray, dp_ch: np.ndarray | None) -> np.ndarray:
-    """dp/dtheta with the dp/dc_h column appended when c_h is fitted."""
-    return dp if dp_ch is None else np.hstack([dp, dp_ch[:, None]])
+def _pack_theta(model: ModelSpec, theta, c_h: float = 0.0) -> list[np.ndarray]:
+    """Split a CoefficientVector / complex array into per-part packed parameters.
 
-
-def _pack_theta(model: ModelSpec, theta) -> list[np.ndarray]:
-    """Split a CoefficientVector / complex array into per-part real vectors."""
+    A heated model's one part carries ``c_h`` after its coefficients.
+    """
     values = theta.values if isinstance(theta, CoefficientVector) else np.asarray(theta)
     if model.n == 2:
         vec = np.real(values).astype(float)
-        return [vec]
+        return [np.append(vec, c_h) if model.heating else vec]
     vals = np.asarray(values, dtype=complex)
     return [vals.real.copy(), vals.imag.copy()]
 
@@ -207,18 +221,15 @@ def _pack_theta(model: ModelSpec, theta) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _cost_grad_curvature(sub: _Subproblem, x: np.ndarray, cost: str,
-                         n_coeffs: int, fit_ch: bool):
-    """Cost, gradient and curvature at packed parameters x = (theta[, c_h]).
+def _cost_grad_curvature(sub: _Subproblem, x: np.ndarray, cost: str):
+    """Cost, gradient and curvature at the subproblem's packed parameters x.
 
     Computes p and dp once.  LS is the chi-square of the variance-weighted
     residuals, ML the negative log-likelihood.  The model is linear in
     theta inside the clip, so either curvature is the exact Hessian there;
     for c_h it is the Gauss-Newton part.
     """
-    c_h = float(x[n_coeffs]) if fit_ch else 0.0
-    p, dp, dp_ch = sub.model_probability(x[:n_coeffs], c_h, with_ch_grad=fit_ch)
-    jac = _jacobian(dp, dp_ch)
+    p, jac = sub.probability(x)
     if cost == "ls":
         sigma = np.sqrt(sub.sigma2())
         res, jac = (p - sub.freq) / sigma, jac / sigma[:, None]
@@ -231,18 +242,14 @@ def _cost_grad_curvature(sub: _Subproblem, x: np.ndarray, cost: str,
     return float(nll), jac.T @ w, (jac * curv_w[:, None]).T @ jac
 
 
-def cost(theta, problem: FitProblem, c_h: float | None = None) -> float:
+def cost(theta, problem: FitProblem) -> float:
     """The fit cost of the model against the dataset.
 
     Weighted least squares when ``problem.cost`` is 'ls', the negative
-    log-likelihood when it is 'ml'.
+    log-likelihood when it is 'ml'.  A heated model is evaluated at c_h = 0.
     """
-    fit_ch = c_h is not None
-    total = 0.0
-    for sub, packed in zip(problem.subproblems(), _pack_theta(problem.model, theta)):
-        x = np.append(packed, c_h) if fit_ch else packed
-        total += _cost_grad_curvature(sub, x, problem.cost, problem.model.n_coeffs, fit_ch)[0]
-    return total
+    return sum(_cost_grad_curvature(sub, x, problem.cost)[0]
+               for sub, x in zip(problem.subproblems(), _pack_theta(problem.model, theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +257,7 @@ def cost(theta, problem: FitProblem, c_h: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _newton(sub: _Subproblem, x: np.ndarray, cost: str, n_coeffs: int,
-            fit_ch: bool, max_iter: int = 60):
+def _newton(sub: _Subproblem, x: np.ndarray, cost: str):
     """Damped Newton from x; exits on the gradient test or stagnation.
 
     The clipped model makes the cost piecewise smooth, so a minimum can sit
@@ -260,11 +266,11 @@ def _newton(sub: _Subproblem, x: np.ndarray, cost: str, n_coeffs: int,
     certifies local optimality (the cost-stationary exit).  Returns the
     number of accepted steps last.
     """
-    cost_val, grad, curv = _cost_grad_curvature(sub, x, cost, n_coeffs, fit_ch)
+    cost_val, grad, curv = _cost_grad_curvature(sub, x, cost)
     lam = 1e-12 * (np.trace(curv) / len(x) + 1.0)
     exit_reason = "max-iterations"
     steps = 0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if np.linalg.norm(grad) <= GRAD_RTOL * (1.0 + abs(cost_val)):
             exit_reason = "gradient"
             break
@@ -276,8 +282,7 @@ def _newton(sub: _Subproblem, x: np.ndarray, cost: str, n_coeffs: int,
                 lam = max(lam * 10.0, 1e-8)
                 continue
             trial = x + step
-            trial_cost, trial_grad, trial_curv = _cost_grad_curvature(
-                sub, trial, cost, n_coeffs, fit_ch)
+            trial_cost, trial_grad, trial_curv = _cost_grad_curvature(sub, trial, cost)
             if trial_cost <= cost_val * (1.0 - 1e-12) - 1e-300:
                 x, cost_val, grad, curv = trial, trial_cost, trial_grad, trial_curv
                 lam = max(lam / 3.0, 1e-14)
@@ -291,61 +296,40 @@ def _newton(sub: _Subproblem, x: np.ndarray, cost: str, n_coeffs: int,
     return x, cost_val, grad, exit_reason, steps
 
 
-def _solve_subproblem(sub: _Subproblem, n_coeffs: int, cost: str, x0: np.ndarray,
-                      fit_ch: bool, center: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Minimize one subproblem with `_newton`, keeping the lowest cost reached.
+def _solve_subproblem(sub: _Subproblem, cost: str, center: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Minimize one subproblem with `_newton`, keeping the lower cost reached.
 
     The clip makes the cost piecewise with several local minima, so Newton
-    runs from both ``x0`` and ``center``; only when neither converges does a
-    multistart fallback scatter six more starts around ``center``.
+    runs from zero and from ``center`` (once if they coincide).  Raises
+    NonConvergenceError when the kept fit ended at the iteration limit.
     """
-    starts = [np.asarray(x0, dtype=float)] + ([] if np.array_equal(x0, center) else [center])
-    rng = np.random.default_rng(709)
-    scattered = [center + rng.normal(scale=0.3, size=len(x0)) for _ in range(6)]
-    best, attempts, steps = None, 0, 0
-    for start in starts + scattered:
-        if attempts >= len(starts) and best[3] != "max-iterations":
-            break
-        *fit, nit = _newton(sub, start, cost, n_coeffs, fit_ch)
-        attempts += 1
-        steps += nit
-        if best is None or fit[1] < best[1]:
-            best = fit
-
-    x, cost_val, grad, reason = best
+    zero = np.zeros_like(center)
+    fits = [_newton(sub, start, cost) for start in [zero] + ([center] if center.any() else [])]
+    x, cost_val, grad, reason, _ = min(fits, key=lambda fit: fit[1])
     gnorm = float(np.linalg.norm(grad))
-    diag = {"cost": cost_val, "grad_norm": gnorm, "iterations": steps,
-            "starts": attempts, "exit": reason}
+    diag = {"cost": cost_val, "grad_norm": gnorm, "iterations": sum(fit[4] for fit in fits),
+            "starts": len(fits), "exit": reason}
     if reason == "max-iterations":
         diag["best_parameters"] = x.tolist()
         raise NonConvergenceError(
-            f"no convergence after {attempts} starts (gradient norm {gnorm:.3e})",
+            f"no convergence after {len(fits)} starts (gradient norm {gnorm:.3e})",
             report=diag,
         )
     return x, diag
 
 
-def _fit(model: ModelSpec, subs: list[_Subproblem], cost: str, theta0=None):
+def _fit(model: ModelSpec, subs: list[_Subproblem], cost: str):
     """Solve every part's subproblem and reassemble (coefficients, c_h, diagnostics).
 
-    Each part runs Newton from ``theta0`` (zeros by default) and from its
-    center, the exact coefficients for the first part and zero for the
-    imaginary one; the multistart fallback scatters around that center.
+    Each part's center is the exact coefficients for the first part and
+    zero for the imaginary one, with c_h = 0 for a heated model.
     """
+    centers = _pack_theta(model, np.real(series.truth_coefficients(model.n, model.n_bar).values))
+    xs, diags = zip(*(_solve_subproblem(sub, cost, center) for sub, center in zip(subs, centers)))
     n_coeffs = model.n_coeffs
-    center = np.real(series.truth_coefficients(model.n, model.n_bar).values)
-    starts = _pack_theta(model, theta0) if theta0 is not None else [np.zeros(n_coeffs)] * len(subs)
-    xs, diags = [], []
-    for part, sub in enumerate(subs):
-        x0, part_center = starts[part], center if part == 0 else np.zeros(n_coeffs)
-        if model.heating:
-            x0, part_center = np.append(x0, 0.0), np.append(part_center, 0.0)
-        x, diag = _solve_subproblem(sub, n_coeffs, cost, x0, model.heating, part_center)
-        xs.append(x)
-        diags.append(diag)
     theta = xs[0][:n_coeffs] if model.n == 2 else xs[0][:n_coeffs] + 1j * xs[1][:n_coeffs]
     c_h = float(xs[0][n_coeffs]) if model.heating else None
-    return CoefficientVector(model.n, theta, n_bar=model.n_bar), c_h, diags
+    return CoefficientVector(model.n, theta, n_bar=model.n_bar), c_h, list(diags)
 
 
 def minimize(problem: FitProblem) -> EstimationReport:
@@ -353,13 +337,21 @@ def minimize(problem: FitProblem) -> EstimationReport:
 
     Order-3 problems are solved as independent real and imaginary
     subproblems.  The report covariance is the inverse Fisher information
-    at the fitted parameters under the dataset's shot allocation.
+    at the fitted parameters under the dataset's shot allocation.  When
+    its condition number exceeds MAX_FISHER_CONDITION the diagnostics
+    mark the fit not ``identifiable`` and an IdentifiabilityWarning is
+    emitted; the fit is still returned.
     """
     model = problem.model
     subs = problem.subproblems()
-    coeffs, c_h, diags = _fit(model, subs, problem.cost, problem.theta0)
-    _, info = _fisher_parts(subs, _pack_theta(model, coeffs), c_h)
+    coeffs, c_h, diags = _fit(model, subs, problem.cost)
+    _, info = _fisher_parts(subs, _pack_theta(model, coeffs, c_h))
     cov, condition = _safe_inverse(info)
+    identifiable = condition <= MAX_FISHER_CONDITION
+    if not identifiable:
+        warnings.warn(f"Fisher condition number {condition:.0f} exceeds {MAX_FISHER_CONDITION:g}: "
+                      "the design does not identify every fitted parameter, so the estimate "
+                      "can sit far from the truth", IdentifiabilityWarning, stacklevel=2)
     var = np.diag(cov)
     size = model.n_coeffs
     return EstimationReport(
@@ -370,7 +362,8 @@ def minimize(problem: FitProblem) -> EstimationReport:
         c_h=c_h,
         c_h_std=float(np.sqrt(var[size])) if model.heating else None,
         diagnostics={"parts": diags, "cost_kind": problem.cost,
-                     "n_records": len(problem.records), "fisher_condition": condition},
+                     "n_records": len(problem.records), "fisher_condition": condition,
+                     "identifiable": identifiable},
     )
 
 
@@ -407,14 +400,12 @@ def _coerce_allocation(shots, n_points: int, basis: str | None = None) -> np.nda
     return arr.astype(int)
 
 
-def _fisher_parts(subs: list[_Subproblem], packed: list[np.ndarray], c_h: float | None):
+def _fisher_parts(subs: list[_Subproblem], packed: list[np.ndarray]):
     """Per part (p, Fisher-weighted dp), and the total information I = sum_k N_k I_k."""
-    fit_ch = c_h is not None
-    size = len(packed[0]) + fit_ch
+    size = len(packed[0])
     parts, info = [], np.zeros((len(subs) * size,) * 2)
-    for k, (sub, theta) in enumerate(zip(subs, packed)):
-        p, dp, dp_ch = sub.model_probability(theta, c_h or 0.0, with_ch_grad=fit_ch)
-        dp = _jacobian(dp, dp_ch)
+    for k, (sub, x) in enumerate(zip(subs, packed)):
+        p, dp = sub.probability(x)
         p_safe = np.clip(p, EPS_P, 1.0 - EPS_P)
         dp_w = dp * (sub.shots / (p_safe * (1.0 - p_safe)))[:, None]
         parts.append((p, dp_w))
@@ -423,18 +414,15 @@ def _fisher_parts(subs: list[_Subproblem], packed: list[np.ndarray], c_h: float 
 
 
 def fisher_information(theta: CoefficientVector, points: Sequence[MeasurementPoint],
-                       shots, c_h: float | None = None,
-                       model: ModelSpec | None = None,
-                       check: bool = True) -> np.ndarray:
-    """Total Fisher information I = sum_k N_k I_k at the given parameters.
+                       shots, check: bool = True) -> np.ndarray:
+    """Total Fisher information I = sum_k N_k I_k of the unheated model at theta.
 
-    Real parameter ordering: the 3 (or 4) coefficient components for order
-    2 (plus c_h when fitted), or [Re theta..., Im theta...] for order 3.
-    Raises RankDeficiencyError naming the flat direction when singular
-    (suppressed with ``check=False``).
+    Real parameter ordering: the 3 coefficients for order 2, or
+    [Re theta..., Im theta...] for order 3.  Raises RankDeficiencyError
+    naming the flat direction when singular (suppressed with ``check=False``).
     """
-    model = model or ModelSpec(theta.n, theta.n_bar, heating=c_h is not None)
-    _, info = _fisher_parts(_design(model, _columns(points), shots), _pack_theta(model, theta), c_h)
+    model = ModelSpec(theta.n, theta.n_bar)
+    _, info = _fisher_parts(_design(model, _columns(points), shots), _pack_theta(model, theta))
     if check:
         _checked_eigh(info)
     return info
@@ -461,7 +449,7 @@ def _bias_and_information(theta_star: CoefficientVector, columns, shots,
     raises RankDeficiencyError before any exact chi is computed.
     """
     model = ModelSpec(theta_star.n, theta_star.n_bar)
-    parts, info = _fisher_parts(_design(model, columns, shots), _pack_theta(model, theta_star), None)
+    parts, info = _fisher_parts(_design(model, columns, shots), _pack_theta(model, theta_star))
     _checked_eigh(info)
     chi = exact_chi()
     rhs = np.concatenate([dp_w.T @ (_born(chi, part) - p)
@@ -495,23 +483,23 @@ def grid_axes(xi_max: float, r_max: float, d_xi: float,
 
 
 def build_grid(xi_max: float, r_max: float, d_xi: float, d_r: float,
-               n_bar: float = 0.0, theta: float = 0.0) -> list[MeasurementPoint]:
-    """Square lattice of real displacements on `grid_axes`, r-major."""
+               n_bar: float = 0.0) -> list[MeasurementPoint]:
+    """Square lattice of real displacements on `grid_axes`, r-major, at squeeze phase 0."""
     xis, rs = grid_axes(xi_max, r_max, d_xi, d_r)
-    return [MeasurementPoint(xi=complex(x), r=float(r), theta=theta, n_bar=n_bar)
+    return [MeasurementPoint(xi=complex(x), r=float(r), n_bar=n_bar)
             for r in rs for x in xis]
 
 
 def build_grid_complex(re_max: float, im_max: float, r_max: float,
                        n_re: int = 10, n_im: int = 10, n_r: int = 3,
-                       n_bar: float = 0.0, theta: float = 0.0) -> list[MeasurementPoint]:
-    """3-D grid over (Re xi, Im xi, r) for the order-3 estimator."""
+                       n_bar: float = 0.0) -> list[MeasurementPoint]:
+    """3-D grid over (Re xi, Im xi, r) for the order-3 estimator, at squeeze phase 0."""
     if min(n_re, n_im, n_r) < 1:
         raise InvalidParameterError("grid needs at least one point per axis")
     res = np.linspace(0.0, re_max, n_re)
     ims = np.linspace(0.0, im_max, n_im)
     rs = np.linspace(0.0, r_max, n_r)
-    return [MeasurementPoint(xi=complex(x, y), r=float(r), theta=theta, n_bar=n_bar)
+    return [MeasurementPoint(xi=complex(x, y), r=float(r), n_bar=n_bar)
             for r in rs for y in ims for x in res]
 
 
@@ -621,8 +609,7 @@ def zero_noise_extrapolate(reports: Sequence[EstimationReport],
 
 def fit_exact_frequencies(points: Sequence[MeasurementPoint], model: ModelSpec,
                           shots, chi_values: np.ndarray | None = None,
-                          cost: str = "ml",
-                          cutoff: int = fockspace.DEFAULT_CUTOFF):
+                          cost: str = "ml"):
     """Fit in the infinite-shot limit, with frequencies set to the exact
     probabilities of the untruncated characteristic function.
 
@@ -630,16 +617,14 @@ def fit_exact_frequencies(points: Sequence[MeasurementPoint], model: ModelSpec,
     should sit at theta_star plus the linearized bias.
     """
     if chi_values is None:
-        chi_values = sampler.analytic_chi_grid(points, model.n, cutoff)
+        chi_values = sampler.analytic_chi_grid(points, model.n)
     coeffs, c_h, _ = _fit(model, _design(model, _columns(points), shots, chi_values), cost)
     return coeffs, c_h
 
 
 def monte_carlo_recovery(points: Sequence[MeasurementPoint], model: ModelSpec,
                          total_shots: int, repeats: int, seed: int,
-                         chi_values: np.ndarray | None = None, cost: str = "ls",
-                         cutoff: int = fockspace.DEFAULT_CUTOFF,
-                         theta0: np.ndarray | None = None):
+                         chi_values: np.ndarray | None = None, cost: str = "ls"):
     """Repeated seeded fits against freshly sampled datasets.
 
     Returns (thetas, c_hs): fitted coefficients of shape (repeats, J) and,
@@ -649,7 +634,7 @@ def monte_carlo_recovery(points: Sequence[MeasurementPoint], model: ModelSpec,
     reproducible.
     """
     if chi_values is None:
-        chi_values = sampler.analytic_chi_grid(points, model.n, cutoff)
+        chi_values = sampler.analytic_chi_grid(points, model.n)
     n_parts = len(series.PARTS[model.n])
     alloc = sampler.allocate_shots(len(points) * n_parts, total_shots).reshape(n_parts, -1)
     probs = [np.clip(_born(chi_values, part), 0.0, 1.0) for part in range(n_parts)]
@@ -661,7 +646,7 @@ def monte_carlo_recovery(points: Sequence[MeasurementPoint], model: ModelSpec,
         subs = [_subproblem(model, part, columns, alloc[part],
                             rng.binomial(alloc[part], probs[part]) / alloc[part])
                 for part in range(n_parts)]
-        coeffs, c_h, _ = _fit(model, subs, cost, theta0)
+        coeffs, c_h, _ = _fit(model, subs, cost)
         thetas[m] = coeffs.values
         if model.heating:
             c_hs[m] = c_h

@@ -3,14 +3,15 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from weylfit import cli, config
-from weylfit.errors import TruncationWarning
+from weylfit import cli, config, estimator
+from weylfit.errors import IdentifiabilityWarning, TruncationWarning
 
 
 def write_config(path, **overrides):
@@ -135,6 +136,42 @@ class TestEstimate:
         condition = meta["diagnostics"]["fisher_condition"]
         assert np.isfinite(condition) and condition >= 1.0
 
+    @pytest.mark.parametrize("heated", [True, False], ids=["heated", "unheated"])
+    def test_unidentifiable_design_warns_and_is_flagged(self, tmp_path, heated):
+        # the two-ray protocol design: heated, its ML fit sits at c = (-3.95, 0.00, 3.28)
+        # against a truth near (-1.2, -1.2, 0.72), at Fisher condition 26464; unheated it reads 87
+        cfg = write_config(tmp_path / "run.yaml",
+                           model={"n_B": 0.1, "heating": True} if heated else {},
+                           grid={"xi_max": 2.0, "r_max": 0.78, "d_xi": 0.02, "d_r": 0.39},
+                           shots={"total": 1_600_000}, rng={"seed": 7},
+                           protocol={"heating_rate": 300.0 if heated else 0.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            assert cli.run(["--config", str(cfg), "simulate", "--source", "protocol"]) == 0
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.run(["--config", str(cfg), "estimate", str(out / "dataset.csv"),
+                            "--cost", "ml"]) == 0
+        warned = [w for w in caught if issubclass(w.category, IdentifiabilityWarning)]
+        assert len(warned) == heated
+        diagnostics = yaml.safe_load((out / "report.meta.yaml").read_text())["diagnostics"]
+        assert diagnostics["identifiable"] is not heated
+        assert (diagnostics["fisher_condition"] > estimator.MAX_FISHER_CONDITION) is heated
+
+    def test_non_convergence_is_input_error(self, tmp_path, capsys, monkeypatch):
+        def stuck(sub, x, cost):
+            cost_val, grad, _ = estimator._cost_grad_curvature(sub, x, cost)
+            return x, cost_val, grad, "max-iterations", estimator.NEWTON_MAX_ITER
+
+        cfg = write_config(tmp_path / "run.yaml")
+        assert cli.run(["--config", str(cfg), "simulate"]) == 0
+        monkeypatch.setattr(estimator, "_newton", stuck)
+        assert cli.run(["--config", str(cfg), "estimate",
+                        str(tmp_path / "out" / "dataset.csv")]) == 2
+        assert "no convergence" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     def test_missing_dataset_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml")
         assert cli.run(["--config", str(cfg), "estimate",
@@ -237,7 +274,7 @@ class TestSweepAndExtrapolate:
         assert not (tmp_path / "out").exists()
 
     @staticmethod
-    def affine_reports(tmp_path):
+    def affine_reports(tmp_path, heated=False):
         from weylfit import config as config_mod
         from weylfit import series as dg
         from weylfit import estimator as est
@@ -247,10 +284,12 @@ class TestSweepAndExtrapolate:
         for nb in (0.1, 0.2, 0.3):
             values = np.array([1 + 2 * nb, -1 - 2 * nb, 0.5], dtype=complex)
             report = est.EstimationReport(
-                model=est.ModelSpec(2, 0.0),
+                model=est.ModelSpec(2, 0.0, heating=heated),
                 coefficients=dg.CoefficientVector(2, values),
                 covariance=np.eye(3) * 1e-4,
                 std=np.full(3, 1e-2),
+                c_h=0.05 * nb if heated else None,
+                c_h_std=1e-2 if heated else None,
             )
             path = tmp_path / f"rep{int(nb * 10)}.csv"
             cli._save_report(report, cfg, path, extra_meta={"data_n_B": nb})
@@ -266,6 +305,14 @@ class TestSweepAndExtrapolate:
         assert float(rows["c1"]["re"]) == pytest.approx(1.0, abs=1e-9)
         assert float(rows["c2"]["re"]) == pytest.approx(-1.0, abs=1e-9)
         assert float(rows["c1"]["std"]) > 1e-2  # propagated variance inflated
+
+    def test_extrapolate_refuses_heated_reports(self, tmp_path, capsys):
+        # zero-noise extrapolation has no c_h, so a heated report's c_h row would be dropped
+        paths = self.affine_reports(tmp_path, heated=True)
+        assert cli.run(["--out", str(tmp_path), "extrapolate", *paths]) == 2
+        err = capsys.readouterr().err
+        assert paths[0] in err and "c_h" in err
+        assert not (tmp_path / "report_extrapolated.csv").exists()
 
     @pytest.mark.parametrize("meta, row", [
         (yaml.safe_dump({"data_n_B": 0.1}), "c1,1.0,0.0,0.01,,"),

@@ -12,6 +12,7 @@ from weylfit import sampler as sp
 from weylfit.errors import (
     DatasetError,
     InvalidParameterError,
+    NonConvergenceError,
     RankDeficiencyError,
     UnsupportedOrderError,
 )
@@ -180,6 +181,21 @@ class TestMinimize:
                                            chi_values=chis, cost="ls")
         np.testing.assert_allclose(fit.values, theta.values, atol=1e-8)
 
+    def test_fit_at_the_iteration_limit_raises_with_its_best_parameters(self, monkeypatch):
+        def stuck(sub, x, cost):
+            cost_val, grad, _ = est._cost_grad_curvature(sub, x, cost)
+            return x, cost_val, grad, "max-iterations", est.NEWTON_MAX_ITER
+
+        monkeypatch.setattr(est, "_newton", stuck)
+        points = est.build_grid(1.0, 0.3, 0.1, 0.1)
+        records = model_dataset(points, dg.truth_coefficients(2), 100_000, seed=2)
+        with pytest.raises(NonConvergenceError, match="no convergence after 2 starts") as caught:
+            est.minimize(est.FitProblem(est.ModelSpec(2), records))
+        report = caught.value.report
+        assert report["exit"] == "max-iterations"
+        # of the two starts, zero and the exact coefficients, the lower-cost one is kept
+        assert report["best_parameters"] == TRUTH2.tolist()
+
     def test_requires_matching_bases(self):
         points = [sp.MeasurementPoint(xi=0.5 + 0j, r=0.2)]
         records = sp.generate_dataset(points, 100, 2, seed=0)
@@ -223,17 +239,17 @@ def scipy_warm_started_cost(sub, n_coeffs, cost):
     """Cost of the former solve: scipy TRF (LS) or L-BFGS-B (ML) from zero, then Newton."""
     x0, sigma = np.zeros(n_coeffs), np.sqrt(sub.sigma2())
     if cost == "ls":
-        x = optimize.least_squares(lambda x: (sub.model_probability(x)[0] - sub.freq) / sigma,
-                                   x0, jac=lambda x: sub.model_probability(x)[1] / sigma[:, None],
+        x = optimize.least_squares(lambda x: (sub.probability(x)[0] - sub.freq) / sigma,
+                                   x0, jac=lambda x: sub.probability(x)[1] / sigma[:, None],
                                    method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12,
                                    max_nfev=400).x
     else:
         def nll_and_grad(x):
-            return est._cost_grad_curvature(sub, x, cost, n_coeffs, False)[:2]
+            return est._cost_grad_curvature(sub, x, cost)[:2]
 
         x = optimize.minimize(nll_and_grad, x0, jac=True, method="L-BFGS-B",
                               options={"ftol": 1e-12, "gtol": 1e-9, "maxiter": 2000}).x
-    return est._newton(sub, x, cost, n_coeffs, False)[1]
+    return est._newton(sub, x, cost)[1]
 
 
 # the order-3 grid leans on the cutoff at its largest |xi|, as in the benchmark
