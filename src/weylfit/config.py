@@ -150,6 +150,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("model.n_B must be non-negative")
     if cfg.shots["total"] < 1:
         raise ConfigError("shots.total must be positive")
+    if not 0 <= cfg.rng["seed"] < 2**64:
+        raise ConfigError(f"rng.seed must lie in [0, 2**64), got {cfg.rng['seed']}")
     for key in ("d_xi", "d_r"):
         if cfg.grid[key] <= 0:
             raise ConfigError(f"grid.{key} must be positive")

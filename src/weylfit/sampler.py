@@ -94,37 +94,124 @@ class ShotRecord:
         return self.plus_count / self.shots
 
 
-def born_probabilities(chi: complex) -> tuple[float, float]:
-    """(p_x(+1), p_y(+1)) = ((1 + Re chi)/2, (1 + Im chi)/2).
+def born_probabilities(chi):
+    """(p_x(+1), p_y(+1)) = ((1 + Re chi)/2, (1 + Im chi)/2), elementwise.
 
-    A component within 1e-12 of zero is taken as exactly zero, so p is
-    exactly 0.5 there: numpy's binomial draws n - B(n, 1 - p) when p > 0.5,
-    and the sign of a roundoff-level component would otherwise pick the draw.
+    |chi| may exceed 1 by roundoff up to 1e-6, and such a chi is scaled
+    back onto the unit circle.  A component within 1e-12 of zero is taken
+    as exactly zero, so p is exactly 0.5 there: numpy's binomial draws
+    n - B(n, 1 - p) when p > 0.5, and the sign of a roundoff-level
+    component would otherwise pick the draw.
     """
-    chi = complex(chi)
-    mod = abs(chi)
-    if mod > 1.0 + 1e-6:
-        raise InvalidChiError(f"|chi| = {mod:.8f} exceeds 1 beyond tolerance")
-    if mod > 1.0:
-        chi /= mod
-    re, im = (0.0 if abs(c) <= 1e-12 else c for c in (chi.real, chi.imag))
+    chi = np.asarray(chi, dtype=complex)
+    re, im = chi.real, chi.imag
+    mod = np.hypot(re, im)
+    if np.any(mod > 1.0 + 1e-6):
+        raise InvalidChiError(f"|chi| = {np.max(mod):.8f} exceeds 1 beyond tolerance")
+    # real and imaginary parts divide separately, which is exactly what
+    # complex / float does for a scale with no imaginary part
+    scale = np.where(mod > 1.0, mod, 1.0)
+    re, im = (np.where(np.abs(c) <= 1e-12, 0.0, c / scale) for c in (re, im))
     return 0.5 * (1.0 + re), 0.5 * (1.0 + im)
 
 
-def sample_shots(p_plus: float, n: int, seed) -> int:
-    """Exact binomial draw of the +1 count; deterministic for a fixed seed."""
-    if not 0.0 <= p_plus <= 1.0:
-        raise InvalidParameterError(f"probability {p_plus} outside [0, 1]")
-    if n < 1:
-        raise InvalidParameterError("shot count must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return int(rng.binomial(n, p_plus))
-
-
 def record_seed_sequence(master_seed: int, point_index: int, basis: str) -> np.random.SeedSequence:
-    """Independent stream per (master seed, point, basis); schedule-free."""
+    """Independent stream per (master seed, point, basis); schedule-free.
+
+    This defines every record's stream; `record_state_words` computes its
+    PCG64 seed words for a whole dataset at once.
+    """
     return np.random.SeedSequence(entropy=int(master_seed),
                                   spawn_key=(point_index, BASIS_CODES[basis]))
+
+
+# Constants of numpy's SeedSequence pool hash (M. O'Neill's seed_seq mix)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(init: int, mult: int):
+    """numpy's hashmix: each call xors in the running constant, steps it and multiplies."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        prev, const = const, const * mult & _MASK32
+        value = (value ^ prev) * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def record_state_words(master_seed: int, point_indices: np.ndarray,
+                       codes: np.ndarray) -> np.ndarray:
+    """(m, 4) uint64: `record_seed_sequence(master_seed, i, basis).generate_state(4, np.uint64)`
+    for every key (point_indices[k], codes[k]), in one pass of uint32 array arithmetic.
+
+    The entropy is the seed as little-endian 32-bit words, which a seed
+    below 2**64 fills or zero-pads to exactly the 4-word pool, then the
+    index word and the basis-code word of the spawn key.  The seed words
+    fill and mix the pool once; the two key words are mixed into it as arrays.
+    """
+    if not 0 <= master_seed < 2**64:
+        raise InvalidParameterError(f"seed must lie in [0, 2**64), got {master_seed}")
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    seed_words = np.array([master_seed & _MASK32, master_seed >> 32, 0, 0], dtype=np.uint32)
+    pool = [hashmix(seed_words[k:k + 1]) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for key_word in (np.asarray(point_indices, dtype=np.uint32),
+                     np.asarray(codes, dtype=np.uint32)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(key_word))
+    # generate_state cycles the pool for 8 uint32 words, read as 4 little-endian uint64
+    outmix = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([outmix(pool[k % _POOL_SIZE]) for k in range(8)], axis=1)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _draw_counts(seed: int, chis: np.ndarray, bases: Sequence[str],
+                 shots: list[int]) -> tuple[list[int], list[int]]:
+    """(+1 counts, CSV seed words) of the records, basis-major: every point
+    in the first basis, then every point in the next.
+
+    Record k draws B(shots[k], p) from Generator(PCG64) seeded with its
+    `record_state_words` row, which is its `record_seed_sequence` stream.
+    """
+    p_x, p_y = born_probabilities(chis)
+    p_plus = np.concatenate([p_x if basis == "x" else p_y for basis in bases])
+    outside = ~((p_plus >= 0.0) & (p_plus <= 1.0))  # NaN included
+    if outside.any():
+        raise InvalidParameterError(f"probability {p_plus[outside][0]} outside [0, 1]")
+    words = record_state_words(seed, np.tile(np.arange(len(chis)), len(bases)),
+                               np.repeat([BASIS_CODES[b] for b in bases], len(chis)))
+    # numpy.random loads here, not with this module: commands that never
+    # sample do not pay its import time and memory
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        """Hands PCG64 one record's precomputed generate_state(4, np.uint64) words."""
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    counts = [int(Generator(PCG64(StateWords(state))).binomial(n, p))
+              for state, n, p in zip(words, shots, p_plus.tolist(), strict=True)]
+    return counts, words[:, 0].tolist()
 
 
 def allocate_shots(n_points: int, total: int) -> np.ndarray:
@@ -356,23 +443,13 @@ def generate_dataset(points: Sequence[MeasurementPoint], total_shots: int, n: in
     else:
         raise InvalidParameterError(f"unknown chi source {chi_source!r}")
 
-    n_cells = len(points) * len(bases)
-    alloc = allocate_shots(n_cells, total_shots)
-    records = []
-    cell = 0
-    for basis in bases:
-        for i, point in enumerate(points):
-            p_x, p_y = born_probabilities(chis[i])
-            p_plus = p_x if basis == "x" else p_y
-            ss = record_seed_sequence(seed, i, basis)
-            rng = np.random.default_rng(ss)
-            count = sample_shots(p_plus, int(alloc[cell]), rng)
-            records.append(
-                ShotRecord(point=point, basis=basis, shots=int(alloc[cell]),
-                           plus_count=count, seed=int(ss.generate_state(1, np.uint64)[0]))
-            )
-            cell += 1
-    return records
+    if chis.shape != (len(points),):
+        raise InvalidParameterError(f"{chis.shape} chi values for {len(points)} points")
+    alloc = allocate_shots(len(points) * len(bases), total_shots).tolist()
+    counts, seeds = _draw_counts(seed, chis, bases, alloc)
+    keys = ((basis, point) for basis in bases for point in points)
+    return [ShotRecord(point=point, basis=basis, shots=shots, plus_count=count, seed=word)
+            for (basis, point), shots, count, word in zip(keys, alloc, counts, seeds, strict=True)]
 
 
 def _fmt(value: float) -> str:
@@ -380,15 +457,27 @@ def _fmt(value: float) -> str:
                                       fractional=False, trim="-")
 
 
+def _fmt_column(values) -> list[str]:
+    """`_fmt` of every value, formatting each distinct float once.
+
+    Floats are told apart by their bits: -0.0 == 0.0, but `_fmt` writes
+    them as "-0" and "0".
+    """
+    bits = np.fromiter(values, dtype=float).view(np.int64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    texts = dict(zip(distinct, map(_fmt, np.array(distinct, dtype=np.int64).view(float))))
+    return list(map(texts.__getitem__, bits))
+
+
 def dataset_to_csv(records: Sequence[ShotRecord], stream) -> None:
+    points = [rec.point for rec in records]
+    floats = [_fmt_column(p.xi.real for p in points), _fmt_column(p.xi.imag for p in points),
+              _fmt_column(p.r for p in points), _fmt_column(p.theta for p in points),
+              _fmt_column(p.n_bar for p in points)]
     writer = csv.writer(stream)
     writer.writerow(CSV_FIELDS)
-    for rec in records:
-        p = rec.point
-        writer.writerow([
-            _fmt(p.xi.real), _fmt(p.xi.imag), _fmt(p.r), _fmt(p.theta), _fmt(p.n_bar),
-            rec.basis, rec.shots, rec.plus_count, rec.seed,
-        ])
+    writer.writerows(zip(*floats, (rec.basis for rec in records), (rec.shots for rec in records),
+                         (rec.plus_count for rec in records), (rec.seed for rec in records)))
 
 
 def dataset_to_string(records: Sequence[ShotRecord]) -> str:

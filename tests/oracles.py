@@ -1,10 +1,15 @@
-"""Dense master-equation oracle of the protocol simulator.
+"""Reference implementations that no command computes with.
 
-No command computes with these functions: they integrate the full
-Lindblad equation with fixed-step RK4 (bit-reproducible for a given step
-size), so that the exact flows of `weylfit.sampler` and
-`weylfit.fockspace` have an independent check.  Operators and states are
-plain numpy arrays.
+The dense master-equation oracle integrates the full Lindblad equation
+with fixed-step RK4 (bit-reproducible for a given step size), so that the
+exact flows of `weylfit.sampler` and `weylfit.fockspace` have an
+independent check.  Operators and states are plain numpy arrays.
+
+The per-record sampler draws each record from its own
+`sampler.record_seed_sequence` stream with one numpy Generator per
+record, the way `sampler.generate_dataset` is defined; the dataset
+generator computes all records in one array pass and must match it
+exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from weylfit import fockspace, sampler
-from weylfit.errors import AccuracyError, InvalidDimensionError, InvalidParameterError, WeylfitError
+from weylfit.errors import (AccuracyError, InvalidChiError, InvalidDimensionError,
+                            InvalidParameterError, WeylfitError)
 
 # Step-size rule for the RK4 integrator: dt * ||H|| must stay below this.
 STEP_RULE = 0.05
@@ -160,3 +166,42 @@ def dense_probe_chi(point: sampler.MeasurementPoint, n: int,
     max_dt = STEP_RULE / max(spec.norm_bound(np.array([0.0])), 1e-12)
     rho_f = evolve_lindblad(rho0, spec, (0.0, duration), max_dt)
     return complex(2.0 * np.trace(rho_f[:cutoff, cutoff:]))
+
+
+def born_probabilities_scalar(chi: complex) -> tuple[float, float]:
+    """(p_x(+1), p_y(+1)) of one chi, in Python complex arithmetic."""
+    chi = complex(chi)
+    mod = abs(chi)
+    if mod > 1.0 + 1e-6:
+        raise InvalidChiError(f"|chi| = {mod:.8f} exceeds 1 beyond tolerance")
+    if mod > 1.0:
+        chi /= mod
+    re, im = (0.0 if abs(c) <= 1e-12 else c for c in (chi.real, chi.imag))
+    return 0.5 * (1.0 + re), 0.5 * (1.0 + im)
+
+
+def sample_shots(p_plus: float, n: int, seed) -> int:
+    """Exact binomial draw of the +1 count; deterministic for a fixed seed."""
+    if not 0.0 <= p_plus <= 1.0:
+        raise InvalidParameterError(f"probability {p_plus} outside [0, 1]")
+    if n < 1:
+        raise InvalidParameterError("shot count must be at least 1")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return int(rng.binomial(n, p_plus))
+
+
+def per_record_dataset(points, total_shots: int, n: int, seed: int,
+                       chis: np.ndarray) -> list[sampler.ShotRecord]:
+    """`sampler.generate_dataset` from given chi values, one record at a time."""
+    bases = sampler.bases_for_order(n)
+    alloc = sampler.allocate_shots(len(points) * len(bases), total_shots)
+    records = []
+    for cell, (basis, i) in enumerate((b, i) for b in bases for i in range(len(points))):
+        p_x, p_y = born_probabilities_scalar(chis[i])
+        ss = sampler.record_seed_sequence(seed, i, basis)
+        count = sample_shots(p_x if basis == "x" else p_y, int(alloc[cell]),
+                             np.random.default_rng(ss))
+        records.append(sampler.ShotRecord(point=points[i], basis=basis, shots=int(alloc[cell]),
+                                          plus_count=count,
+                                          seed=int(ss.generate_state(1, np.uint64)[0])))
+    return records

@@ -96,6 +96,32 @@ class TestSimulate:
         assert cli.run(["--config", str(cfg), "simulate"]) == 2
         assert section in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_seed_outside_64_bits_is_input_error(self, tmp_path, capsys, seed, where):
+        cfg = write_config(tmp_path / "run.yaml", rng={"seed": seed if where == "config" else 1})
+        flag = ["--seed", str(seed)] if where == "flag" else []
+        assert cli.run(["--config", str(cfg), *flag, "simulate"]) == 2
+        assert "rng.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, source, digest", [
+        ({}, "analytic", "968ed0fb118acf87bef9b0d80e03e2fc4404a905d7d30fd695410d26773e80e5"),
+        ({"model": {"n": 3}}, "analytic",
+         "a6e70129f51dc89d200b3ced65a2a99aa737481aefb3ebce70008563eabab148"),
+        ({"grid": {"d_r": 0.39}}, "protocol",
+         "412d197bf29776b54b0fb3dbaca9a882f09b8b0f7041982a445e5265d601f82b"),
+    ], ids=["order2", "order3", "protocol"])
+    def test_seed_7_dataset_is_pinned(self, tmp_path, overrides, source, digest):
+        # the three reference designs at their defaults: any change to the
+        # chi values, the shot split, the record streams or the CSV format shows here
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump(overrides))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            assert cli.run(["--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "out"),
+                            "simulate", "--source", source]) == 0
+        assert file_hash(tmp_path / "out" / "dataset.csv") == digest
+
     def test_integer_for_a_float_key_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml", model={"n_B": 0}, protocol={"idle_time": 0})
         assert cli.run(["--config", str(cfg), "simulate"]) == 0
@@ -396,6 +422,30 @@ def test_module_entry_point_runs_cli():
     assert done.returncode == 0
     assert done.stderr == ""
     assert "simulate" in done.stdout
+
+
+def test_estimate_and_sweep_never_load_numpy_random(tmp_path):
+    # numpy.random costs about 6 MB of peak RSS; only sampling commands import it
+    commands = []
+    for n in (2, 3):
+        cfg = write_config(tmp_path / f"o{n}.yaml", model={"n": n}, grid={"n_re": 4, "n_im": 4},
+                           output={"directory": str(tmp_path / f"o{n}")})
+        assert cli.run(["--config", str(cfg), "simulate"]) == 0
+        dataset = str(tmp_path / f"o{n}" / "dataset.csv")
+        commands += [["--config", str(cfg), "estimate", dataset, "--cost", cost]
+                     for cost in ("ls", "ml")]
+        commands.append(["--config", str(cfg), "sweep", "--xi-max-list", "0.5,1.0",
+                         "--r-max-list", "0.2,0.3"])
+    script = ("import sys, weylfit.cli\n"
+              f"codes = [weylfit.cli.run(argv) for argv in {commands!r}]\n"
+              "print(codes, sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
 
 
 def test_cli_never_loads_scipy(tmp_path):

@@ -2,6 +2,7 @@
 errors on non-finite input, and heated prepared states that are density
 matrices."""
 
+import csv
 import io
 import warnings
 from pathlib import Path
@@ -56,6 +57,27 @@ def test_csv_round_trip_is_exact_at_twelve_digits(records):
     assert rewritten == text
     twice = sp.dataset_from_csv(io.StringIO(rewritten))
     assert [as_tuple(r) for r in twice] == [as_tuple(r) for r in once]
+
+
+@PROPERTY
+@given(st.lists(shot_records(), min_size=1, max_size=20))
+def test_csv_floats_are_written_as_fmt_writes_them(records):
+    # the writer formats each distinct float once; signed zeros stay apart
+    rows = list(csv.reader(io.StringIO(sp.dataset_to_string(records))))[1:]
+    points = [rec.point for rec in records]
+    assert [row[:5] for row in rows] == [[sp._fmt(v) for v in (p.xi.real, p.xi.imag, p.r,
+                                                                p.theta, p.n_bar)]
+                                         for p in points]
+
+
+@PROPERTY
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
+       st.sampled_from(["x", "y"]))
+def test_record_words_are_the_seed_sequence_state(seed, indices, basis):
+    words = sp.record_state_words(seed, indices, [sp.BASIS_CODES[basis]] * len(indices))
+    np.testing.assert_array_equal(
+        words, [sp.record_seed_sequence(seed, i, basis).generate_state(4, np.uint64)
+                for i in indices])
 
 
 @PROPERTY

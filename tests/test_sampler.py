@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import STEP_RULE, LindbladSpec, dense_probe_chi, evolve_lindblad
+from oracles import (STEP_RULE, LindbladSpec, born_probabilities_scalar, dense_probe_chi,
+                     evolve_lindblad, per_record_dataset, sample_shots)
 from weylfit import charfunc as cf
 from weylfit import estimator as est
 from weylfit import fockspace as fs
@@ -28,26 +30,41 @@ class TestBornProbabilities:
     def test_rejects_unphysical_chi(self):
         with pytest.raises(InvalidChiError):
             sp.born_probabilities(1.1 + 0j)
+        with pytest.raises(InvalidChiError):
+            sp.born_probabilities(np.array([0.5, 1.1j, 0.2]))
+
+    def test_array_pass_matches_the_scalar_rule(self):
+        # moduli above 1 by roundoff are renormalised; components within
+        # 1e-12 of zero, of either sign, snap to p = 0.5 exactly
+        rng = np.random.default_rng(3)
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi, 400))
+        chis = np.concatenate([rng.uniform(0, 1, 400) * phase,
+                               (1.0 + rng.uniform(0, 1e-6, 400)) * phase,
+                               [1.0 + 5e-13j, -1e-12 + 0.3j, 0.7 - 0.0j, -0.0 + 2e-12j]])
+        p_x, p_y = sp.born_probabilities(chis)
+        want = np.array([born_probabilities_scalar(c) for c in chis])
+        np.testing.assert_array_equal(p_x, want[:, 0])
+        np.testing.assert_array_equal(p_y, want[:, 1])
 
 
 class TestSampleShots:
     def test_degenerate_probabilities(self):
-        assert sp.sample_shots(1.0, 50, 1) == 50
-        assert sp.sample_shots(0.0, 50, 1) == 0
+        assert sample_shots(1.0, 50, 1) == 50
+        assert sample_shots(0.0, 50, 1) == 0
 
     def test_deterministic_for_fixed_seed(self):
-        assert sp.sample_shots(0.37, 1000, 99) == sp.sample_shots(0.37, 1000, 99)
+        assert sample_shots(0.37, 1000, 99) == sample_shots(0.37, 1000, 99)
 
     def test_binomial_spread(self):
         # binomial std of the relative frequency: sqrt(p(1-p)/N) = 5e-4
-        counts = [sp.sample_shots(0.5, 10**6, seed) for seed in range(1000)]
+        counts = [sample_shots(0.5, 10**6, seed) for seed in range(1000)]
         spread = np.std(np.array(counts) / 1e6, ddof=1)
         assert spread == pytest.approx(5e-4, rel=0.1)
 
     def test_mean_tracks_probability(self):
         # consistency within 3 binomial standard deviations
         n, p, m = 4000, 0.3141, 400
-        counts = np.array([sp.sample_shots(p, n, 10_000 + k) for k in range(m)])
+        counts = np.array([sample_shots(p, n, 10_000 + k) for k in range(m)])
         se = np.sqrt(p * (1 - p) / (n * m))
         assert abs(counts.mean() / n - p) <= 3 * se
 
@@ -76,17 +93,24 @@ class TestGenerateDataset:
         assert records[0].plus_count == 100  # chi = 1 at the origin
 
     def test_reproducible_and_schedule_free(self):
-        points = [sp.MeasurementPoint(xi=complex(x), r=0.1) for x in (0.2, 0.6, 1.0)]
-        a = sp.generate_dataset(points, 3000, 2, seed=42)
-        b = sp.generate_dataset(points, 3000, 2, seed=42)
-        assert [r.plus_count for r in a] == [r.plus_count for r in b]
         # each record's count is fully determined by (seed, index, basis),
-        # so it can be re-drawn in isolation from its derived stream
-        chis = sp.analytic_chi_grid(points, 2, 100)
-        for i, rec in enumerate(a):
-            rng = np.random.default_rng(sp.record_seed_sequence(42, i, "x"))
-            p_plus = sp.born_probabilities(chis[i])[0]
-            assert rec.plus_count == sp.sample_shots(p_plus, rec.shots, rng)
+        # so the per-record oracle re-draws every record from its own stream
+        points = [sp.MeasurementPoint(xi=complex(re, im), r=r)
+                  for r in (0.1, 0.3) for re in (0.2, 0.6, 1.0) for im in (-0.4, 0.0, 0.5)]
+        for n in (2, 3):
+            a = sp.generate_dataset(points, 30_011, n, seed=42)
+            assert a == sp.generate_dataset(points, 30_011, n, seed=42)
+            assert {r.basis for r in a} == set(sp.bases_for_order(n))
+            chis = sp.analytic_chi_grid(points, n)
+            assert a == per_record_dataset(points, 30_011, n, 42, chis)
+
+    @pytest.mark.parametrize("chis, message", [([0.5, 0.5], "chi values for 3 points"),
+                                               ([0.5, np.nan, 0.5], "probability nan")],
+                             ids=["short", "nan"])
+    def test_bad_chi_values_are_rejected(self, chis, message):
+        points = [sp.MeasurementPoint(xi=0.3 + 0j, r=0.1)] * 3
+        with pytest.raises(InvalidParameterError, match=message):
+            sp.generate_dataset(points, 300, 2, seed=1, chi_values=np.array(chis))
 
     @pytest.mark.parametrize("im_chi", [2e-16, 1e-15])
     def test_roundoff_sign_does_not_pick_the_draw(self, im_chi):
@@ -117,6 +141,23 @@ class TestGenerateDataset:
         assert len(points) == 3900
 
 
+class TestRecordStateWords:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("basis", ["x", "y"])
+    def test_words_are_the_seed_sequence_state(self, seed, basis):
+        index = np.arange(1024)
+        words = sp.record_state_words(seed, index, np.full(index.size, sp.BASIS_CODES[basis]))
+        want = [sp.record_seed_sequence(seed, i, basis).generate_state(4, np.uint64)
+                for i in range(index.size)]
+        np.testing.assert_array_equal(words, want)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        points = [sp.MeasurementPoint(xi=0.3 + 0j, r=0.1)]
+        with pytest.raises(InvalidParameterError, match="seed"):
+            sp.generate_dataset(points, 100, 2, seed=seed)
+
+
 class TestCsvRoundTrip:
     def test_header_and_roundtrip(self):
         points = [sp.MeasurementPoint(xi=0.5 + 0.25j, r=0.3, theta=0.1, n_bar=0.2)]
@@ -130,6 +171,12 @@ class TestCsvRoundTrip:
             assert loaded.shots == orig.shots
             assert loaded.basis == orig.basis
             assert loaded.point.xi == pytest.approx(orig.point.xi, abs=1e-10)
+
+    def test_signed_zero_is_written_as_fmt_writes_it(self):
+        points = [sp.MeasurementPoint(xi=complex(0.5, im), r=0.3) for im in (0.0, -0.0, 0.0)]
+        records = sp.generate_dataset(points, 300, 2, seed=2, chi_values=np.full(3, 0.5))
+        rows = list(csv.reader(io.StringIO(sp.dataset_to_string(records))))[1:]
+        assert [row[1] for row in rows] == ["0", "-0", "0"] == [sp._fmt(p.xi.imag) for p in points]
 
     def test_bad_header_rejected(self):
         with pytest.raises(DatasetError):
