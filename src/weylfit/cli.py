@@ -11,6 +11,7 @@ import argparse
 import csv
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +19,22 @@ import yaml
 
 from . import charfunc, config as config_mod, estimator, fockspace, sampler, series
 from .errors import ConfigError, DatasetError, WeylfitError
-from .sampler import _fmt
+from .sampler import _fmt_column
+
+
+@contextmanager
+def _atomic_open(path: Path):
+    """A text stream that becomes path only once it has been written whole."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
+        yield fh
+    tmp.replace(path)
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _write_resolved(cfg: config_mod.RunConfig, stem: str) -> None:
@@ -34,14 +43,20 @@ def _write_resolved(cfg: config_mod.RunConfig, stem: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    import io
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    _atomic_write(path, buf.getvalue())
+
+# Rows formatted together by `_fmt_rows`; bounds the text a CSV holds in memory.
+_ROW_BLOCK = 4096
+
+
+def _fmt_rows(*columns: np.ndarray):
+    """Rows of `_fmt` texts of equal-length float arrays, formatted a block of rows at a time."""
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        yield from zip(*(_fmt_column(c[start : start + _ROW_BLOCK]) for c in columns))
 
 
 def _float_list(text: str, option: str) -> list[float]:
@@ -155,9 +170,9 @@ def cmd_charfunc(cfg: config_mod.RunConfig, args) -> int:
     chi = np.asarray(charfunc.chi_reference(xis, spec, cfg.model["n_B"], cfg.protocol["cutoff"]),
                      dtype=complex)
     out = cfg.out_dir / "charfunc.csv"
-    rows = ([_fmt(x.real), _fmt(x.imag), _fmt(c.real), _fmt(c.imag)]
-            for x, c in zip(xis.ravel(), chi.ravel()))
-    _write_csv(out, ["re_xi", "im_xi", "re_chi", "im_chi"], rows)
+    xis, chi = xis.ravel(), chi.ravel()
+    _write_csv(out, ["re_xi", "im_xi", "re_chi", "im_chi"],
+               _fmt_rows(xis.real, xis.imag, chi.real, chi.imag))
     _write_resolved(cfg, "charfunc")
     print(f"wrote {out}")
     return 0
@@ -213,11 +228,10 @@ def cmd_sweep(cfg: config_mod.RunConfig, args) -> int:
                                   n_bar=cfg.model["n_B"],
                                   cutoff=cfg.protocol["cutoff"])
     out = cfg.out_dir / "rmse_sweep.csv"
-    rows = []
-    for i, r_max in enumerate(result.r_maxes):
-        for j, xi_max in enumerate(result.xi_maxes):
-            rows.append([_fmt(xi_max), _fmt(r_max), _fmt(result.rmse[i, j])])
-    _write_csv(out, ["xi_max", "r_max", "rmse"], rows)
+    n_r, n_xi = result.rmse.shape  # rows run over r_max, then xi_max
+    _write_csv(out, ["xi_max", "r_max", "rmse"],
+               _fmt_rows(np.tile(result.xi_maxes, n_r), np.repeat(result.r_maxes, n_xi),
+                         result.rmse.ravel()))
     _write_resolved(cfg, "rmse_sweep")
     print(f"wrote {out}")
     xi_axis, r_axis = estimator.grid_axes(max(xi_maxes), max(r_maxes),

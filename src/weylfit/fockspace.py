@@ -68,33 +68,47 @@ def _quadrature_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+# Points evaluated together by `weyl_expectation`; bounds its (points x d) temporaries.
+_POINT_BLOCK = 256
+
+
 def weyl_expectation(rho: np.ndarray, xis) -> np.ndarray:
     """Tr(rho D(xi)) on the truncated space, over an array of displacements.
 
-    Uses D(|xi| e^{i phi}) = R V e^{-i|xi| w} V^dag R^dag, with (w, V) the
-    eigendecomposition of i(A^dag - A) (one per cutoff) and
-    R = e^{i phi A^dag A}.  Each distinct direction phi costs one O(d^3)
-    product for diag(V^dag R^dag rho R V); each point then costs O(d).
-    Directions are grouped on arg(xi) rounded to 14 decimals, so the points
-    of one ray share that product even when their phases differ in the last
-    bits.  Agrees with Tr(rho `displacement`(xi)) to roundoff.
+    rho must be Hermitian.  Uses D(|xi| e^{i phi}) = R V e^{-i|xi| w} V^dag R^dag,
+    with (w, V) the eigendecomposition of i(A^dag - A) (one per cutoff) and
+    R = e^{i phi A^dag A}.  The weights diag(V^dag R^dag rho R V)_k equal
+    G[0, k] + 2 Re sum_{q>0} e^{i phi q} G[q, k], where
+    G[q, k] = sum_m conj(V[m, k]) rho[m, m+q] V[m+q, k] sums rho along its
+    q-th diagonal (the diagonals below are the conjugates, as rho is
+    Hermitian).  So each state costs one O(d^3) pass to build G, each
+    distinct direction phi one (d-1)-term row product against G, and each
+    point O(d).  Directions are grouped on arg(xi) rounded to 14 decimals,
+    so the points of one ray share their weights even when their phases
+    differ in the last bits; the points are taken in blocks, sorted by
+    direction.  Agrees with Tr(rho `displacement`(xi)) to roundoff.
     """
     rho = np.asarray(rho)
-    w, v = _quadrature_eigh(rho.shape[0])
+    d = rho.shape[0]
+    w, v = _quadrature_eigh(d)
     z = np.asarray(xis, dtype=complex)
     flat = z.ravel()
     if not np.all(np.isfinite(flat)):
         raise InvalidParameterError("displacement amplitude must be finite")
+    vc = v.conj()
+    g = np.array([rho.diagonal(q) @ (vc[: d - q] * v[q:]) for q in range(d)])
     phis, ray = np.unique(np.round(np.angle(flat), 14), return_inverse=True)
+    order = np.argsort(ray, kind="stable")
     mags = np.abs(flat)
-    levels = np.arange(rho.shape[0])
+    offsets = np.arange(1, d)
     out = np.empty(flat.shape, dtype=complex)
-    for k, phi in enumerate(phis):
-        rot = np.exp(1j * phi * levels)                      # diagonal of R
-        rotated = rot.conj()[:, None] * rho * rot[None, :]   # R^dag rho R
-        weights = np.sum(v.conj() * (rotated @ v), axis=0)   # diag(V^dag . V)
-        on_ray = ray == k
-        out[on_ray] = np.exp(-1j * np.outer(mags[on_ray], w)) @ weights
+    for start in range(0, flat.size, _POINT_BLOCK):
+        idx = order[start : start + _POINT_BLOCK]
+        rays = ray[idx]  # sorted, so the block's directions are phis[lo : rays[-1] + 1]
+        lo = rays[0]
+        phases = np.exp(1j * np.outer(phis[lo : rays[-1] + 1], offsets))
+        weights = g[0].real + 2.0 * (phases @ g[1:]).real
+        out[idx] = np.einsum("pk,pk->p", np.exp(-1j * np.outer(mags[idx], w)), weights[rays - lo])
     return out.reshape(z.shape)
 
 

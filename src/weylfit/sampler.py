@@ -487,22 +487,31 @@ def dataset_to_string(records: Sequence[ShotRecord]) -> str:
 
 
 def dataset_from_csv(stream) -> list[ShotRecord]:
-    reader = csv.DictReader(stream)
-    if reader.fieldnames != CSV_FIELDS:
-        raise DatasetError(f"dataset header {reader.fieldnames} does not match {CSV_FIELDS}")
+    """The records of a dataset CSV with the `CSV_FIELDS` header.
+
+    Every row must hold exactly one cell per field; blank lines are
+    skipped.  A malformed row raises a DatasetError that names its line.
+    """
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header != CSV_FIELDS:
+        raise DatasetError(f"dataset header {header} does not match {CSV_FIELDS}")
     records = []
     for row in reader:
+        if not row:
+            continue
         try:
-            re_xi, im_xi, r, theta, n_bar = (float(row[k]) for k in CSV_FIELDS[:5])
+            if len(row) != len(CSV_FIELDS):
+                raise ValueError(f"{len(row)} cells where the header has {len(CSV_FIELDS)}")
+            re_xi, im_xi, r, theta, n_bar = map(float, row[:5])
             if not all(map(math.isfinite, (re_xi, im_xi, r, theta, n_bar))):
                 raise ValueError("non-finite value")
             point = MeasurementPoint(xi=complex(re_xi, im_xi), r=r, theta=theta, n_bar=n_bar)
-            records.append(ShotRecord(point=point, basis=row["basis"],
-                                      shots=int(row["shots"]),
-                                      plus_count=int(row["plus_count"]),
-                                      seed=int(row["seed"])))
-        except (ValueError, KeyError) as exc:
-            raise DatasetError(f"malformed dataset row {row}: {exc}") from exc
+            records.append(ShotRecord(point=point, basis=row[5], shots=int(row[6]),
+                                      plus_count=int(row[7]), seed=int(row[8])))
+        except (ValueError, DatasetError) as exc:
+            raise DatasetError(f"malformed dataset row on line {reader.line_num} "
+                               f"{row}: {exc}") from exc
     if not records:
         raise DatasetError("dataset contains no records")
     return records

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from weylfit import cli, config, estimator
+from weylfit import cli, config, estimator, sampler
 from weylfit.errors import IdentifiabilityWarning, TruncationWarning
 
 
@@ -219,6 +219,19 @@ class TestEstimate:
         assert cli.run(["--config", str(cfg), "estimate", str(bad)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["0.1,0,0.02", "0.1,0,0.02,0,0,x,100,50,7,extra"],
+                             ids=["short", "long"])
+    def test_row_of_the_wrong_width_is_input_error(self, tmp_path, capsys, row):
+        cfg = write_config(tmp_path / "run.yaml")
+        cli.run(["--config", str(cfg), "simulate"])
+        lines = (tmp_path / "out" / "dataset.csv").read_text().splitlines()
+        lines[2] = row
+        bad = tmp_path / "width.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli.run(["--config", str(cfg), "estimate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "cells where the header has 9" in err
+
 
 class TestCharfunc:
     def test_order2_grid_is_real(self, tmp_path):
@@ -253,6 +266,20 @@ class TestCharfunc:
             mirrored = table[(round(-x, 9), round(-y, 9))]
             assert mirrored.imag == pytest.approx(-chi.imag, abs=1e-10)
             assert mirrored.real == pytest.approx(chi.real, abs=1e-10)
+
+
+@pytest.mark.parametrize("args", [("charfunc", "--r", "0.25"),
+                                  ("sweep", "--xi-max-list", "1.0,2.0", "--r-max-list", "0.3,0.78")],
+                         ids=["charfunc", "sweep"])
+def test_csv_values_are_written_as_fmt_writes_each_one(tmp_path, monkeypatch, args):
+    cfg = write_config(tmp_path / "run.yaml", model={"n": 3 if args[0] == "charfunc" else 2},
+                       grid={"xi_max": 0.9, "r_max": 0.3, "d_xi": 0.1, "d_r": 0.1})
+    texts = []
+    for out in ("columns", "per-value"):
+        assert cli.run(["--config", str(cfg), "--out", str(tmp_path / out), *args]) == 0
+        texts.append(next((tmp_path / out).glob("*.csv")).read_bytes())
+        monkeypatch.setattr(cli, "_fmt_column", lambda values: [sampler._fmt(v) for v in values])
+    assert texts[0] == texts[1]
 
 
 class TestSweepAndExtrapolate:

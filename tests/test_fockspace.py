@@ -74,15 +74,48 @@ class TestDisplacement:
         assert dev <= 1e-9
 
 
+def random_density(cutoff, seed=5):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+    return g @ g.conj().T / np.trace(g @ g.conj().T)
+
+
+def order3_thermal_squeezed(cutoff):
+    # S_3 moves n by 3, so rho is non-zero only on diagonals whose offset is a multiple of 3
+    s = fs.squeeze_unitary(3, 0.39 + 0j, cutoff)
+    return s @ fs.thermal_state(0.1, cutoff) @ s.conj().T
+
+
+def rays_xis(n_rays, seed):
+    """One point on each of n_rays random directions, and a second on the first ten."""
+    rng = np.random.default_rng(seed)
+    phis = rng.uniform(-np.pi, np.pi, n_rays)
+    mags = rng.uniform(0.1, 2.0, n_rays + 10)
+    return mags * np.exp(1j * np.concatenate([phis, phis[:10]]))
+
+
+# several directions, two points on one ray, both signs of the real axis, and 0
+FEW_XIS = np.array([0.0, 0.7, 1.4, -1.3, 1.1j, -0.4 + 0.9j, 0.6 * np.exp(2.5j), 1.2 - 0.3j])
+
+
 class TestWeylExpectation:
-    @pytest.mark.parametrize("cutoff", [30, 100])
-    def test_matches_trace_against_displacement(self, cutoff):
-        rng = np.random.default_rng(5)
-        g = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
-        rho = g @ g.conj().T / np.trace(g @ g.conj().T)
-        # several directions, two points on one ray, both signs of the real axis, and 0
-        xis = np.array([0.0, 0.7, 1.4, -1.3, 1.1j, -0.4 + 0.9j, 0.6 * np.exp(2.5j), 1.2 - 0.3j])
+    @pytest.mark.parametrize("rho, xis", [
+        (random_density(30), FEW_XIS),
+        (random_density(100), FEW_XIS),
+        (random_density(30), rays_xis(60, 11)),
+        (order3_thermal_squeezed(100), rays_xis(12, 12)),
+    ], ids=["30", "100", "more-directions-than-cutoff", "order3-thermal-squeezed"])
+    def test_matches_trace_against_displacement(self, rho, xis):
+        cutoff = rho.shape[0]
         expected = np.array([np.trace(rho @ fs.displacement(x, cutoff)) for x in xis])
+        np.testing.assert_allclose(fs.weyl_expectation(rho, xis), expected, rtol=0, atol=1e-12)
+
+    def test_blocks_that_split_a_ray_keep_every_value(self, monkeypatch):
+        # 5 rays of 7 points taken 8 at a time: each block ends inside a ray
+        monkeypatch.setattr(fs, "_POINT_BLOCK", 8)
+        rho = random_density(20)
+        xis = np.outer(np.exp(1j * np.linspace(-3.0, 3.0, 5)), np.linspace(0.2, 2.0, 7)).ravel()
+        expected = np.array([np.trace(rho @ fs.displacement(x, 20)) for x in xis])
         np.testing.assert_allclose(fs.weyl_expectation(rho, xis), expected, rtol=0, atol=1e-12)
 
     def test_keeps_the_shape_and_rejects_non_finite(self):

@@ -1,6 +1,6 @@
 """Property tests: CSV round-trip, shot allocation, model bounds, typed
-errors on non-finite input, and heated prepared states that are density
-matrices."""
+errors on non-finite input, heated prepared states that are density
+matrices, and Tr(rho D(xi)) on Hermitian rho."""
 
 import csv
 import io
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylfit import config
+from weylfit import fockspace as fs
 from weylfit import sampler as sp
 from weylfit import series as dg
 from weylfit.errors import DatasetError, TruncationWarning
@@ -135,6 +136,18 @@ def test_heated_prepared_state_is_a_density_matrix(n, r, theta, rate):
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
     assert abs(np.trace(rho) - 1.0) <= 1e-10
     assert np.linalg.eigvalsh(rho).min() >= -1e-10
+
+
+@PROPERTY
+@given(st.integers(2, 16), st.integers(0, 2**32 - 1),
+       st.lists(st.builds(complex, reals(-3.0, 3.0), reals(-3.0, 3.0)), min_size=1, max_size=12))
+def test_weyl_expectation_is_the_trace_against_displacement(cutoff, seed, xis):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+    rho = g + g.conj().T  # Hermitian, not necessarily a state
+    expected = [np.trace(rho @ fs.displacement(x, cutoff)) for x in xis]
+    scale = np.abs(rho).sum()
+    np.testing.assert_allclose(fs.weyl_expectation(rho, xis), expected, rtol=0, atol=1e-13 * scale)
 
 
 def test_readme_config_block_lists_the_defaults():
