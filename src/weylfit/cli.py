@@ -71,7 +71,7 @@ def _float_list(text: str, option: str) -> list[float]:
     return values
 
 
-def _grid_points(cfg: config_mod.RunConfig) -> list[sampler.MeasurementPoint]:
+def _grid_points(cfg: config_mod.RunConfig) -> sampler.Design:
     g, m = cfg.grid, cfg.model
     if m["n"] == 2:
         return estimator.build_grid(g["xi_max"], g["r_max"], g["d_xi"], g["d_r"],
@@ -180,30 +180,29 @@ def cmd_charfunc(cfg: config_mod.RunConfig, args) -> int:
 
 def cmd_simulate(cfg: config_mod.RunConfig, args) -> int:
     points = _grid_points(cfg)
-    records = sampler.generate_dataset(
+    dataset = sampler.generate_dataset(
         points, cfg.shots["total"], cfg.model["n"], cfg.seed,
         chi_source=args.source, config=cfg.protocol_config(), jobs=args.jobs,
     )
     out = cfg.out_dir / "dataset.csv"
-    _atomic_write(out, sampler.dataset_to_string(records))
+    _atomic_write(out, sampler.dataset_to_string(dataset))
     _write_resolved(cfg, "dataset")
-    print(f"wrote {out} ({len(records)} records, {sum(r.shots for r in records)} shots)")
+    print(f"wrote {out} ({len(dataset)} records, {int(dataset.shots.sum())} shots)")
     return 0
 
 
 def cmd_estimate(cfg: config_mod.RunConfig, args) -> int:
     with open(args.dataset, newline="") as fh:
-        records = sampler.dataset_from_csv(fh)
+        dataset = sampler.dataset_from_csv(fh)
     model = estimator.ModelSpec(cfg.model["n"], cfg.model["n_B"], cfg.model["heating"])
-    report = estimator.minimize(estimator.FitProblem(model, records, cost=args.cost))
+    report = estimator.minimize(estimator.FitProblem(model, dataset, cost=args.cost))
 
     if not model.heating:
-        first_basis = sampler.bases_for_order(model.n)[0]
-        points = [r.point for r in records if r.basis == first_basis]
-        shots = {b: np.array([r.shots for r in records if r.basis == b])
-                 for b in sampler.bases_for_order(model.n)}
+        # each part's bias on the rows of its own basis
+        parts = {b: dataset.in_basis(b) for b in sampler.bases_for_order(model.n)}
         theta_star = series.truth_coefficients(model.n, model.n_bar)
-        bias = estimator.systematic_bias(theta_star, points, shots,
+        bias = estimator.systematic_bias(theta_star, {b: p.points for b, p in parts.items()},
+                                         {b: p.shots for b, p in parts.items()},
                                          cutoff=cfg.protocol["cutoff"])
         report.bias_sys = bias
         report.mse = np.abs(bias) ** 2 + report.std**2
@@ -369,7 +368,7 @@ def _validate_checks(cfg: config_mod.RunConfig):
         pcfg = cfg.protocol_config()
         worst = 0.0
         for r in (0.1, 0.25):
-            points = [sampler.MeasurementPoint(xi=complex(x), r=r) for x in (0.5, 1.0, 1.5)]
+            points = sampler.Design([0.5, 1.0, 1.5], r)
             chis = sampler.simulate_chi_grid(points, 2, pcfg)
             exact = sampler.analytic_chi_grid(points, 2, pcfg.cutoff)
             worst = max(worst, float(np.max(np.abs(chis - exact))))

@@ -38,7 +38,7 @@ from .errors import (
     RankDeficiencyError,
     UnsupportedOrderError,
 )
-from .sampler import MeasurementPoint, ShotRecord
+from .sampler import Dataset, Design, MeasurementPoint
 
 # Probability floor inside logs; the clip makes p = 0 or 1 reachable.
 EPS_P = 1e-9
@@ -87,33 +87,32 @@ class FitProblem:
     """Dataset plus model and cost selection."""
 
     model: ModelSpec
-    records: list[ShotRecord]
+    dataset: Dataset
     cost: str = "ls"
 
     def __post_init__(self):
-        if not self.records:
+        if not len(self.dataset):
             raise DatasetError("fit problem needs a non-empty dataset")
         if self.cost not in ("ls", "ml"):
             raise InvalidParameterError(f"cost must be 'ls' or 'ml', got {self.cost!r}")
-        bases = {rec.basis for rec in self.records}
+        # sets of the distinct values: a plain np.unique would import numpy.ma (about 20 ms)
+        bases = {sampler.BASES[code] for code in set(self.dataset.basis.tolist())}
         needed = set(sampler.bases_for_order(self.model.n))
         if not needed <= bases:
             raise DatasetError(f"model order {self.model.n} needs bases {sorted(needed)}, "
                                f"dataset has {sorted(bases)}")
-        n_bars = {rec.point.n_bar for rec in self.records}
+        n_bars = set(self.dataset.points.n_bar.tolist())
         if any(not math.isclose(nb, self.model.n_bar, rel_tol=1e-9, abs_tol=1e-12)
                for nb in n_bars):
             raise DatasetError(f"dataset occupations n_B {sorted(n_bars)} differ from the "
                                f"model's n_B = {self.model.n_bar}")
 
     def subproblems(self) -> list[_Subproblem]:
-        """One subproblem per model part, from the records of its basis."""
+        """One subproblem per model part, from the rows of its basis."""
         subs = []
         for part, (basis, *_) in enumerate(series.PARTS[self.model.n]):
-            rows = [rec for rec in self.records if rec.basis == basis]
-            subs.append(_subproblem(self.model, part, _columns([rec.point for rec in rows]),
-                                    [rec.shots for rec in rows],
-                                    [rec.frequency for rec in rows]))
+            rows = self.dataset.in_basis(basis)
+            subs.append(_subproblem(self.model, part, rows.points, rows.shots, rows.frequency))
         return subs
 
 
@@ -170,32 +169,32 @@ class _Subproblem:
         return np.maximum(raw, 1.0 / (4.0 * self.shots.astype(float) ** 2))
 
 
-def _columns(points: Sequence[MeasurementPoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A point design as its (xi, r, squeeze phase) columns."""
-    return (np.array([p.xi for p in points], dtype=complex),
-            np.array([p.r for p in points], dtype=float),
-            np.array([p.theta for p in points], dtype=float))
-
-
-def _subproblem(model: ModelSpec, part: int, columns, shots, freq=None) -> _Subproblem:
-    xi, r, phase = columns
+def _subproblem(model: ModelSpec, part: int, design: Design, shots, freq=None) -> _Subproblem:
     return _Subproblem(
-        n=model.n, part=part, nu=model.nu, heated=model.heating, xi=xi, r=r, phase=phase,
-        shots=np.asarray(shots, dtype=int),
-        freq=np.zeros(len(xi)) if freq is None else np.asarray(freq, dtype=float),
+        n=model.n, part=part, nu=model.nu, heated=model.heating, xi=design.xi, r=design.r,
+        phase=design.theta, shots=np.asarray(shots, dtype=int),
+        freq=np.zeros(len(design)) if freq is None else np.asarray(freq, dtype=float),
     )
 
 
-def _design(model: ModelSpec, columns, shots, chi: np.ndarray | None = None) -> list[_Subproblem]:
-    """One subproblem per part on a design given as `_columns`.
+def _part_designs(model: ModelSpec, points) -> list[Design]:
+    """The design of each model part: ``points`` for every part, or, when
+    ``points`` is a dict keyed by basis, the entry of the part's basis."""
+    if isinstance(points, dict):
+        return [Design.of(points[basis]) for basis, *_ in series.PARTS[model.n]]
+    return [Design.of(points)] * len(series.PARTS[model.n])
 
-    With ``chi`` given, the frequencies are its exact probabilities (the
-    infinite-shot limit); otherwise they are left at zero.
+
+def _design(model: ModelSpec, designs: list[Design], shots,
+            chis: list[np.ndarray] | None = None) -> list[_Subproblem]:
+    """One subproblem per part, on that part's design.
+
+    With ``chis`` given, one per part, the frequencies are their exact
+    probabilities (the infinite-shot limit); otherwise they are left at zero.
     """
-    n_points = len(columns[0])
-    return [_subproblem(model, part, columns, _coerce_allocation(shots, n_points, basis),
-                        None if chi is None else np.clip(_born(chi, part), 0.0, 1.0))
-            for part, (basis, *_) in enumerate(series.PARTS[model.n])]
+    return [_subproblem(model, part, design, _coerce_allocation(shots, len(design), basis),
+                        None if chis is None else np.clip(_born(chis[part], part), 0.0, 1.0))
+            for part, ((basis, *_), design) in enumerate(zip(series.PARTS[model.n], designs))]
 
 
 def _born(chi: np.ndarray, part: int) -> np.ndarray:
@@ -362,7 +361,7 @@ def minimize(problem: FitProblem) -> EstimationReport:
         c_h=c_h,
         c_h_std=float(np.sqrt(var[size])) if model.heating else None,
         diagnostics={"parts": diags, "cost_kind": problem.cost,
-                     "n_records": len(problem.records), "fisher_condition": condition,
+                     "n_records": len(problem.dataset), "fisher_condition": condition,
                      "identifiable": identifiable},
     )
 
@@ -413,47 +412,57 @@ def _fisher_parts(subs: list[_Subproblem], packed: list[np.ndarray]):
     return parts, info
 
 
-def fisher_information(theta: CoefficientVector, points: Sequence[MeasurementPoint],
+def fisher_information(theta: CoefficientVector, points: Design | Sequence[MeasurementPoint],
                        shots, check: bool = True) -> np.ndarray:
     """Total Fisher information I = sum_k N_k I_k of the unheated model at theta.
 
     Real parameter ordering: the 3 coefficients for order 2, or
-    [Re theta..., Im theta...] for order 3.  Raises RankDeficiencyError
-    naming the flat direction when singular (suppressed with ``check=False``).
+    [Re theta..., Im theta...] for order 3.  ``points`` and ``shots`` may
+    each be a dict keyed by basis, giving each part its own rows.  Raises
+    RankDeficiencyError naming the flat direction when singular
+    (suppressed with ``check=False``).
     """
     model = ModelSpec(theta.n, theta.n_bar)
-    _, info = _fisher_parts(_design(model, _columns(points), shots), _pack_theta(model, theta))
+    _, info = _fisher_parts(_design(model, _part_designs(model, points), shots),
+                            _pack_theta(model, theta))
     if check:
         _checked_eigh(info)
     return info
 
 
-def systematic_bias(theta_star: CoefficientVector, points: Sequence[MeasurementPoint],
+def systematic_bias(theta_star: CoefficientVector, points: Design | Sequence[MeasurementPoint],
                     shots, cutoff: int = fockspace.DEFAULT_CUTOFF) -> np.ndarray:
     """Linearized truncation bias I^-1 F (p_exact - p_model) at theta_star.
 
     The exact probabilities come from the closed forms (order 2) or the
     Fock-space numerics (order 3) at the grid's own thermal occupation.
+    ``points`` and ``shots`` may each be a dict keyed by basis, giving each
+    part its own rows; parts on equal designs share one exact chi.
     """
-    return _bias_and_information(
-        theta_star, _columns(points), shots,
-        lambda: sampler.analytic_chi_grid(points, theta_star.n, cutoff))[0]
+    model = ModelSpec(theta_star.n, theta_star.n_bar)
+    designs = _part_designs(model, points)
+
+    def exact_chi():
+        first = sampler.analytic_chi_grid(designs[0], model.n, cutoff)
+        return [first if design == designs[0] else
+                sampler.analytic_chi_grid(design, model.n, cutoff) for design in designs]
+
+    return _bias_and_information(theta_star, _design(model, designs, shots), exact_chi)[0]
 
 
-def _bias_and_information(theta_star: CoefficientVector, columns, shots,
+def _bias_and_information(theta_star: CoefficientVector, subs: list[_Subproblem],
                           exact_chi) -> tuple[np.ndarray, np.ndarray]:
-    """`systematic_bias` on a design given as `_columns`, and the Fisher information I.
+    """`systematic_bias` on the parts' subproblems, and the Fisher information I.
 
-    ``exact_chi()`` returns the untruncated chi of the design's rows; it is
+    ``exact_chi()`` returns the untruncated chi of each part's rows; it is
     called only once I has passed the rank check, so a singular design
     raises RankDeficiencyError before any exact chi is computed.
     """
     model = ModelSpec(theta_star.n, theta_star.n_bar)
-    parts, info = _fisher_parts(_design(model, columns, shots), _pack_theta(model, theta_star))
+    parts, info = _fisher_parts(subs, _pack_theta(model, theta_star))
     _checked_eigh(info)
-    chi = exact_chi()
     rhs = np.concatenate([dp_w.T @ (_born(chi, part) - p)
-                          for part, (p, dp_w) in enumerate(parts)])
+                          for part, ((p, dp_w), chi) in enumerate(zip(parts, exact_chi()))])
     delta = np.linalg.solve(info, rhs)
     if model.n == 2:
         return delta.astype(complex), info
@@ -483,24 +492,26 @@ def grid_axes(xi_max: float, r_max: float, d_xi: float,
 
 
 def build_grid(xi_max: float, r_max: float, d_xi: float, d_r: float,
-               n_bar: float = 0.0) -> list[MeasurementPoint]:
+               n_bar: float = 0.0) -> Design:
     """Square lattice of real displacements on `grid_axes`, r-major, at squeeze phase 0."""
     xis, rs = grid_axes(xi_max, r_max, d_xi, d_r)
-    return [MeasurementPoint(xi=complex(x), r=float(r), n_bar=n_bar)
-            for r in rs for x in xis]
+    return Design(np.tile(xis, len(rs)), np.repeat(rs, len(xis)), n_bar=n_bar)
 
 
 def build_grid_complex(re_max: float, im_max: float, r_max: float,
                        n_re: int = 10, n_im: int = 10, n_r: int = 3,
-                       n_bar: float = 0.0) -> list[MeasurementPoint]:
-    """3-D grid over (Re xi, Im xi, r) for the order-3 estimator, at squeeze phase 0."""
+                       n_bar: float = 0.0) -> Design:
+    """3-D grid over (Re xi, Im xi, r) for the order-3 estimator, r-major then
+    Im xi, at squeeze phase 0."""
     if min(n_re, n_im, n_r) < 1:
         raise InvalidParameterError("grid needs at least one point per axis")
     res = np.linspace(0.0, re_max, n_re)
     ims = np.linspace(0.0, im_max, n_im)
     rs = np.linspace(0.0, r_max, n_r)
-    return [MeasurementPoint(xi=complex(x, y), r=float(r), n_bar=n_bar)
-            for r in rs for y in ims for x in res]
+    xi = np.empty(n_r * n_im * n_re, dtype=complex)
+    xi.real = np.tile(res, n_r * n_im)
+    xi.imag = np.tile(np.repeat(ims, n_re), n_r)
+    return Design(xi, np.repeat(rs, n_im * n_re), n_bar=n_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +542,7 @@ def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots:
     reads slices of them.
     """
     theta_star = series.truth_coefficients(2, n_bar)
+    model = ModelSpec(2, n_bar)
     xi_maxes = np.asarray(list(xi_maxes), dtype=float)
     r_maxes = np.asarray(list(r_maxes), dtype=float)
     xi_axis, r_axis = grid_axes(xi_maxes.max(), r_maxes.max(), d_xi, d_r)
@@ -541,12 +553,11 @@ def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots:
     for i, r_max in enumerate(r_maxes):
         for j, xi_max in enumerate(xi_maxes):
             n_xi, n_r = map(len, grid_axes(xi_max, r_max, d_xi, d_r))
-            columns = (np.tile(xi_axis[:n_xi], n_r), np.repeat(r_axis[:n_r], n_xi),
-                       np.zeros(n_xi * n_r))
+            design = Design(np.tile(xi_axis[:n_xi], n_r), np.repeat(r_axis[:n_r], n_xi))
             alloc = sampler.allocate_shots(n_xi * n_r, total_shots)
             try:
-                bias, info = _bias_and_information(theta_star, columns, alloc,
-                                                   lambda: chi[:n_r, :n_xi].ravel())
+                bias, info = _bias_and_information(theta_star, _design(model, [design], alloc),
+                                                   lambda: [chi[:n_r, :n_xi].ravel()])
             except RankDeficiencyError:
                 # single-r designs leave c1 and c2 exactly collinear;
                 # the expected error along the flat direction is unbounded
@@ -607,7 +618,7 @@ def zero_noise_extrapolate(reports: Sequence[EstimationReport],
 # ---------------------------------------------------------------------------
 
 
-def fit_exact_frequencies(points: Sequence[MeasurementPoint], model: ModelSpec,
+def fit_exact_frequencies(points: Design | Sequence[MeasurementPoint], model: ModelSpec,
                           shots, chi_values: np.ndarray | None = None,
                           cost: str = "ml"):
     """Fit in the infinite-shot limit, with frequencies set to the exact
@@ -616,13 +627,16 @@ def fit_exact_frequencies(points: Sequence[MeasurementPoint], model: ModelSpec,
     Isolates the systematic (truncation) part of the estimate: the result
     should sit at theta_star plus the linearized bias.
     """
+    design = Design.of(points)
     if chi_values is None:
-        chi_values = sampler.analytic_chi_grid(points, model.n)
-    coeffs, c_h, _ = _fit(model, _design(model, _columns(points), shots, chi_values), cost)
+        chi_values = sampler.analytic_chi_grid(design, model.n)
+    n_parts = len(series.PARTS[model.n])
+    coeffs, c_h, _ = _fit(model, _design(model, [design] * n_parts, shots,
+                                         [chi_values] * n_parts), cost)
     return coeffs, c_h
 
 
-def monte_carlo_recovery(points: Sequence[MeasurementPoint], model: ModelSpec,
+def monte_carlo_recovery(points: Design | Sequence[MeasurementPoint], model: ModelSpec,
                          total_shots: int, repeats: int, seed: int,
                          chi_values: np.ndarray | None = None, cost: str = "ls"):
     """Repeated seeded fits against freshly sampled datasets.
@@ -633,17 +647,17 @@ def monte_carlo_recovery(points: Sequence[MeasurementPoint], model: ModelSpec,
     faster than the per-point streams of `generate_dataset` and equally
     reproducible.
     """
+    design = Design.of(points)
     if chi_values is None:
-        chi_values = sampler.analytic_chi_grid(points, model.n)
+        chi_values = sampler.analytic_chi_grid(design, model.n)
     n_parts = len(series.PARTS[model.n])
-    alloc = sampler.allocate_shots(len(points) * n_parts, total_shots).reshape(n_parts, -1)
+    alloc = sampler.allocate_shots(len(design) * n_parts, total_shots).reshape(n_parts, -1)
     probs = [np.clip(_born(chi_values, part), 0.0, 1.0) for part in range(n_parts)]
-    columns = _columns(points)
     thetas = np.empty((repeats, model.n_coeffs), dtype=complex)
     c_hs = np.empty(repeats) if model.heating else None
     for m in range(repeats):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
-        subs = [_subproblem(model, part, columns, alloc[part],
+        subs = [_subproblem(model, part, design, alloc[part],
                             rng.binomial(alloc[part], probs[part]) / alloc[part])
                 for part in range(n_parts)]
         coeffs, c_h, _ = _fit(model, subs, cost)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import csv
 import io
-import math
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,13 +51,18 @@ OMEGA_ETA_DEFAULT = 2.0 * np.pi * 4.7e3      # phase-space displacement rate, ra
 PULSE_TOLERANCE = 1e-9
 
 BASIS_CODES = {"x": 0, "y": 1}
+BASES = tuple(BASIS_CODES)  # the basis of each code
 
 CSV_FIELDS = ["re_xi", "im_xi", "r", "theta", "n_B", "basis", "shots", "plus_count", "seed"]
+
+# Rows parsed from a CSV, or turned into per-row objects, together: bounds
+# the row text and Python objects held at once
+_ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
 class MeasurementPoint:
-    """One experimental configuration at which shots are taken."""
+    """One experimental configuration at which shots are taken; one row of a `Design`."""
 
     xi: complex
     r: float
@@ -73,7 +78,8 @@ class MeasurementPoint:
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Raw measurement unit: a point, a Pauli basis, and a +1 outcome count."""
+    """Raw measurement unit: a point, a Pauli basis, and a +1 outcome count;
+    one row of a `Dataset`."""
 
     point: MeasurementPoint
     basis: str
@@ -92,6 +98,132 @@ class ShotRecord:
     @property
     def frequency(self) -> float:
         return self.plus_count / self.shots
+
+
+def _column(values, n: int, dtype) -> np.ndarray:
+    """``values`` as a new 1-D array of n entries; a scalar fills the column."""
+    col = np.array(values, dtype=dtype)
+    if col.ndim == 0:
+        return np.full(n, col)
+    if col.shape != (n,):
+        raise InvalidParameterError(f"a column of shape {col.shape} for {n} rows")
+    return col
+
+
+class Design:
+    """A measurement design as columns, one entry per point: xi (complex),
+    r, theta and n_bar.
+
+    The constructor checks every row at once, by the rules of
+    `MeasurementPoint`.  Iterating or indexing a design builds its
+    `MeasurementPoint`s on demand.
+    """
+
+    __slots__ = ("xi", "r", "theta", "n_bar")
+
+    def __init__(self, xi, r, theta=0.0, n_bar=0.0):
+        self.xi = np.array(xi, dtype=complex, ndmin=1)
+        if self.xi.ndim != 1:
+            raise InvalidParameterError(f"design xi must be 1-D, got shape {self.xi.shape}")
+        n = len(self.xi)
+        self.r, self.theta, self.n_bar = (_column(v, n, float) for v in (r, theta, n_bar))
+        if np.any(self.r < 0):
+            raise InvalidParameterError("squeezing amplitude must be non-negative")
+        if np.any(self.n_bar < 0):
+            raise InvalidParameterError("mean occupation must be non-negative")
+
+    @classmethod
+    def of(cls, points: Design | Sequence[MeasurementPoint]) -> Design:
+        """``points`` as a Design: itself if it is one, else its points' columns."""
+        if isinstance(points, Design):
+            return points
+        points = list(points)
+        return cls([p.xi for p in points], [p.r for p in points], [p.theta for p in points],
+                   [p.n_bar for p in points])
+
+    def select(self, rows) -> Design:
+        """The design of the given rows (an index array or a boolean mask)."""
+        return Design(self.xi[rows], self.r[rows], self.theta[rows], self.n_bar[rows])
+
+    def __len__(self) -> int:
+        return len(self.xi)
+
+    def __iter__(self):
+        for start in range(0, len(self), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            yield from map(MeasurementPoint, self.xi[rows].tolist(), self.r[rows].tolist(),
+                           self.theta[rows].tolist(), self.n_bar[rows].tolist())
+
+    def __getitem__(self, i) -> MeasurementPoint:
+        return MeasurementPoint(complex(self.xi[i]), float(self.r[i]), float(self.theta[i]),
+                                float(self.n_bar[i]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Design):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in self.__slots__)
+
+
+class Dataset:
+    """Shot records as columns: a `Design` with one point per record, and
+    each record's basis code (`BASIS_CODES`), shots, +1 count and seed word.
+
+    The constructor checks every row at once, by the rules of `ShotRecord`.
+    Iterating or indexing a dataset builds its `ShotRecord`s on demand.
+    """
+
+    __slots__ = ("points", "basis", "shots", "plus_count", "seed")
+
+    def __init__(self, points: Design, basis, shots, plus_count, seed):
+        n = len(points)
+        self.points = points
+        self.basis, self.shots, self.plus_count = (_column(v, n, np.int64)
+                                                   for v in (basis, shots, plus_count))
+        self.seed = _column(seed, n, np.uint64)
+        if not np.all((self.basis >= 0) & (self.basis < len(BASES))):
+            raise DatasetError(f"basis codes must be one of {BASIS_CODES}")
+        if not np.all((self.plus_count >= 0) & (self.plus_count <= self.shots)):
+            raise DatasetError("plus_count must lie in [0, shots]")
+        if np.any(self.shots < 1):
+            raise DatasetError("shots must be at least 1")
+
+    @classmethod
+    def from_records(cls, records: Sequence[ShotRecord]) -> Dataset:
+        records = list(records)
+        return cls(Design.of([rec.point for rec in records]),
+                   [BASIS_CODES[rec.basis] for rec in records], [rec.shots for rec in records],
+                   [rec.plus_count for rec in records], [rec.seed for rec in records])
+
+    @property
+    def frequency(self) -> np.ndarray:
+        return self.plus_count / self.shots
+
+    def in_basis(self, basis: str) -> Dataset:
+        """The records measured in ``basis``, in dataset order."""
+        rows = self.basis == BASIS_CODES[basis]
+        return Dataset(self.points.select(rows), self.basis[rows], self.shots[rows],
+                       self.plus_count[rows], self.seed[rows])
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+    def __iter__(self):
+        for start in range(0, len(self), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            yield from map(ShotRecord, self.points.select(rows),
+                           [BASES[c] for c in self.basis[rows].tolist()],
+                           self.shots[rows].tolist(), self.plus_count[rows].tolist(),
+                           self.seed[rows].tolist())
+
+    def __getitem__(self, i) -> ShotRecord:
+        return ShotRecord(self.points[i], BASES[self.basis[i]], int(self.shots[i]),
+                          int(self.plus_count[i]), int(self.seed[i]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.points == other.points and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in self.__slots__[1:])
 
 
 def born_probabilities(chi):
@@ -181,9 +313,9 @@ def record_state_words(master_seed: int, point_indices: np.ndarray,
 
 
 def _draw_counts(seed: int, chis: np.ndarray, bases: Sequence[str],
-                 shots: list[int]) -> tuple[list[int], list[int]]:
-    """(+1 counts, CSV seed words) of the records, basis-major: every point
-    in the first basis, then every point in the next.
+                 shots: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(+1 counts, CSV seed words) of the records as arrays, basis-major:
+    every point in the first basis, then every point in the next.
 
     Record k draws B(shots[k], p) from Generator(PCG64) seeded with its
     `record_state_words` row, which is its `record_seed_sequence` stream.
@@ -211,7 +343,7 @@ def _draw_counts(seed: int, chis: np.ndarray, bases: Sequence[str],
 
     counts = [int(Generator(PCG64(StateWords(state))).binomial(n, p))
               for state, n, p in zip(words, shots, p_plus.tolist(), strict=True)]
-    return counts, words[:, 0].tolist()
+    return np.array(counts, dtype=np.int64), words[:, 0]
 
 
 def allocate_shots(n_points: int, total: int) -> np.ndarray:
@@ -230,21 +362,37 @@ def allocate_shots(n_points: int, total: int) -> np.ndarray:
     return alloc
 
 
-def _group_states(points: Sequence[MeasurementPoint]) -> dict[tuple, list[int]]:
-    """Point indices per prepared state (r, theta, n_bar), in first-seen order."""
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(points):
-        groups.setdefault((p.r, p.theta, p.n_bar), []).append(i)
-    return groups
+def _equal_runs(*columns: np.ndarray) -> list[np.ndarray]:
+    """The row indices of each distinct row of equal-length columns, in sorted
+    row order, each ascending.
+
+    One stable `np.lexsort`: `np.unique` would also page in about 0.4 MB
+    of numpy's sort code on its first call.
+    """
+    order = np.lexsort(columns[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    return np.split(order, np.flatnonzero(starts))[1:]
 
 
-def analytic_chi_grid(points: Sequence[MeasurementPoint], n: int,
+def _group_states(design: Design) -> list[tuple[tuple[float, float, float], np.ndarray]]:
+    """Each prepared state (r, theta, n_bar) of a design, in sorted order, with
+    the ascending indices of its points."""
+    columns = (design.r, design.theta, design.n_bar)
+    return [(tuple(float(c[idx[0]]) for c in columns), idx) for idx in _equal_runs(*columns)]
+
+
+def analytic_chi_grid(points: Design | Sequence[MeasurementPoint], n: int,
                       cutoff: int = fockspace.DEFAULT_CUTOFF) -> np.ndarray:
     """Reference chi per point (`charfunc.chi_reference`), one call per state."""
-    out = np.empty(len(points), dtype=complex)
-    for (r, theta, n_bar), idx in _group_states(points).items():
-        xis = np.array([points[i].xi for i in idx])
-        out[idx] = charfunc.chi_reference(xis, charfunc.SqueezeSpec(n=n, r=r, theta=theta),
+    design = Design.of(points)
+    out = np.empty(len(design), dtype=complex)
+    for (r, theta, n_bar), idx in _group_states(design):
+        out[idx] = charfunc.chi_reference(design.xi[idx],
+                                          charfunc.SqueezeSpec(n=n, r=r, theta=theta),
                                           n_bar, cutoff)
     return out
 
@@ -372,7 +520,7 @@ def probe_coherences(rho_b: np.ndarray, config: ProtocolConfig,
     return chi * np.exp(-config.heating_rate * mags**3 / (3.0 * config.omega_eta))
 
 
-def simulate_chi_grid(points: Sequence[MeasurementPoint], n: int,
+def simulate_chi_grid(points: Design | Sequence[MeasurementPoint], n: int,
                       config: ProtocolConfig, jobs: int = 1) -> np.ndarray:
     """Protocol chi-hat over a grid, one state preparation per (r, theta, n_bar).
 
@@ -380,18 +528,20 @@ def simulate_chi_grid(points: Sequence[MeasurementPoint], n: int,
     points.  ``jobs`` > 1 fans the independent preparations out over worker
     threads (BLAS releases the GIL during the matmuls).
     """
-    out = np.empty(len(points), dtype=complex)
+    design = Design.of(points)
+    out = np.empty(len(design), dtype=complex)
 
     def run_state(key_idx):
         (r, theta, n_bar), idx = key_idx
         rho_b = prepare_state(n, r, theta, n_bar, config)
-        rays: dict[float, list[int]] = {}
-        for i in idx:
-            rays.setdefault(round(float(np.angle(points[i].xi)), 12), []).append(i)
-        for dphi, ray in rays.items():
-            out[ray] = probe_coherences(rho_b, config, dphi, [abs(points[i].xi) for i in ray])
+        xis = design.xi[idx]
+        dphis = np.array([round(a, 12) for a in np.angle(xis).tolist()])
+        # Python's abs(complex): np.abs can differ from it in the last bit
+        mags = np.array(list(map(abs, xis.tolist())))
+        for ray in _equal_runs(dphis):
+            out[idx[ray]] = probe_coherences(rho_b, config, float(dphis[ray[0]]), mags[ray])
 
-    items = list(_group_states(points).items())
+    items = _group_states(design)
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -413,11 +563,11 @@ def bases_for_order(n: int) -> tuple[str, ...]:
     return tuple(basis for basis, *_ in series.PARTS[n])
 
 
-def generate_dataset(points: Sequence[MeasurementPoint], total_shots: int, n: int,
+def generate_dataset(points: Design | Sequence[MeasurementPoint], total_shots: int, n: int,
                      seed: int, chi_source: str = "analytic",
                      config: ProtocolConfig | None = None,
                      chi_values: np.ndarray | None = None,
-                     jobs: int = 1) -> list[ShotRecord]:
+                     jobs: int = 1) -> Dataset:
     """Simulate a full shot dataset over the measurement grid.
 
     ``chi_source`` selects the probability model: 'analytic' closed
@@ -426,8 +576,11 @@ def generate_dataset(points: Sequence[MeasurementPoint], total_shots: int, n: in
     protocol simulation.  Precomputed ``chi_values`` short-circuit
     either source.
     The RNG stream of each record depends only on (seed, point index,
-    basis), so results are independent of evaluation order.
+    basis), so results are independent of evaluation order.  The records
+    run basis-major: every point in the first basis, then every point in
+    the next.
     """
+    points = Design.of(points)
     if len(points) == 0:
         raise DatasetError("measurement grid is empty")
     bases = bases_for_order(n)
@@ -445,11 +598,11 @@ def generate_dataset(points: Sequence[MeasurementPoint], total_shots: int, n: in
 
     if chis.shape != (len(points),):
         raise InvalidParameterError(f"{chis.shape} chi values for {len(points)} points")
-    alloc = allocate_shots(len(points) * len(bases), total_shots).tolist()
-    counts, seeds = _draw_counts(seed, chis, bases, alloc)
-    keys = ((basis, point) for basis in bases for point in points)
-    return [ShotRecord(point=point, basis=basis, shots=shots, plus_count=count, seed=word)
-            for (basis, point), shots, count, word in zip(keys, alloc, counts, seeds, strict=True)]
+    alloc = allocate_shots(len(points) * len(bases), total_shots)
+    counts, seeds = _draw_counts(seed, chis, bases, alloc.tolist())
+    rows = np.tile(np.arange(len(points)), len(bases))
+    return Dataset(points.select(rows), np.repeat([BASIS_CODES[b] for b in bases], len(points)),
+                   alloc, counts, seeds)
 
 
 def _fmt(value: float) -> str:
@@ -463,55 +616,97 @@ def _fmt_column(values) -> list[str]:
     Floats are told apart by their bits: -0.0 == 0.0, but `_fmt` writes
     them as "-0" and "0".
     """
-    bits = np.fromiter(values, dtype=float).view(np.int64).tolist()
+    bits = np.asarray(values, dtype=float).view(np.int64).tolist()
     distinct = list(dict.fromkeys(bits))
     texts = dict(zip(distinct, map(_fmt, np.array(distinct, dtype=np.int64).view(float))))
     return list(map(texts.__getitem__, bits))
 
 
-def dataset_to_csv(records: Sequence[ShotRecord], stream) -> None:
-    points = [rec.point for rec in records]
-    floats = [_fmt_column(p.xi.real for p in points), _fmt_column(p.xi.imag for p in points),
-              _fmt_column(p.r for p in points), _fmt_column(p.theta for p in points),
-              _fmt_column(p.n_bar for p in points)]
+def dataset_to_csv(records: Dataset, stream) -> None:
+    points = records.points
+    floats = [_fmt_column(c) for c in (points.xi.real, points.xi.imag, points.r, points.theta,
+                                       points.n_bar)]
     writer = csv.writer(stream)
     writer.writerow(CSV_FIELDS)
-    writer.writerows(zip(*floats, (rec.basis for rec in records), (rec.shots for rec in records),
-                         (rec.plus_count for rec in records), (rec.seed for rec in records)))
+    writer.writerows(zip(*floats, [BASES[c] for c in records.basis.tolist()],
+                         records.shots.tolist(), records.plus_count.tolist(),
+                         records.seed.tolist()))
 
 
-def dataset_to_string(records: Sequence[ShotRecord]) -> str:
+def dataset_to_string(records: Dataset) -> str:
     buf = io.StringIO()
     dataset_to_csv(records, buf)
     return buf.getvalue()
 
 
-def dataset_from_csv(stream) -> list[ShotRecord]:
-    """The records of a dataset CSV with the `CSV_FIELDS` header.
+# What a bad cell or row raises while a dataset is parsed and checked
+_ROW_ERRORS = (ValueError, OverflowError, DatasetError, InvalidParameterError)
+
+
+def _parse_rows(rows: list[list[str]]) -> Dataset:
+    """The dataset of CSV rows, parsed and checked column by column.
+
+    Raises one of `_ROW_ERRORS` if any row is bad, though not always for
+    the earliest bad row.
+    """
+    widths = set(map(len, rows)) - {len(CSV_FIELDS)}
+    if widths:
+        raise ValueError(f"{widths.pop()} cells where the header has {len(CSV_FIELDS)}")
+    n = len(rows)
+    cols = list(zip(*rows))
+    re_xi, im_xi, r, theta, n_bar = (np.fromiter(map(float, c), float, n) for c in cols[:5])
+    if not all(np.isfinite(c).all() for c in (re_xi, im_xi, r, theta, n_bar)):
+        raise ValueError("non-finite value")
+    xi = np.empty(n, dtype=complex)
+    xi.real, xi.imag = re_xi, im_xi
+    points = Design(xi, r, theta, n_bar)
+    shots, plus_count = (np.fromiter(map(int, c), np.int64, n) for c in cols[6:8])
+    try:
+        seed = np.fromiter(map(int, cols[8]), np.uint64, n)
+    except OverflowError:
+        raise DatasetError("seed must lie in [0, 2**64)") from None
+    codes = list(map(BASIS_CODES.get, cols[5]))
+    if None in codes:
+        raise DatasetError(f"basis must be 'x' or 'y', got {cols[5][codes.index(None)]!r}")
+    return Dataset(points, codes, shots, plus_count, seed)
+
+
+def _parse_block(numbered: list[tuple[int, list[str]]]) -> Dataset:
+    """`_parse_rows` of (line number, row) pairs; a bad row raises a
+    DatasetError that names the earliest one and its line."""
+    try:
+        return _parse_rows([row for _, row in numbered])
+    except _ROW_ERRORS:
+        # every check is per row, so some row fails on its own: name the earliest
+        for line, row in numbered:
+            try:
+                _parse_rows([row])
+            except _ROW_ERRORS as exc:
+                raise DatasetError(f"malformed dataset row on line {line} {row}: {exc}") from exc
+        raise
+
+
+def dataset_from_csv(stream) -> Dataset:
+    """The dataset of a CSV with the `CSV_FIELDS` header.
 
     Every row must hold exactly one cell per field; blank lines are
-    skipped.  A malformed row raises a DatasetError that names its line.
+    skipped.  Each cell parses as `float` or `int` parses it, every value
+    must be finite, each row must pass the checks of `Design` and
+    `Dataset`, and a seed must lie in [0, 2**64).  The rows are parsed and
+    checked as columns, `_ROW_BLOCK` rows at a time; a malformed row raises
+    a DatasetError that names the earliest bad row and its line.
     """
     reader = csv.reader(stream)
     header = next(reader, None)
     if header != CSV_FIELDS:
         raise DatasetError(f"dataset header {header} does not match {CSV_FIELDS}")
-    records = []
-    for row in reader:
-        if not row:
-            continue
-        try:
-            if len(row) != len(CSV_FIELDS):
-                raise ValueError(f"{len(row)} cells where the header has {len(CSV_FIELDS)}")
-            re_xi, im_xi, r, theta, n_bar = map(float, row[:5])
-            if not all(map(math.isfinite, (re_xi, im_xi, r, theta, n_bar))):
-                raise ValueError("non-finite value")
-            point = MeasurementPoint(xi=complex(re_xi, im_xi), r=r, theta=theta, n_bar=n_bar)
-            records.append(ShotRecord(point=point, basis=row[5], shots=int(row[6]),
-                                      plus_count=int(row[7]), seed=int(row[8])))
-        except (ValueError, DatasetError) as exc:
-            raise DatasetError(f"malformed dataset row on line {reader.line_num} "
-                               f"{row}: {exc}") from exc
-    if not records:
+    numbered = ((reader.line_num, row) for row in reader if row)
+    blocks = []
+    while block := list(itertools.islice(numbered, _ROW_BLOCK)):
+        blocks.append(_parse_block(block))
+    if not blocks:
         raise DatasetError("dataset contains no records")
-    return records
+    points = Design(*(np.concatenate([getattr(b.points, k) for b in blocks])
+                      for k in Design.__slots__))
+    return Dataset(points, *(np.concatenate([getattr(b, k) for b in blocks])
+                             for k in Dataset.__slots__[1:]))

@@ -191,7 +191,7 @@ def sample_shots(p_plus: float, n: int, seed) -> int:
 
 
 def per_record_dataset(points, total_shots: int, n: int, seed: int,
-                       chis: np.ndarray) -> list[sampler.ShotRecord]:
+                       chis: np.ndarray) -> sampler.Dataset:
     """`sampler.generate_dataset` from given chi values, one record at a time."""
     bases = sampler.bases_for_order(n)
     alloc = sampler.allocate_shots(len(points) * len(bases), total_shots)
@@ -204,4 +204,4 @@ def per_record_dataset(points, total_shots: int, n: int, seed: int,
         records.append(sampler.ShotRecord(point=points[i], basis=basis, shots=int(alloc[cell]),
                                           plus_count=count,
                                           seed=int(ss.generate_state(1, np.uint64)[0])))
-    return records
+    return sampler.Dataset.from_records(records)

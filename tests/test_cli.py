@@ -233,6 +233,73 @@ class TestEstimate:
         assert "line 3" in err and "cells where the header has 9" in err
 
 
+    @staticmethod
+    def report_values(path):
+        with open(path, newline="") as fh:
+            return np.array([[float(row[k]) for k in ("re", "im", "std", "bias_sys", "mse")]
+                             for row in csv.DictReader(fh)])
+
+    def test_order3_bias_pairs_each_basis_with_its_own_rows(self, tmp_path):
+        # 60_060 shots over 96 records leave the first 60 with one more shot,
+        # so the y rows carry unequal shots and shuffling them moves the pairing
+        cfg = write_config(tmp_path / "run.yaml", model={"n": 3}, grid={"n_re": 4, "n_im": 4},
+                           shots={"total": 60_060})
+        out = tmp_path / "out"
+        assert cli.run(["--config", str(cfg), "simulate"]) == 0
+        header, *rows = (out / "dataset.csv").read_text().splitlines()
+        x_rows = [row for row in rows if row.split(",")[5] == "x"]
+        y_rows = [row for row in rows if row.split(",")[5] == "y"]
+        assert len({row.split(",")[6] for row in y_rows}) == 2
+        shuffled = [y_rows[k] for k in np.random.default_rng(1).permutation(len(y_rows))]
+        reports = []
+        for name, body in [("original", rows), ("shuffled", x_rows + shuffled),
+                           ("one-y-row-fewer", x_rows + y_rows[:-1])]:
+            path = tmp_path / f"{name}.csv"
+            path.write_text("\n".join([header, *body]) + "\n")
+            assert cli.run(["--config", str(cfg), "estimate", str(path)]) == 0
+            reports.append(self.report_values(out / "report.csv"))
+            if name == "shuffled":
+                np.testing.assert_allclose(reports[1], reports[0], rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(reports[2]))
+
+    @pytest.mark.parametrize("overrides, source, digests", [
+        ({}, "analytic", ("b5b91af661ca7de491331b1cd2a6b882e9e286f3e707005f621116f4ea9532b8",
+                          "8a85ad70b202c2cded26e36f68a290742c3d0e42d466ef36fede6578046f7077")),
+        ({"model": {"n": 3}}, "analytic",
+         ("026e0739c1b87b15ff740b6024b4a987654ddb284e69defb64d78e6778c44721",
+          "87500cc0f56eceeb449d89b83ec98192db86196a3fb518b0d0f1bf2f006d266b")),
+        ({"grid": {"d_r": 0.39}}, "protocol",
+         ("e6be1945096eb7c9f964b3e49d33d172d0e5f7d5c38596484f18d301fe5ca16d",
+          "0673f2e0413a5671f5d6d3282667c7528a832107c644495656aa5107ecb77bc5")),
+    ], ids=["order2", "order3", "protocol"])
+    def test_seed_7_reports_are_pinned(self, tmp_path, overrides, source, digests):
+        # the --cost ls and ml reports of the pinned seed-7 datasets; run with
+        # one BLAS thread, as the order-3 reports change in the last digit with
+        # the thread count
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump(overrides))
+        base = ["--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "out")]
+        commands = [[*base, "simulate", "--source", source]]
+        commands += [[*base, "estimate", str(tmp_path / "out" / "dataset.csv"), "--cost", cost]
+                     for cost in ("ls", "ml")]
+        script = ("import hashlib, pathlib, warnings, weylfit.cli\n"
+                  "warnings.simplefilter('ignore')\n"
+                  f"for argv in {commands!r}:\n"
+                  "    assert weylfit.cli.run(argv) == 0\n"
+                  f"    report = pathlib.Path({str(tmp_path / 'out' / 'report.csv')!r})\n"
+                  "    if 'estimate' in argv:\n"
+                  "        print('digest', hashlib.sha256(report.read_bytes()).hexdigest())\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        found = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("digest")]
+        assert tuple(found) == digests
+
+
 class TestCharfunc:
     def test_order2_grid_is_real(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml",
@@ -473,6 +540,35 @@ def test_estimate_and_sweep_never_load_numpy_random(tmp_path):
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
+
+
+def test_simulate_and_estimate_never_build_per_row_objects(tmp_path):
+    # datasets stay columnar from the grid through the CSV to the fit; and
+    # numpy.ma, which a plain np.unique imports, costs about 20 ms a command
+    commands = []
+    for n in (2, 3):
+        cfg = write_config(tmp_path / f"o{n}.yaml", model={"n": n}, grid={"n_re": 4, "n_im": 4},
+                           output={"directory": str(tmp_path / f"o{n}")})
+        dataset = str(tmp_path / f"o{n}" / "dataset.csv")
+        for source in ("analytic", "protocol"):
+            commands.append(["--config", str(cfg), "simulate", "--source", source])
+            commands += [["--config", str(cfg), "estimate", dataset, "--cost", cost]
+                         for cost in ("ls", "ml")]
+    script = ("import sys, weylfit.cli\n"
+              "from weylfit import sampler\n"
+              "built = []\n"
+              "for cls in (sampler.MeasurementPoint, sampler.ShotRecord):\n"
+              "    cls.__post_init__ = lambda self: built.append(type(self).__name__)\n"
+              f"codes = [weylfit.cli.run(argv) for argv in {commands!r}]\n"
+              "print(codes, built, sorted(m for m in sys.modules if m.split('.')[:2] == "
+              "['numpy', 'ma']))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(commands)} [] []"
 
 
 def test_cli_never_loads_scipy(tmp_path):

@@ -60,7 +60,7 @@ class TestCosts:
             records.append(sp.ShotRecord(point=p, basis="x", shots=shots,
                                          plus_count=count, seed=0))
             freqs.append(count / shots)
-        problem = est.FitProblem(est.ModelSpec(2), records, cost="ml")
+        problem = est.FitProblem(est.ModelSpec(2), sp.Dataset.from_records(records), cost="ml")
         entropy = -shots * sum(
             f * np.log(max(f, 1e-300)) + (1 - f) * np.log(max(1 - f, 1e-300))
             for f in freqs
@@ -74,7 +74,8 @@ class TestCosts:
     def test_ml_single_point_values(self):
         point = sp.MeasurementPoint(xi=0j, r=0.0)
         rec_sure = sp.ShotRecord(point=point, basis="x", shots=100, plus_count=100, seed=0)
-        problem = est.FitProblem(est.ModelSpec(2), [rec_sure], cost="ml")
+        problem = est.FitProblem(est.ModelSpec(2), sp.Dataset.from_records([rec_sure]),
+                                 cost="ml")
         # model predicts p = 1 exactly at xi = 0 for any theta
         assert est.cost(np.zeros(3), problem) == pytest.approx(0.0, abs=1e-6)
 
@@ -82,7 +83,7 @@ class TestCosts:
         # f = 0.6 against p = 1/2: cost is 100 log 2
         point = sp.MeasurementPoint(xi=2.0 + 0j, r=0.5)
         rec = sp.ShotRecord(point=point, basis="x", shots=100, plus_count=60, seed=0)
-        problem = est.FitProblem(est.ModelSpec(2), [rec], cost="ml")
+        problem = est.FitProblem(est.ModelSpec(2), sp.Dataset.from_records([rec]), cost="ml")
         # at these values the clipped model saturates at 0, so p = 1/2
         theta = np.array([-10.0, -10.0, 0.0])
         assert est.cost(theta, problem) == pytest.approx(100 * np.log(2), rel=1e-10)
@@ -97,7 +98,7 @@ class TestCosts:
             count = int(round(0.5 * (1 + chi) * shots))
             records.append(sp.ShotRecord(point=p, basis="x", shots=shots,
                                          plus_count=count, seed=0))
-        problem = est.FitProblem(est.ModelSpec(2), records, cost="ls")
+        problem = est.FitProblem(est.ModelSpec(2), sp.Dataset.from_records(records), cost="ls")
         fitted = est.minimize(problem)
         resid = est.cost(fitted.coefficients, problem)
         assert resid <= est.cost(theta, problem) + 1e-9
@@ -112,7 +113,7 @@ class TestCosts:
         f = p_model - np.sqrt(p_model * (1 - p_model) / n)
         count = int(round(f * n))
         rec = sp.ShotRecord(point=point, basis="x", shots=n, plus_count=count, seed=0)
-        problem = est.FitProblem(est.ModelSpec(2), [rec], cost="ls")
+        problem = est.FitProblem(est.ModelSpec(2), sp.Dataset.from_records([rec]), cost="ls")
         f_actual = count / n
         sigma2 = max(f_actual * (1 - f_actual) / n, 1 / (4 * n**2))
         expected = (p_model - f_actual) ** 2 / sigma2

@@ -47,7 +47,7 @@ def as_tuple(rec):
 def test_csv_round_trip_is_exact_at_twelve_digits(records):
     # one write rounds every float to 12 significant digits; from then on
     # write and read are exact inverses, and rewriting reproduces the file
-    text = sp.dataset_to_string(records)
+    text = sp.dataset_to_string(sp.Dataset.from_records(records))
     once = sp.dataset_from_csv(io.StringIO(text))
     for orig, back in zip(records, once):
         assert as_tuple(back)[4:] == as_tuple(orig)[4:]
@@ -64,7 +64,8 @@ def test_csv_round_trip_is_exact_at_twelve_digits(records):
 @given(st.lists(shot_records(), min_size=1, max_size=20))
 def test_csv_floats_are_written_as_fmt_writes_them(records):
     # the writer formats each distinct float once; signed zeros stay apart
-    rows = list(csv.reader(io.StringIO(sp.dataset_to_string(records))))[1:]
+    text = sp.dataset_to_string(sp.Dataset.from_records(records))
+    rows = list(csv.reader(io.StringIO(text)))[1:]
     points = [rec.point for rec in records]
     assert [row[:5] for row in rows] == [[sp._fmt(v) for v in (p.xi.real, p.xi.imag, p.r,
                                                                 p.theta, p.n_bar)]
@@ -118,7 +119,7 @@ def test_order3_model_parts_lie_in_the_unit_interval(theta, xi, r, phase):
        st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"]),
        shot_records())
 def test_non_finite_csv_field_raises_dataset_error(field, value, record):
-    header, row = sp.dataset_to_string([record]).splitlines()
+    header, row = sp.dataset_to_string(sp.Dataset.from_records([record])).splitlines()
     cells = row.split(",")
     cells[sp.CSV_FIELDS.index(field)] = value
     with pytest.raises(DatasetError):

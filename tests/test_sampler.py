@@ -199,6 +199,126 @@ class TestCsvRoundTrip:
             sp.dataset_from_csv(io.StringIO(text))
 
 
+GOOD_ROW = {"re_xi": "0.5", "im_xi": "0.", "r": "0.1", "theta": "0.", "n_B": "0.",
+            "basis": "x", "shots": "10", "plus_count": "4", "seed": "7"}
+
+
+def dataset_text(*rows):
+    """A dataset CSV of GOOD_ROW with each row's cells overridden."""
+    lines = [",".join(sp.CSV_FIELDS)]
+    lines += [",".join({**GOOD_ROW, **row}[k] for k in sp.CSV_FIELDS) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvRejections:
+    @pytest.mark.parametrize("cells, message", [
+        ({"basis": "z"}, "basis must be 'x' or 'y', got 'z'"),
+        ({"plus_count": "-1"}, "plus_count must lie in"),
+        ({"plus_count": "11"}, "plus_count must lie in"),
+        ({"shots": "0", "plus_count": "0"}, "shots must be at least 1"),
+        ({"r": "-0.1"}, "squeezing amplitude must be non-negative"),
+        ({"n_B": "-0.1"}, "mean occupation must be non-negative"),
+        ({"shots": "10.0"}, "invalid literal for int"),
+        ({"seed": "-1"}, "seed must lie in"),
+        ({"seed": str(2**64)}, "seed must lie in"),
+    ], ids=["basis", "plus-count-negative", "plus-count-above-shots", "zero-shots",
+            "negative-r", "negative-n_B", "non-integer-shots", "seed-negative", "seed-65-bits"])
+    def test_bad_row_names_its_line(self, cells, message):
+        text = dataset_text({}, {}, cells, {})
+        with pytest.raises(DatasetError, match=f"line 4 .*: {message}"):
+            sp.dataset_from_csv(io.StringIO(text))
+
+    def test_largest_seed_is_accepted(self):
+        dataset = sp.dataset_from_csv(io.StringIO(dataset_text({"seed": str(2**64 - 1)})))
+        assert dataset[0].seed == 2**64 - 1
+
+    def test_earliest_bad_row_is_named(self):
+        # the seed is checked after the floats, but its row comes first in the file
+        text = dataset_text({}, {"seed": "-1"}, {"r": "x"}, {"basis": "z"})
+        with pytest.raises(DatasetError, match="line 3 .*seed must lie in"):
+            sp.dataset_from_csv(io.StringIO(text))
+
+    def test_blank_lines_keep_line_numbers(self):
+        header, *rows = dataset_text({}, {}, {"basis": "z"}).splitlines()
+        text = "\n".join([header, "", rows[0], rows[1], "", rows[2]]) + "\n"
+        with pytest.raises(DatasetError, match="line 6 "):
+            sp.dataset_from_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("cell", [" 4 ", "+4", "4_0", "0x4", "4.", "", "٤"])
+    def test_integer_cells_parse_as_int_does(self, cell):
+        # each cell is accepted exactly when int() accepts it
+        text = dataset_text({"shots": "100", "plus_count": cell})
+        try:
+            want = int(cell)
+        except ValueError:
+            with pytest.raises(DatasetError, match="line 2 "):
+                sp.dataset_from_csv(io.StringIO(text))
+        else:
+            assert sp.dataset_from_csv(io.StringIO(text))[0].plus_count == want
+
+    @pytest.mark.parametrize("cell", [" 0.25 ", "2.5e-1", "1_0.5", ".5", "0x1", "", "٠.٥"])
+    def test_float_cells_parse_as_float_does(self, cell):
+        text = dataset_text({"r": cell})
+        try:
+            want = float(cell)
+        except ValueError:
+            with pytest.raises(DatasetError, match="line 2 "):
+                sp.dataset_from_csv(io.StringIO(text))
+        else:
+            assert sp.dataset_from_csv(io.StringIO(text))[0].point.r == want
+
+
+class TestColumns:
+    def test_design_checks_rows_as_measurement_point_does(self):
+        for column in ("r", "n_bar"):
+            with pytest.raises(InvalidParameterError) as columnar:
+                sp.Design([0.1, 0.2], **{"r": 0.1, column: [0.1, -0.1]})
+            with pytest.raises(InvalidParameterError) as single:
+                sp.MeasurementPoint(xi=0.2, **{"r": 0.1, column: -0.1})
+            assert str(columnar.value) == str(single.value)
+
+    @pytest.mark.parametrize("counts", [{"plus_count": -1}, {"plus_count": 11},
+                                        {"shots": 0, "plus_count": 0}])
+    def test_dataset_checks_rows_as_shot_record_does(self, counts):
+        point = sp.MeasurementPoint(xi=0.5, r=0.1)
+        fields = {"shots": 10, "plus_count": 4, **counts}
+        with pytest.raises(DatasetError) as single:
+            sp.ShotRecord(point, "x", seed=7, **fields)
+        with pytest.raises(DatasetError) as columnar:
+            sp.Dataset(sp.Design.of([point] * 2), [0, 1], [10, fields["shots"]],
+                       [4, fields["plus_count"]], 7)
+        assert str(columnar.value) == str(single.value)
+
+    def test_dataset_rejects_an_unknown_basis_code(self):
+        with pytest.raises(DatasetError, match="basis codes"):
+            sp.Dataset(sp.Design([0.5, 0.5], 0.1), [0, 2], 10, 4, 7)
+
+    def test_records_round_trip_through_columns(self):
+        points = [sp.MeasurementPoint(xi=complex(0.5, im), r=0.3, theta=0.2, n_bar=0.1)
+                  for im in (0.25, -0.0)]
+        records = [sp.ShotRecord(points[k % 2], "xy"[k // 2], 10 + k, k, 2**64 - 1 - k)
+                   for k in range(4)]
+        dataset = sp.Dataset.from_records(records)
+        assert list(dataset) == records
+        assert [dataset[k] for k in range(4)] == records
+        assert list(dataset.points) == [r.point for r in records]
+        assert dataset.in_basis("y") == sp.Dataset.from_records(records[2:])
+        assert dataset != sp.Dataset.from_records(records[::-1])
+        np.testing.assert_array_equal(dataset.frequency, [r.frequency for r in records])
+
+    def test_design_of_a_design_is_itself(self):
+        design = est.build_grid(0.4, 0.2, 0.2, 0.1)
+        assert sp.Design.of(design) is design
+        assert sp.Design.of(list(design)) == design
+
+    def test_states_group_by_r_theta_and_n_bar(self):
+        design = sp.Design(np.arange(6), [0.2, 0.1, 0.2, 0.1, 0.2, 0.2],
+                           [0.0, 0.0, 0.0, 0.0, 0.5, 0.0], [0.1] * 6)
+        groups = [(key, idx.tolist()) for key, idx in sp._group_states(design)]
+        assert groups == [((0.1, 0.0, 0.1), [1, 3]), ((0.2, 0.0, 0.1), [0, 2, 5]),
+                          ((0.2, 0.5, 0.1), [4])]
+
+
 def protocol_chi(point, n, cfg):
     """chi-hat at a single point from the protocol simulation."""
     return complex(sp.simulate_chi_grid([point], n, cfg)[0])
