@@ -29,8 +29,10 @@ class SqueezeSpec:
     def __post_init__(self):
         if not 2 <= self.n <= 4:
             raise UnsupportedOrderError(f"squeezing order must be 2, 3 or 4, got {self.n}")
-        if self.r < 0:
-            raise InvalidParameterError("squeezing amplitude must be non-negative")
+        if not 0 <= self.r < np.inf:  # also refuses NaN
+            raise InvalidParameterError(f"squeezing amplitude {self.r} must be finite and >= 0")
+        if not np.isfinite(self.theta):
+            raise InvalidParameterError(f"squeezing phase {self.theta} must be finite")
         object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
 
     @property

@@ -179,11 +179,15 @@ def cmd_charfunc(cfg: config_mod.RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: config_mod.RunConfig, args) -> int:
-    points = _grid_points(cfg)
-    dataset = sampler.generate_dataset(
-        points, cfg.shots["total"], cfg.model["n"], cfg.seed,
-        chi_source=args.source, config=cfg.protocol_config(), jobs=args.jobs,
-    )
+    points, n = _grid_points(cfg), cfg.model["n"]
+    if args.source == "protocol":
+        chis = sampler.simulate_chi_grid(points, n, cfg.protocol_config(), jobs=args.jobs)
+    elif cfg.protocol["heating_rate"]:
+        raise ConfigError("the analytic chi source has no heating model; "
+                          "use --source protocol for heating_rate > 0")
+    else:
+        chis = sampler.analytic_chi_grid(points, n, cfg.protocol["cutoff"])
+    dataset = sampler.generate_dataset(points, chis, cfg.shots["total"], n, cfg.seed)
     out = cfg.out_dir / "dataset.csv"
     _atomic_write(out, sampler.dataset_to_string(dataset))
     _write_resolved(cfg, "dataset")
@@ -437,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None, help="YAML config path")
     parser.add_argument("--seed", type=int, default=None, help="master RNG seed override")
     parser.add_argument("--out", type=str, default=None, help="output directory override")
-    parser.add_argument("--jobs", type=int, default=1, help="worker-thread cap")
+    parser.add_argument("--jobs", type=int, default=1, help="worker-thread cap (at least 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("charfunc", help="characteristic-function grid to CSV")
@@ -480,6 +484,8 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         overrides = {}
         if args.seed is not None:
             overrides["rng"] = {"seed": args.seed}

@@ -581,6 +581,10 @@ def zero_noise_extrapolate(reports: Sequence[EstimationReport],
     weights, so it always exceeds the inputs.
     """
     n_bars = np.asarray(list(n_bars), dtype=float)
+    if degree < 0:
+        raise InvalidParameterError(f"extrapolation degree must be non-negative, got {degree}")
+    if len({rep.model.n for rep in reports}) > 1:
+        raise InvalidParameterError("cannot extrapolate reports of different model orders")
     if len(reports) != len(n_bars):
         raise InvalidParameterError("one occupation value per report is required")
     if len(reports) < degree + 1:

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import charfunc, fockspace, series
-from .errors import (AccuracyError, ConfigError, DatasetError, InvalidChiError,
+from .errors import (AccuracyError, DatasetError, InvalidChiError,
                      InvalidParameterError, TruncationWarning)
 
 OMEGA_ETA_DEFAULT = 2.0 * np.pi * 4.7e3      # phase-space displacement rate, rad/s
@@ -362,27 +362,22 @@ def allocate_shots(n_points: int, total: int) -> np.ndarray:
     return alloc
 
 
-def _equal_runs(*columns: np.ndarray) -> list[np.ndarray]:
-    """The row indices of each distinct row of equal-length columns, in sorted
-    row order, each ascending.
+def _group_states(design: Design) -> list[tuple[tuple[float, float, float], np.ndarray]]:
+    """Each prepared state (r, theta, n_bar) of a design, in sorted order, with
+    the ascending indices of its points.
 
     One stable `np.lexsort`: `np.unique` would also page in about 0.4 MB
     of numpy's sort code on its first call.
     """
+    columns = (design.r, design.theta, design.n_bar)
     order = np.lexsort(columns[::-1])
     starts = np.zeros(len(order), dtype=bool)
     starts[:1] = True
     for column in columns:
         ordered = column[order]
         starts[1:] |= ordered[1:] != ordered[:-1]
-    return np.split(order, np.flatnonzero(starts))[1:]
-
-
-def _group_states(design: Design) -> list[tuple[tuple[float, float, float], np.ndarray]]:
-    """Each prepared state (r, theta, n_bar) of a design, in sorted order, with
-    the ascending indices of its points."""
-    columns = (design.r, design.theta, design.n_bar)
-    return [(tuple(float(c[idx[0]]) for c in columns), idx) for idx in _equal_runs(*columns)]
+    return [(tuple(float(c[idx[0]]) for c in columns), idx)
+            for idx in np.split(order, np.flatnonzero(starts))[1:]]
 
 
 def analytic_chi_grid(points: Design | Sequence[MeasurementPoint], n: int,
@@ -509,14 +504,14 @@ def prepare_state(n: int, r: float, theta: float, n_bar: float,
 
 
 def probe_coherences(rho_b: np.ndarray, config: ProtocolConfig,
-                     dphi: float, xi_magnitudes: Sequence[float]) -> np.ndarray:
-    """chi-hat at the given |xi| along one drive direction.
+                     dphis: np.ndarray, xi_magnitudes: Sequence[float]) -> np.ndarray:
+    """chi-hat at the given drive directions dphis and magnitudes |xi|, point by point.
 
     Tr(rho_b D(xi)) from `fockspace.weyl_expectation`, times the heating
     factor exp(-gamma |xi|^2 T / 3) of a probe of duration T = |xi| / omega_eta.
     """
     mags = np.asarray(xi_magnitudes, dtype=float)
-    chi = fockspace.weyl_expectation(rho_b, mags * np.exp(1j * dphi))
+    chi = fockspace.weyl_expectation(rho_b, mags * np.exp(1j * dphis))
     return chi * np.exp(-config.heating_rate * mags**3 / (3.0 * config.omega_eta))
 
 
@@ -524,9 +519,9 @@ def simulate_chi_grid(points: Design | Sequence[MeasurementPoint], n: int,
                       config: ProtocolConfig, jobs: int = 1) -> np.ndarray:
     """Protocol chi-hat over a grid, one state preparation per (r, theta, n_bar).
 
-    Each prepared state is probed once per drive direction arg(xi) of its
-    points.  ``jobs`` > 1 fans the independent preparations out over worker
-    threads (BLAS releases the GIL during the matmuls).
+    Each prepared state is probed once, at all of its points.  ``jobs`` > 1
+    fans the independent preparations out over worker threads (BLAS
+    releases the GIL during the matmuls).
     """
     design = Design.of(points)
     out = np.empty(len(design), dtype=complex)
@@ -535,11 +530,7 @@ def simulate_chi_grid(points: Design | Sequence[MeasurementPoint], n: int,
         (r, theta, n_bar), idx = key_idx
         rho_b = prepare_state(n, r, theta, n_bar, config)
         xis = design.xi[idx]
-        dphis = np.array([round(a, 12) for a in np.angle(xis).tolist()])
-        # Python's abs(complex): np.abs can differ from it in the last bit
-        mags = np.array(list(map(abs, xis.tolist())))
-        for ray in _equal_runs(dphis):
-            out[idx[ray]] = probe_coherences(rho_b, config, float(dphis[ray[0]]), mags[ray])
+        out[idx] = probe_coherences(rho_b, config, np.angle(xis), np.abs(xis))
 
     items = _group_states(design)
     if jobs > 1 and len(items) > 1:
@@ -563,18 +554,10 @@ def bases_for_order(n: int) -> tuple[str, ...]:
     return tuple(basis for basis, *_ in series.PARTS[n])
 
 
-def generate_dataset(points: Design | Sequence[MeasurementPoint], total_shots: int, n: int,
-                     seed: int, chi_source: str = "analytic",
-                     config: ProtocolConfig | None = None,
-                     chi_values: np.ndarray | None = None,
-                     jobs: int = 1) -> Dataset:
-    """Simulate a full shot dataset over the measurement grid.
+def generate_dataset(points: Design | Sequence[MeasurementPoint], chis: np.ndarray,
+                     total_shots: int, n: int, seed: int) -> Dataset:
+    """Draw a full shot dataset over the measurement grid from one chi per point.
 
-    ``chi_source`` selects the probability model: 'analytic' closed
-    forms / Fock numerics, which carry no heating (a config with
-    heating_rate > 0 raises ConfigError), or 'protocol' for the
-    protocol simulation.  Precomputed ``chi_values`` short-circuit
-    either source.
     The RNG stream of each record depends only on (seed, point index,
     basis), so results are independent of evaluation order.  The records
     run basis-major: every point in the first basis, then every point in
@@ -584,18 +567,7 @@ def generate_dataset(points: Design | Sequence[MeasurementPoint], total_shots: i
     if len(points) == 0:
         raise DatasetError("measurement grid is empty")
     bases = bases_for_order(n)
-    if chi_values is not None:
-        chis = np.asarray(chi_values, dtype=complex)
-    elif chi_source == "analytic":
-        if config is not None and config.heating_rate > 0:
-            raise ConfigError("the analytic chi source has no heating model; "
-                              "use --source protocol for heating_rate > 0")
-        chis = analytic_chi_grid(points, n, config.cutoff if config else fockspace.DEFAULT_CUTOFF)
-    elif chi_source == "protocol":
-        chis = simulate_chi_grid(points, n, config or ProtocolConfig(), jobs=jobs)
-    else:
-        raise InvalidParameterError(f"unknown chi source {chi_source!r}")
-
+    chis = np.asarray(chis, dtype=complex)
     if chis.shape != (len(points),):
         raise InvalidParameterError(f"{chis.shape} chi values for {len(points)} points")
     alloc = allocate_shots(len(points) * len(bases), total_shots)

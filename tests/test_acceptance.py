@@ -175,8 +175,7 @@ def test_criterion_10_heating_mitigation():
     chis = sp.simulate_chi_grid(points, 2, config)
     plain_err, heated_err, c_hs = [], [], []
     for seed in (11, 202, 4096):
-        records = sp.generate_dataset(points, TOTAL_SHOTS, 2, seed=seed,
-                                      chi_values=chis)
+        records = sp.generate_dataset(points, chis, TOTAL_SHOTS, 2, seed=seed)
         plain = est.minimize(est.FitProblem(est.ModelSpec(2, 0.1), records, cost="ls"))
         heated = est.minimize(
             est.FitProblem(est.ModelSpec(2, 0.1, heating=True), records, cost="ls"))

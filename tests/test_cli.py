@@ -96,6 +96,15 @@ class TestSimulate:
         assert cli.run(["--config", str(cfg), "simulate"]) == 2
         assert section in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_input_error(self, tmp_path, capsys, jobs):
+        # refused before any work: no output directory is made
+        cfg = write_config(tmp_path / "run.yaml")
+        assert cli.run(["--config", str(cfg), "--jobs", jobs, "simulate",
+                        "--source", "protocol"]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_seed_outside_64_bits_is_input_error(self, tmp_path, capsys, seed, where):
@@ -334,6 +343,14 @@ class TestCharfunc:
             assert mirrored.imag == pytest.approx(-chi.imag, abs=1e-10)
             assert mirrored.real == pytest.approx(chi.real, abs=1e-10)
 
+    @pytest.mark.parametrize("option", ["--r", "--theta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_squeezing_is_input_error(self, tmp_path, capsys, option, value):
+        cfg = write_config(tmp_path / "run.yaml")
+        assert cli.run(["--config", str(cfg), "charfunc", option, value]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "charfunc.csv").exists()
+
 
 @pytest.mark.parametrize("args", [("charfunc", "--r", "0.25"),
                                   ("sweep", "--xi-max-list", "1.0,2.0", "--r-max-list", "0.3,0.78")],
@@ -394,20 +411,20 @@ class TestSweepAndExtrapolate:
         assert not (tmp_path / "out").exists()
 
     @staticmethod
-    def affine_reports(tmp_path, heated=False):
+    def affine_reports(tmp_path, heated=False, orders=(2, 2, 2)):
         from weylfit import config as config_mod
         from weylfit import series as dg
         from weylfit import estimator as est
 
         cfg = config_mod.load_config(None, {"output": {"directory": str(tmp_path)}})
         paths = []
-        for nb in (0.1, 0.2, 0.3):
-            values = np.array([1 + 2 * nb, -1 - 2 * nb, 0.5], dtype=complex)
+        for nb, n in zip((0.1, 0.2, 0.3), orders):
+            values = np.array([1 + 2 * nb, -1 - 2 * nb, 0.5, 0.25][: 1 + n], dtype=complex)
             report = est.EstimationReport(
-                model=est.ModelSpec(2, 0.0, heating=heated),
-                coefficients=dg.CoefficientVector(2, values),
-                covariance=np.eye(3) * 1e-4,
-                std=np.full(3, 1e-2),
+                model=est.ModelSpec(n, 0.0, heating=heated),
+                coefficients=dg.CoefficientVector(n, values),
+                covariance=np.eye(1 + n) * 1e-4,
+                std=np.full(1 + n, 1e-2),
                 c_h=0.05 * nb if heated else None,
                 c_h_std=1e-2 if heated else None,
             )
@@ -432,6 +449,17 @@ class TestSweepAndExtrapolate:
         assert cli.run(["--out", str(tmp_path), "extrapolate", *paths]) == 2
         err = capsys.readouterr().err
         assert paths[0] in err and "c_h" in err
+        assert not (tmp_path / "report_extrapolated.csv").exists()
+
+    @pytest.mark.parametrize("option, orders, message", [
+        (["--degree", "-1"], (2, 2, 2), "degree must be non-negative"),
+        ([], (2, 3, 2), "reports of different model orders"),
+    ], ids=["negative-degree", "mixed-orders"])
+    def test_unfittable_extrapolation_is_input_error(self, tmp_path, capsys, option, orders,
+                                                      message):
+        paths = self.affine_reports(tmp_path, orders=orders)
+        assert cli.run(["--out", str(tmp_path), "extrapolate", *paths, *option]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "report_extrapolated.csv").exists()
 
     @pytest.mark.parametrize("meta, row", [

@@ -24,7 +24,7 @@ def model_dataset(points, theta, total, seed, n=2, n_bar=0.0):
     """Shots drawn from the truncated model itself (well-specified case)."""
     chis = np.array([dg.eval_model(n, theta, p.xi, p.r, n_bar=n_bar) for p in points],
                     dtype=complex)
-    return sp.generate_dataset(points, total, n, seed, chi_values=chis)
+    return sp.generate_dataset(points, chis, total, n, seed)
 
 
 class TestGrids:
@@ -128,8 +128,7 @@ class TestCosts:
         chis = np.array([dg.eval_model(2, theta, p.xi, p.r) for p in points])
         costs = []
         for seed in range(60):
-            records = sp.generate_dataset(points, 2000 * len(points), 2, seed,
-                                          chi_values=chis)
+            records = sp.generate_dataset(points, chis, 2000 * len(points), 2, seed)
             problem = est.FitProblem(est.ModelSpec(2), records, cost="ls")
             costs.append(est.cost(theta, problem))
         assert np.mean(costs) == pytest.approx(len(points), rel=0.05)
@@ -199,7 +198,7 @@ class TestMinimize:
 
     def test_requires_matching_bases(self):
         points = [sp.MeasurementPoint(xi=0.5 + 0j, r=0.2)]
-        records = sp.generate_dataset(points, 100, 2, seed=0)
+        records = sp.generate_dataset(points, sp.analytic_chi_grid(points, 2), 100, 2, seed=0)
         with pytest.raises(DatasetError):
             est.FitProblem(est.ModelSpec(3), records)
 
@@ -207,7 +206,7 @@ class TestMinimize:
         # n_B = 0.3 data under the default n_B = 0 model used to fit to
         # (-2.6, 0.1, 0.8) without complaint
         points = est.build_grid(1.0, 0.3, 0.1, 0.1, n_bar=0.3)
-        records = sp.generate_dataset(points, 100_000, 2, seed=0)
+        records = sp.generate_dataset(points, sp.analytic_chi_grid(points, 2), 100_000, 2, seed=0)
         with pytest.raises(DatasetError, match="n_B"):
             est.FitProblem(est.ModelSpec(2), records)
         est.FitProblem(est.ModelSpec(2, 0.3), records)
@@ -229,7 +228,7 @@ def oracle_datasets():
             n, grid = ORACLE_DESIGNS[name]
             points = grid()
             chi = sp.analytic_chi_grid(points, n)
-            cache[name] = [sp.generate_dataset(points, 1_600_000, n, seed, chi_values=chi)
+            cache[name] = [sp.generate_dataset(points, chi, 1_600_000, n, seed)
                            for seed in range(100, 115)]
         return cache[name]
 
@@ -490,7 +489,7 @@ class TestThermalAndHeating:
         theta = dg.truth_coefficients(2, 0.1)
         chis = np.array([dg.eval_model(2, theta, p.xi, p.r, n_bar=0.1, c_h=c_h_true)
                          for p in points], dtype=complex)
-        records = sp.generate_dataset(points, 1_600_000, 2, seed=21, chi_values=chis)
+        records = sp.generate_dataset(points, chis, 1_600_000, 2, seed=21)
         report = est.minimize(
             est.FitProblem(est.ModelSpec(2, 0.1, heating=True), records, cost="ls"))
         assert report.c_h == pytest.approx(c_h_true, abs=0.02)
@@ -499,7 +498,8 @@ class TestThermalAndHeating:
 
     def test_zero_heating_data_yields_small_ch(self):
         points = est.build_grid(2.0, 0.78, 0.1, 0.08, n_bar=0.1)
-        records = sp.generate_dataset(points, 1_600_000, 2, seed=31)
+        records = sp.generate_dataset(points, sp.analytic_chi_grid(points, 2), 1_600_000, 2,
+                                      seed=31)
         report = est.minimize(
             est.FitProblem(est.ModelSpec(2, 0.1, heating=True), records, cost="ls"))
         assert abs(report.c_h) <= 0.03

@@ -12,7 +12,7 @@ from weylfit import charfunc as cf
 from weylfit import estimator as est
 from weylfit import fockspace as fs
 from weylfit import sampler as sp
-from weylfit.errors import (AccuracyError, ConfigError, DatasetError, InvalidChiError,
+from weylfit.errors import (AccuracyError, DatasetError, InvalidChiError,
                             InvalidParameterError, TruncationWarning)
 
 
@@ -88,7 +88,7 @@ class TestAllocation:
 class TestGenerateDataset:
     def test_sure_outcome(self):
         points = [sp.MeasurementPoint(xi=0j, r=0.0)]
-        records = sp.generate_dataset(points, 100, 2, seed=5)
+        records = sp.generate_dataset(points, sp.analytic_chi_grid(points, 2), 100, 2, seed=5)
         assert len(records) == 1
         assert records[0].plus_count == 100  # chi = 1 at the origin
 
@@ -98,10 +98,10 @@ class TestGenerateDataset:
         points = [sp.MeasurementPoint(xi=complex(re, im), r=r)
                   for r in (0.1, 0.3) for re in (0.2, 0.6, 1.0) for im in (-0.4, 0.0, 0.5)]
         for n in (2, 3):
-            a = sp.generate_dataset(points, 30_011, n, seed=42)
-            assert a == sp.generate_dataset(points, 30_011, n, seed=42)
-            assert {r.basis for r in a} == set(sp.bases_for_order(n))
             chis = sp.analytic_chi_grid(points, n)
+            a = sp.generate_dataset(points, chis, 30_011, n, seed=42)
+            assert a == sp.generate_dataset(points, chis, 30_011, n, seed=42)
+            assert {r.basis for r in a} == set(sp.bases_for_order(n))
             assert a == per_record_dataset(points, 30_011, n, 42, chis)
 
     @pytest.mark.parametrize("chis, message", [([0.5, 0.5], "chi values for 3 points"),
@@ -110,29 +110,29 @@ class TestGenerateDataset:
     def test_bad_chi_values_are_rejected(self, chis, message):
         points = [sp.MeasurementPoint(xi=0.3 + 0j, r=0.1)] * 3
         with pytest.raises(InvalidParameterError, match=message):
-            sp.generate_dataset(points, 300, 2, seed=1, chi_values=np.array(chis))
+            sp.generate_dataset(points, np.array(chis), 300, 2, seed=1)
 
     @pytest.mark.parametrize("im_chi", [2e-16, 1e-15])
     def test_roundoff_sign_does_not_pick_the_draw(self, im_chi):
         # Im chi = +-2e-16 is p_y = 0.5 +- 1e-16, on either side of the
         # p > 0.5 branch of numpy's binomial
         points = [sp.MeasurementPoint(xi=0.3 + 0.2j, r=0.0)] * 4
-        up, down = (sp.generate_dataset(points, 40_000, 3, seed=7,
-                                        chi_values=np.full(4, 0.4 + sign * im_chi * 1j))
+        up, down = (sp.generate_dataset(points, np.full(4, 0.4 + sign * im_chi * 1j), 40_000, 3,
+                                        seed=7)
                     for sign in (1, -1))
         assert up == down
 
     def test_basis_coverage_by_order(self):
         points = [sp.MeasurementPoint(xi=0.3 + 0.1j, r=0.2)]
-        rec2 = sp.generate_dataset(points, 100, 2, seed=1)
-        rec3 = sp.generate_dataset(points, 100, 3, seed=1)
+        rec2 = sp.generate_dataset(points, sp.analytic_chi_grid(points, 2), 100, 2, seed=1)
+        rec3 = sp.generate_dataset(points, sp.analytic_chi_grid(points, 3), 100, 3, seed=1)
         assert {r.basis for r in rec2} == {"x"}
         assert {r.basis for r in rec3} == {"x", "y"}
         assert sum(r.shots for r in rec3) == 100
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DatasetError):
-            sp.generate_dataset([], 100, 2, seed=0)
+            sp.generate_dataset([], [], 100, 2, seed=0)
 
     def test_fig3_grid_shape(self):
         from weylfit import estimator as est
@@ -155,13 +155,13 @@ class TestRecordStateWords:
     def test_seed_outside_64_bits_is_rejected(self, seed):
         points = [sp.MeasurementPoint(xi=0.3 + 0j, r=0.1)]
         with pytest.raises(InvalidParameterError, match="seed"):
-            sp.generate_dataset(points, 100, 2, seed=seed)
+            sp.generate_dataset(points, [0.5], 100, 2, seed=seed)
 
 
 class TestCsvRoundTrip:
     def test_header_and_roundtrip(self):
         points = [sp.MeasurementPoint(xi=0.5 + 0.25j, r=0.3, theta=0.1, n_bar=0.2)]
-        records = sp.generate_dataset(points, 250, 3, seed=9)
+        records = sp.generate_dataset(points, sp.analytic_chi_grid(points, 3), 250, 3, seed=9)
         text = sp.dataset_to_string(records)
         assert text.splitlines()[0] == "re_xi,im_xi,r,theta,n_B,basis,shots,plus_count,seed"
         back = sp.dataset_from_csv(io.StringIO(text))
@@ -174,7 +174,7 @@ class TestCsvRoundTrip:
 
     def test_signed_zero_is_written_as_fmt_writes_it(self):
         points = [sp.MeasurementPoint(xi=complex(0.5, im), r=0.3) for im in (0.0, -0.0, 0.0)]
-        records = sp.generate_dataset(points, 300, 2, seed=2, chi_values=np.full(3, 0.5))
+        records = sp.generate_dataset(points, np.full(3, 0.5), 300, 2, seed=2)
         rows = list(csv.reader(io.StringIO(sp.dataset_to_string(records))))[1:]
         assert [row[1] for row in rows] == ["0", "-0", "0"] == [sp._fmt(p.xi.imag) for p in points]
 
@@ -424,6 +424,23 @@ class TestProtocol:
         singles = [protocol_chi(p, 2, cfg) for p in points]
         np.testing.assert_allclose(grid, singles, atol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::weylfit.errors.TruncationWarning")
+    def test_unheated_order3_grid_matches_the_analytic_grid(self):
+        # without heating both paths take Tr(S rho S^dag D(xi)) on the same truncated state
+        points = est.build_grid_complex(1.7, 1.7, 0.78)
+        chi = sp.simulate_chi_grid(points, 3, sp.ProtocolConfig())
+        assert np.max(np.abs(chi - sp.analytic_chi_grid(points, 3))) <= 1e-14
+
+    def test_each_prepared_state_is_probed_once(self, monkeypatch):
+        calls = []
+        weyl_expectation = fs.weyl_expectation
+        monkeypatch.setattr(fs, "weyl_expectation",
+                            lambda rho, xis: calls.append(len(xis)) or weyl_expectation(rho, xis))
+        points = [sp.MeasurementPoint(xi=x * np.exp(1j * phi), r=r)
+                  for r in (0.1, 0.2) for phi in (0.0, 0.5, 1.0) for x in (0.3, 0.9)]
+        sp.simulate_chi_grid(points, 2, sp.ProtocolConfig(cutoff=40))
+        assert calls == [6, 6]
+
     def test_heating_dephases_the_probe(self):
         quiet = sp.ProtocolConfig(cutoff=60)
         noisy = sp.ProtocolConfig(cutoff=60, heating_rate=300.0)
@@ -457,11 +474,10 @@ class TestProtocol:
     def test_protocol_dataset_source(self):
         cfg = sp.ProtocolConfig(cutoff=40)
         points = [sp.MeasurementPoint(xi=complex(x), r=0.1) for x in (0.4, 0.8)]
-        records = sp.generate_dataset(points, 2000, 2, seed=3,
-                                      chi_source="protocol", config=cfg)
+        chis = sp.simulate_chi_grid(points, 2, cfg)
+        records = sp.generate_dataset(points, chis, 2000, 2, seed=3)
         assert sum(r.shots for r in records) == 2000
         # frequencies track the simulated coherences
-        chis = sp.simulate_chi_grid(points, 2, cfg)
         for rec, chi in zip(records, chis):
             p_plus = sp.born_probabilities(chi)[0]
             assert abs(rec.frequency - p_plus) <= 4 * np.sqrt(p_plus * (1 - p_plus) / rec.shots) + 1e-3
@@ -534,19 +550,6 @@ class TestHeatedPulse:
                  * np.exp(-gamma * np.abs(xis) ** 3 / (3 * cfg.omega_eta)))
         chi = sp.simulate_chi_grid(points, 2, cfg)
         assert np.max(np.abs(chi - exact)) <= 1e-8
-
-
-class TestDatasetSources:
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_analytic_source_rejects_heating(self, n):
-        points = [sp.MeasurementPoint(xi=0.5 + 0.2j, r=0.2)]
-        heated = sp.ProtocolConfig(heating_rate=300.0)
-        with pytest.raises(ConfigError, match="--source protocol"):
-            sp.generate_dataset(points, 1000, n, seed=1, config=heated)
-        # precomputed chi values carry their own model
-        records = sp.generate_dataset(points, 1000, n, seed=1, config=heated,
-                                      chi_values=np.array([0.5 + 0.1j]))
-        assert sum(r.shots for r in records) == 1000
 
 
 class TestMeasurementPoint:
