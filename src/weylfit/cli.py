@@ -164,6 +164,8 @@ def cmd_charfunc(cfg: config_mod.RunConfig, args) -> int:
     n = cfg.model["n"]
     spec = charfunc.SqueezeSpec(n=n, r=args.r, theta=args.theta)
     g = cfg.grid
+    if not g["xi_max"] >= 0:
+        raise ConfigError(f"charfunc needs grid.xi_max >= 0, got {g['xi_max']}")
     axis = np.arange(-g["xi_max"], g["xi_max"] + 0.5 * g["d_xi"], g["d_xi"])
     re, im = np.meshgrid(axis, axis, indexing="ij")
     xis = re + 1j * im

@@ -413,20 +413,18 @@ def _fisher_parts(subs: list[_Subproblem], packed: list[np.ndarray]):
 
 
 def fisher_information(theta: CoefficientVector, points: Design | Sequence[MeasurementPoint],
-                       shots, check: bool = True) -> np.ndarray:
+                       shots) -> np.ndarray:
     """Total Fisher information I = sum_k N_k I_k of the unheated model at theta.
 
     Real parameter ordering: the 3 coefficients for order 2, or
     [Re theta..., Im theta...] for order 3.  ``points`` and ``shots`` may
     each be a dict keyed by basis, giving each part its own rows.  Raises
-    RankDeficiencyError naming the flat direction when singular
-    (suppressed with ``check=False``).
+    RankDeficiencyError naming the flat direction when singular.
     """
     model = ModelSpec(theta.n, theta.n_bar)
     _, info = _fisher_parts(_design(model, _part_designs(model, points), shots),
                             _pack_theta(model, theta))
-    if check:
-        _checked_eigh(info)
+    _checked_eigh(info)
     return info
 
 

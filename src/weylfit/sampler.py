@@ -62,42 +62,25 @@ _ROW_BLOCK = 512
 
 @dataclass(frozen=True)
 class MeasurementPoint:
-    """One experimental configuration at which shots are taken; one row of a `Design`."""
+    """One experimental configuration at which shots are taken; one row of a
+    `Design`, which checks it."""
 
     xi: complex
     r: float
     theta: float = 0.0
     n_bar: float = 0.0
 
-    def __post_init__(self):
-        if self.r < 0:
-            raise InvalidParameterError("squeezing amplitude must be non-negative")
-        if self.n_bar < 0:
-            raise InvalidParameterError("mean occupation must be non-negative")
-
 
 @dataclass(frozen=True)
 class ShotRecord:
     """Raw measurement unit: a point, a Pauli basis, and a +1 outcome count;
-    one row of a `Dataset`."""
+    one row of a `Dataset`, which checks it."""
 
     point: MeasurementPoint
     basis: str
     shots: int
     plus_count: int
     seed: int
-
-    def __post_init__(self):
-        if self.basis not in BASIS_CODES:
-            raise DatasetError(f"basis must be 'x' or 'y', got {self.basis!r}")
-        if not 0 <= self.plus_count <= self.shots:
-            raise DatasetError("plus_count must lie in [0, shots]")
-        if self.shots < 1:
-            raise DatasetError("shots must be at least 1")
-
-    @property
-    def frequency(self) -> float:
-        return self.plus_count / self.shots
 
 
 def _column(values, n: int, dtype) -> np.ndarray:
@@ -114,8 +97,8 @@ class Design:
     """A measurement design as columns, one entry per point: xi (complex),
     r, theta and n_bar.
 
-    The constructor checks every row at once, by the rules of
-    `MeasurementPoint`.  Iterating or indexing a design builds its
+    The constructor checks every row at once: each value is finite, and r
+    and n_bar are non-negative.  Iterating a design builds its
     `MeasurementPoint`s on demand.
     """
 
@@ -127,6 +110,9 @@ class Design:
             raise InvalidParameterError(f"design xi must be 1-D, got shape {self.xi.shape}")
         n = len(self.xi)
         self.r, self.theta, self.n_bar = (_column(v, n, float) for v in (r, theta, n_bar))
+        for name in self.__slots__:
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidParameterError(f"design {name} has a non-finite value")
         if np.any(self.r < 0):
             raise InvalidParameterError("squeezing amplitude must be non-negative")
         if np.any(self.n_bar < 0):
@@ -154,10 +140,6 @@ class Design:
             yield from map(MeasurementPoint, self.xi[rows].tolist(), self.r[rows].tolist(),
                            self.theta[rows].tolist(), self.n_bar[rows].tolist())
 
-    def __getitem__(self, i) -> MeasurementPoint:
-        return MeasurementPoint(complex(self.xi[i]), float(self.r[i]), float(self.theta[i]),
-                                float(self.n_bar[i]))
-
     def __eq__(self, other):
         if not isinstance(other, Design):
             return NotImplemented
@@ -168,8 +150,9 @@ class Dataset:
     """Shot records as columns: a `Design` with one point per record, and
     each record's basis code (`BASIS_CODES`), shots, +1 count and seed word.
 
-    The constructor checks every row at once, by the rules of `ShotRecord`.
-    Iterating or indexing a dataset builds its `ShotRecord`s on demand.
+    The constructor checks every row at once: a known basis code, at least
+    one shot, and a +1 count in [0, shots].  Iterating a dataset builds its
+    `ShotRecord`s on demand.
     """
 
     __slots__ = ("points", "basis", "shots", "plus_count", "seed")
@@ -186,13 +169,6 @@ class Dataset:
             raise DatasetError("plus_count must lie in [0, shots]")
         if np.any(self.shots < 1):
             raise DatasetError("shots must be at least 1")
-
-    @classmethod
-    def from_records(cls, records: Sequence[ShotRecord]) -> Dataset:
-        records = list(records)
-        return cls(Design.of([rec.point for rec in records]),
-                   [BASIS_CODES[rec.basis] for rec in records], [rec.shots for rec in records],
-                   [rec.plus_count for rec in records], [rec.seed for rec in records])
 
     @property
     def frequency(self) -> np.ndarray:
@@ -214,10 +190,6 @@ class Dataset:
                            [BASES[c] for c in self.basis[rows].tolist()],
                            self.shots[rows].tolist(), self.plus_count[rows].tolist(),
                            self.seed[rows].tolist())
-
-    def __getitem__(self, i) -> ShotRecord:
-        return ShotRecord(self.points[i], BASES[self.basis[i]], int(self.shots[i]),
-                          int(self.plus_count[i]), int(self.seed[i]))
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
@@ -245,16 +217,6 @@ def born_probabilities(chi):
     scale = np.where(mod > 1.0, mod, 1.0)
     re, im = (np.where(np.abs(c) <= 1e-12, 0.0, c / scale) for c in (re, im))
     return 0.5 * (1.0 + re), 0.5 * (1.0 + im)
-
-
-def record_seed_sequence(master_seed: int, point_index: int, basis: str) -> np.random.SeedSequence:
-    """Independent stream per (master seed, point, basis); schedule-free.
-
-    This defines every record's stream; `record_state_words` computes its
-    PCG64 seed words for a whole dataset at once.
-    """
-    return np.random.SeedSequence(entropy=int(master_seed),
-                                  spawn_key=(point_index, BASIS_CODES[basis]))
 
 
 # Constants of numpy's SeedSequence pool hash (M. O'Neill's seed_seq mix)
@@ -285,13 +247,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def record_state_words(master_seed: int, point_indices: np.ndarray,
                        codes: np.ndarray) -> np.ndarray:
-    """(m, 4) uint64: `record_seed_sequence(master_seed, i, basis).generate_state(4, np.uint64)`
-    for every key (point_indices[k], codes[k]), in one pass of uint32 array arithmetic.
+    """(m, 4) uint64 PCG64 seed words of the records (point_indices[k], codes[k]).
 
-    The entropy is the seed as little-endian 32-bit words, which a seed
-    below 2**64 fills or zero-pads to exactly the 4-word pool, then the
-    index word and the basis-code word of the spawn key.  The seed words
-    fill and mix the pool once; the two key words are mixed into it as arrays.
+    Row k defines record k's stream: it is `np.random.SeedSequence(entropy=
+    master_seed, spawn_key=(point_indices[k], codes[k])).generate_state(4,
+    np.uint64)`, which depends on no schedule, computed for all rows in one
+    pass of uint32 array arithmetic.  The entropy is the seed as
+    little-endian 32-bit words, which a seed below 2**64 fills or zero-pads
+    to exactly the 4-word pool, then the index and basis-code words of the
+    spawn key.  The seed words fill and mix the pool once; the two key
+    words are mixed into it as arrays.
     """
     if not 0 <= master_seed < 2**64:
         raise InvalidParameterError(f"seed must lie in [0, 2**64), got {master_seed}")
@@ -318,7 +283,7 @@ def _draw_counts(seed: int, chis: np.ndarray, bases: Sequence[str],
     every point in the first basis, then every point in the next.
 
     Record k draws B(shots[k], p) from Generator(PCG64) seeded with its
-    `record_state_words` row, which is its `record_seed_sequence` stream.
+    `record_state_words` row.
     """
     p_x, p_y = born_probabilities(chis)
     p_plus = np.concatenate([p_x if basis == "x" else p_y for basis in bases])
@@ -627,8 +592,6 @@ def _parse_rows(rows: list[list[str]]) -> Dataset:
     n = len(rows)
     cols = list(zip(*rows))
     re_xi, im_xi, r, theta, n_bar = (np.fromiter(map(float, c), float, n) for c in cols[:5])
-    if not all(np.isfinite(c).all() for c in (re_xi, im_xi, r, theta, n_bar)):
-        raise ValueError("non-finite value")
     xi = np.empty(n, dtype=complex)
     xi.real, xi.imag = re_xi, im_xi
     points = Design(xi, r, theta, n_bar)

@@ -6,10 +6,9 @@ exact flows of `weylfit.sampler` and `weylfit.fockspace` have an
 independent check.  Operators and states are plain numpy arrays.
 
 The per-record sampler draws each record from its own
-`sampler.record_seed_sequence` stream with one numpy Generator per
-record, the way `sampler.generate_dataset` is defined; the dataset
-generator computes all records in one array pass and must match it
-exactly.
+`record_seed_sequence` stream with one numpy Generator per record, the
+way `sampler.generate_dataset` is defined; the dataset generator
+computes all records in one array pass and must match it exactly.
 """
 
 from __future__ import annotations
@@ -190,18 +189,34 @@ def sample_shots(p_plus: float, n: int, seed) -> int:
     return int(rng.binomial(n, p_plus))
 
 
+def record_seed_sequence(master_seed: int, point_index: int, basis: str) -> np.random.SeedSequence:
+    """The stream of one record, as `sampler.record_state_words` defines it."""
+    return np.random.SeedSequence(entropy=int(master_seed),
+                                  spawn_key=(point_index, sampler.BASIS_CODES[basis]))
+
+
+def dataset_from_records(records) -> sampler.Dataset:
+    """The `sampler.Dataset` of a sequence of `sampler.ShotRecord` rows, in order."""
+    records = list(records)
+    return sampler.Dataset(sampler.Design.of([rec.point for rec in records]),
+                           [sampler.BASIS_CODES[rec.basis] for rec in records],
+                           [rec.shots for rec in records], [rec.plus_count for rec in records],
+                           [rec.seed for rec in records])
+
+
 def per_record_dataset(points, total_shots: int, n: int, seed: int,
                        chis: np.ndarray) -> sampler.Dataset:
     """`sampler.generate_dataset` from given chi values, one record at a time."""
+    points = list(points)
     bases = sampler.bases_for_order(n)
     alloc = sampler.allocate_shots(len(points) * len(bases), total_shots)
     records = []
     for cell, (basis, i) in enumerate((b, i) for b in bases for i in range(len(points))):
         p_x, p_y = born_probabilities_scalar(chis[i])
-        ss = sampler.record_seed_sequence(seed, i, basis)
+        ss = record_seed_sequence(seed, i, basis)
         count = sample_shots(p_x if basis == "x" else p_y, int(alloc[cell]),
                              np.random.default_rng(ss))
         records.append(sampler.ShotRecord(point=points[i], basis=basis, shots=int(alloc[cell]),
                                           plus_count=count,
                                           seed=int(ss.generate_state(1, np.uint64)[0])))
-    return sampler.Dataset.from_records(records)
+    return dataset_from_records(records)

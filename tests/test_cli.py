@@ -351,6 +351,13 @@ class TestCharfunc:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "charfunc.csv").exists()
 
+    def test_negative_xi_max_is_input_error(self, tmp_path, capsys):
+        # the axis -xi_max..xi_max is empty, so the CSV held only its header
+        cfg = write_config(tmp_path / "run.yaml", grid={"xi_max": -0.5})
+        assert cli.run(["--config", str(cfg), "charfunc", "--r", "0.25"]) == 2
+        assert "xi_max" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "charfunc.csv").exists()
+
 
 @pytest.mark.parametrize("args", [("charfunc", "--r", "0.25"),
                                   ("sweep", "--xi-max-list", "1.0,2.0", "--r-max-list", "0.3,0.78")],
@@ -586,7 +593,13 @@ def test_simulate_and_estimate_never_build_per_row_objects(tmp_path):
               "from weylfit import sampler\n"
               "built = []\n"
               "for cls in (sampler.MeasurementPoint, sampler.ShotRecord):\n"
-              "    cls.__post_init__ = lambda self: built.append(type(self).__name__)\n"
+              "    def hooked(self, *args, _init=cls.__init__, **kwargs):\n"
+              "        built.append(type(self).__name__)\n"
+              "        _init(self, *args, **kwargs)\n"
+              "    cls.__init__ = hooked\n"
+              "list(sampler.Dataset(sampler.Design([0.5], 0.1), 0, 10, 4, 7))\n"
+              "assert built == ['MeasurementPoint', 'ShotRecord'], built\n"
+              "built.clear()\n"
               f"codes = [weylfit.cli.run(argv) for argv in {commands!r}]\n"
               "print(codes, built, sorted(m for m in sys.modules if m.split('.')[:2] == "
               "['numpy', 'ma']))\n")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from oracles import dataset_from_records
 from weylfit import series as dg
 from weylfit import estimator as est
 from weylfit import sampler as sp
@@ -34,7 +35,7 @@ class TestGrids:
     def test_single_point_grid(self):
         points = est.build_grid(0.02, 0.02, 0.02, 0.02)
         assert len(points) == 1
-        assert points[0].xi == pytest.approx(0.02)
+        assert points.xi.tolist() == [pytest.approx(0.02)]
 
     def test_complex_grid_count(self):
         assert len(est.build_grid_complex(1.7, 1.7, 0.5, 10, 10, 3)) == 300
@@ -60,7 +61,7 @@ class TestCosts:
             records.append(sp.ShotRecord(point=p, basis="x", shots=shots,
                                          plus_count=count, seed=0))
             freqs.append(count / shots)
-        problem = est.FitProblem(est.ModelSpec(2), sp.Dataset.from_records(records), cost="ml")
+        problem = est.FitProblem(est.ModelSpec(2), dataset_from_records(records), cost="ml")
         entropy = -shots * sum(
             f * np.log(max(f, 1e-300)) + (1 - f) * np.log(max(1 - f, 1e-300))
             for f in freqs
@@ -74,7 +75,7 @@ class TestCosts:
     def test_ml_single_point_values(self):
         point = sp.MeasurementPoint(xi=0j, r=0.0)
         rec_sure = sp.ShotRecord(point=point, basis="x", shots=100, plus_count=100, seed=0)
-        problem = est.FitProblem(est.ModelSpec(2), sp.Dataset.from_records([rec_sure]),
+        problem = est.FitProblem(est.ModelSpec(2), dataset_from_records([rec_sure]),
                                  cost="ml")
         # model predicts p = 1 exactly at xi = 0 for any theta
         assert est.cost(np.zeros(3), problem) == pytest.approx(0.0, abs=1e-6)
@@ -83,7 +84,7 @@ class TestCosts:
         # f = 0.6 against p = 1/2: cost is 100 log 2
         point = sp.MeasurementPoint(xi=2.0 + 0j, r=0.5)
         rec = sp.ShotRecord(point=point, basis="x", shots=100, plus_count=60, seed=0)
-        problem = est.FitProblem(est.ModelSpec(2), sp.Dataset.from_records([rec]), cost="ml")
+        problem = est.FitProblem(est.ModelSpec(2), dataset_from_records([rec]), cost="ml")
         # at these values the clipped model saturates at 0, so p = 1/2
         theta = np.array([-10.0, -10.0, 0.0])
         assert est.cost(theta, problem) == pytest.approx(100 * np.log(2), rel=1e-10)
@@ -98,7 +99,7 @@ class TestCosts:
             count = int(round(0.5 * (1 + chi) * shots))
             records.append(sp.ShotRecord(point=p, basis="x", shots=shots,
                                          plus_count=count, seed=0))
-        problem = est.FitProblem(est.ModelSpec(2), sp.Dataset.from_records(records), cost="ls")
+        problem = est.FitProblem(est.ModelSpec(2), dataset_from_records(records), cost="ls")
         fitted = est.minimize(problem)
         resid = est.cost(fitted.coefficients, problem)
         assert resid <= est.cost(theta, problem) + 1e-9
@@ -113,7 +114,7 @@ class TestCosts:
         f = p_model - np.sqrt(p_model * (1 - p_model) / n)
         count = int(round(f * n))
         rec = sp.ShotRecord(point=point, basis="x", shots=n, plus_count=count, seed=0)
-        problem = est.FitProblem(est.ModelSpec(2), sp.Dataset.from_records([rec]), cost="ls")
+        problem = est.FitProblem(est.ModelSpec(2), dataset_from_records([rec]), cost="ls")
         f_actual = count / n
         sigma2 = max(f_actual * (1 - f_actual) / n, 1 / (4 * n**2))
         expected = (p_model - f_actual) ** 2 / sigma2
@@ -180,6 +181,16 @@ class TestMinimize:
         fit, _ = est.fit_exact_frequencies(points, est.ModelSpec(3), 1000,
                                            chi_values=chis, cost="ls")
         np.testing.assert_allclose(fit.values, theta.values, atol=1e-8)
+
+    @pytest.mark.parametrize("call", [
+        lambda points: est.fit_exact_frequencies(points, est.ModelSpec(2), 1000),
+        lambda points: sp.analytic_chi_grid(points, 2)],
+        ids=["fit_exact_frequencies", "analytic_chi_grid"])
+    def test_non_finite_xi_is_rejected(self, call):
+        # a NaN xi used to fit to theta = (0, 0, 0), and to give a NaN chi
+        points = [sp.MeasurementPoint(xi=complex(x), r=0.2) for x in (0.5, np.nan, 1.0)]
+        with pytest.raises(InvalidParameterError, match="design xi has a non-finite value"):
+            call(points)
 
     def test_fit_at_the_iteration_limit_raises_with_its_best_parameters(self, monkeypatch):
         def stuck(sub, x, cost):
@@ -271,14 +282,15 @@ class TestNewtonAgainstScipy:
 
 class TestFisher:
     def test_single_point_bernoulli(self):
-        # one scalar direction: I_11 = N (dp/dc1)^2 / (p(1-p))
-        point = sp.MeasurementPoint(xi=0.5 + 0j, r=0.2)
+        # one scalar direction, summed over the points i:
+        # I_11 = sum_i N (dp_i/dc1)^2 / (p_i (1 - p_i))
+        points = est.build_grid(1.0, 0.3, 0.2, 0.1)
         theta = dg.CoefficientVector(2, np.array([-1.0, 0.0, 0.0]))
-        info = est.fisher_information(theta, [point], 1000, check=False)
-        b = dg.basis_values(2, np.array([point.xi]), point.r, 0.0)[0]
-        chi0 = np.exp(-0.5 * abs(point.xi) ** 2)
-        p = 0.5 * (1 + (1 + theta.values.real @ b) * chi0)
-        expected_11 = 1000 * (0.5 * b[0] * chi0) ** 2 / (p * (1 - p))
+        info = est.fisher_information(theta, points, 1000)
+        b = dg.basis_values(2, points.xi, points.r, 0.0)
+        chi0 = np.exp(-0.5 * np.abs(points.xi) ** 2)
+        p = 0.5 * (1 + (1 + b @ theta.values.real) * chi0)
+        expected_11 = np.sum(1000 * (0.5 * b[:, 0] * chi0) ** 2 / (p * (1 - p)))
         assert info[0, 0] == pytest.approx(float(expected_11), rel=1e-12)
 
     def test_linearity_in_shots(self):

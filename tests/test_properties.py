@@ -13,6 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dataset_from_records, record_seed_sequence
 from weylfit import config
 from weylfit import fockspace as fs
 from weylfit import sampler as sp
@@ -47,7 +48,7 @@ def as_tuple(rec):
 def test_csv_round_trip_is_exact_at_twelve_digits(records):
     # one write rounds every float to 12 significant digits; from then on
     # write and read are exact inverses, and rewriting reproduces the file
-    text = sp.dataset_to_string(sp.Dataset.from_records(records))
+    text = sp.dataset_to_string(dataset_from_records(records))
     once = sp.dataset_from_csv(io.StringIO(text))
     for orig, back in zip(records, once):
         assert as_tuple(back)[4:] == as_tuple(orig)[4:]
@@ -64,7 +65,7 @@ def test_csv_round_trip_is_exact_at_twelve_digits(records):
 @given(st.lists(shot_records(), min_size=1, max_size=20))
 def test_csv_floats_are_written_as_fmt_writes_them(records):
     # the writer formats each distinct float once; signed zeros stay apart
-    text = sp.dataset_to_string(sp.Dataset.from_records(records))
+    text = sp.dataset_to_string(dataset_from_records(records))
     rows = list(csv.reader(io.StringIO(text)))[1:]
     points = [rec.point for rec in records]
     assert [row[:5] for row in rows] == [[sp._fmt(v) for v in (p.xi.real, p.xi.imag, p.r,
@@ -78,7 +79,7 @@ def test_csv_floats_are_written_as_fmt_writes_them(records):
 def test_record_words_are_the_seed_sequence_state(seed, indices, basis):
     words = sp.record_state_words(seed, indices, [sp.BASIS_CODES[basis]] * len(indices))
     np.testing.assert_array_equal(
-        words, [sp.record_seed_sequence(seed, i, basis).generate_state(4, np.uint64)
+        words, [record_seed_sequence(seed, i, basis).generate_state(4, np.uint64)
                 for i in indices])
 
 
@@ -119,7 +120,7 @@ def test_order3_model_parts_lie_in_the_unit_interval(theta, xi, r, phase):
        st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"]),
        shot_records())
 def test_non_finite_csv_field_raises_dataset_error(field, value, record):
-    header, row = sp.dataset_to_string(sp.Dataset.from_records([record])).splitlines()
+    header, row = sp.dataset_to_string(dataset_from_records([record])).splitlines()
     cells = row.split(",")
     cells[sp.CSV_FIELDS.index(field)] = value
     with pytest.raises(DatasetError):

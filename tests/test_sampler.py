@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import (STEP_RULE, LindbladSpec, born_probabilities_scalar, dense_probe_chi,
-                     evolve_lindblad, per_record_dataset, sample_shots)
+from oracles import (STEP_RULE, LindbladSpec, born_probabilities_scalar, dataset_from_records,
+                     dense_probe_chi, evolve_lindblad, per_record_dataset, record_seed_sequence,
+                     sample_shots)
 from weylfit import charfunc as cf
 from weylfit import estimator as est
 from weylfit import fockspace as fs
@@ -89,8 +90,7 @@ class TestGenerateDataset:
     def test_sure_outcome(self):
         points = [sp.MeasurementPoint(xi=0j, r=0.0)]
         records = sp.generate_dataset(points, sp.analytic_chi_grid(points, 2), 100, 2, seed=5)
-        assert len(records) == 1
-        assert records[0].plus_count == 100  # chi = 1 at the origin
+        assert records.plus_count.tolist() == [100]  # chi = 1 at the origin
 
     def test_reproducible_and_schedule_free(self):
         # each record's count is fully determined by (seed, index, basis),
@@ -147,7 +147,7 @@ class TestRecordStateWords:
     def test_words_are_the_seed_sequence_state(self, seed, basis):
         index = np.arange(1024)
         words = sp.record_state_words(seed, index, np.full(index.size, sp.BASIS_CODES[basis]))
-        want = [sp.record_seed_sequence(seed, i, basis).generate_state(4, np.uint64)
+        want = [record_seed_sequence(seed, i, basis).generate_state(4, np.uint64)
                 for i in range(index.size)]
         np.testing.assert_array_equal(words, want)
 
@@ -230,7 +230,7 @@ class TestCsvRejections:
 
     def test_largest_seed_is_accepted(self):
         dataset = sp.dataset_from_csv(io.StringIO(dataset_text({"seed": str(2**64 - 1)})))
-        assert dataset[0].seed == 2**64 - 1
+        assert dataset.seed.tolist() == [2**64 - 1]
 
     def test_earliest_bad_row_is_named(self):
         # the seed is checked after the floats, but its row comes first in the file
@@ -254,7 +254,7 @@ class TestCsvRejections:
             with pytest.raises(DatasetError, match="line 2 "):
                 sp.dataset_from_csv(io.StringIO(text))
         else:
-            assert sp.dataset_from_csv(io.StringIO(text))[0].plus_count == want
+            assert sp.dataset_from_csv(io.StringIO(text)).plus_count.tolist() == [want]
 
     @pytest.mark.parametrize("cell", [" 0.25 ", "2.5e-1", "1_0.5", ".5", "0x1", "", "٠.٥"])
     def test_float_cells_parse_as_float_does(self, cell):
@@ -265,29 +265,42 @@ class TestCsvRejections:
             with pytest.raises(DatasetError, match="line 2 "):
                 sp.dataset_from_csv(io.StringIO(text))
         else:
-            assert sp.dataset_from_csv(io.StringIO(text))[0].point.r == want
+            assert sp.dataset_from_csv(io.StringIO(text)).points.r.tolist() == [want]
 
 
 class TestColumns:
     def test_design_checks_rows_as_measurement_point_does(self):
-        for column in ("r", "n_bar"):
-            with pytest.raises(InvalidParameterError) as columnar:
-                sp.Design([0.1, 0.2], **{"r": 0.1, column: [0.1, -0.1]})
-            with pytest.raises(InvalidParameterError) as single:
-                sp.MeasurementPoint(xi=0.2, **{"r": 0.1, column: -0.1})
+        # a bad row is refused by its message whether it comes as a column of a
+        # Design or as a MeasurementPoint joining one through Design.of
+        for column, value, message in (("r", -0.1, "squeezing amplitude must be non-negative"),
+                                       ("n_bar", -0.1, "mean occupation must be non-negative"),
+                                       ("r", np.nan, "design r has a non-finite value")):
+            with pytest.raises(InvalidParameterError, match=message) as columnar:
+                sp.Design([0.1, 0.2], **{"r": 0.1, column: [0.1, value]})
+            points = [sp.MeasurementPoint(xi=0.2, r=0.1),
+                      sp.MeasurementPoint(xi=0.2, **{"r": 0.1, column: value})]
+            with pytest.raises(InvalidParameterError, match=message) as single:
+                sp.Design.of(points)
             assert str(columnar.value) == str(single.value)
 
-    @pytest.mark.parametrize("counts", [{"plus_count": -1}, {"plus_count": 11},
-                                        {"shots": 0, "plus_count": 0}])
-    def test_dataset_checks_rows_as_shot_record_does(self, counts):
-        point = sp.MeasurementPoint(xi=0.5, r=0.1)
+    @pytest.mark.parametrize("column", ["xi", "r", "theta", "n_bar"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_design_rejects_a_non_finite_value(self, column, value):
+        columns = {"xi": [0.5, 0.5], "r": 0.1, "theta": 0.0, "n_bar": 0.0}
+        columns[column] = [0.5, complex(0.5, value) if column == "xi" else value]
+        with pytest.raises(InvalidParameterError, match=f"design {column} has a non-finite value"):
+            sp.Design(**columns)
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"plus_count": -1}, "plus_count must lie in"),
+        ({"plus_count": 11}, "plus_count must lie in"),
+        ({"shots": 0, "plus_count": 0}, "shots must be at least 1")],
+        ids=["plus-count-negative", "plus-count-above-shots", "zero-shots"])
+    def test_dataset_checks_every_row(self, counts, message):
         fields = {"shots": 10, "plus_count": 4, **counts}
-        with pytest.raises(DatasetError) as single:
-            sp.ShotRecord(point, "x", seed=7, **fields)
-        with pytest.raises(DatasetError) as columnar:
-            sp.Dataset(sp.Design.of([point] * 2), [0, 1], [10, fields["shots"]],
+        with pytest.raises(DatasetError, match=message):
+            sp.Dataset(sp.Design([0.5, 0.5], 0.1), [0, 1], [10, fields["shots"]],
                        [4, fields["plus_count"]], 7)
-        assert str(columnar.value) == str(single.value)
 
     def test_dataset_rejects_an_unknown_basis_code(self):
         with pytest.raises(DatasetError, match="basis codes"):
@@ -298,13 +311,13 @@ class TestColumns:
                   for im in (0.25, -0.0)]
         records = [sp.ShotRecord(points[k % 2], "xy"[k // 2], 10 + k, k, 2**64 - 1 - k)
                    for k in range(4)]
-        dataset = sp.Dataset.from_records(records)
+        dataset = dataset_from_records(records)
         assert list(dataset) == records
-        assert [dataset[k] for k in range(4)] == records
         assert list(dataset.points) == [r.point for r in records]
-        assert dataset.in_basis("y") == sp.Dataset.from_records(records[2:])
-        assert dataset != sp.Dataset.from_records(records[::-1])
-        np.testing.assert_array_equal(dataset.frequency, [r.frequency for r in records])
+        assert dataset.in_basis("y") == dataset_from_records(records[2:])
+        assert dataset != dataset_from_records(records[::-1])
+        np.testing.assert_array_equal(dataset.frequency,
+                                      [r.plus_count / r.shots for r in records])
 
     def test_design_of_a_design_is_itself(self):
         design = est.build_grid(0.4, 0.2, 0.2, 0.1)
@@ -478,9 +491,9 @@ class TestProtocol:
         records = sp.generate_dataset(points, chis, 2000, 2, seed=3)
         assert sum(r.shots for r in records) == 2000
         # frequencies track the simulated coherences
-        for rec, chi in zip(records, chis):
-            p_plus = sp.born_probabilities(chi)[0]
-            assert abs(rec.frequency - p_plus) <= 4 * np.sqrt(p_plus * (1 - p_plus) / rec.shots) + 1e-3
+        p_plus = sp.born_probabilities(chis)[0]
+        bound = 4 * np.sqrt(p_plus * (1 - p_plus) / records.shots) + 1e-3
+        assert np.all(np.abs(records.frequency - p_plus) <= bound)
 
 
 def pulse_segments(cfg):
@@ -554,5 +567,6 @@ class TestHeatedPulse:
 
 class TestMeasurementPoint:
     def test_rejects_negative_r(self):
-        with pytest.raises(InvalidParameterError):
-            sp.MeasurementPoint(xi=0j, r=-0.1)
+        # the row is plain; the Design it joins refuses it
+        with pytest.raises(InvalidParameterError, match="squeezing amplitude must be non-negative"):
+            sp.Design.of([sp.MeasurementPoint(xi=0j, r=-0.1)])
