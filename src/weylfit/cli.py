@@ -90,24 +90,12 @@ def _save_report(report: estimator.EstimationReport, cfg: config_mod.RunConfig,
         "model": {"n": report.model.n, "n_B": report.model.n_bar,
                   "heating": report.model.heating},
         "rmse": report.rmse,
-        "diagnostics": _plain(report.diagnostics),
+        "diagnostics": report.diagnostics,
         "config": cfg.as_dict(),
     }
     if extra_meta:
-        meta.update(_plain(extra_meta))
+        meta.update(extra_meta)
     _atomic_write(path.with_suffix(".meta.yaml"), yaml.safe_dump(meta, sort_keys=True))
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def _load_report(path: Path) -> tuple[estimator.EstimationReport, float | None]:
@@ -230,8 +218,7 @@ def cmd_sweep(cfg: config_mod.RunConfig, args) -> int:
     r_maxes = _float_list(args.r_max_list, "--r-max-list")
     result = estimator.rmse_sweep(xi_maxes, r_maxes, cfg.shots["total"],
                                   d_xi=cfg.grid["d_xi"], d_r=cfg.grid["d_r"],
-                                  n_bar=cfg.model["n_B"],
-                                  cutoff=cfg.protocol["cutoff"])
+                                  n_bar=cfg.model["n_B"])
     out = cfg.out_dir / "rmse_sweep.csv"
     n_r, n_xi = result.rmse.shape  # rows run over r_max, then xi_max
     _write_csv(out, ["xi_max", "r_max", "rmse"],

@@ -170,36 +170,25 @@ class _Subproblem:
 
 
 def _subproblem(model: ModelSpec, part: int, design: Design, shots, freq=None) -> _Subproblem:
+    """The part's subproblem on ``design``: a scalar ``shots`` fills every row,
+    and ``freq`` (zero when None) is each row's +1 frequency."""
+    shots = np.asarray(shots)
+    if shots.ndim == 0:
+        shots = np.full(len(design), int(shots))
+    elif len(shots) != len(design):
+        raise InvalidParameterError("shot allocation length does not match grid")
     return _Subproblem(
         n=model.n, part=part, nu=model.nu, heated=model.heating, xi=design.xi, r=design.r,
-        phase=design.theta, shots=np.asarray(shots, dtype=int),
+        phase=design.theta, shots=shots.astype(int),
         freq=np.zeros(len(design)) if freq is None else np.asarray(freq, dtype=float),
     )
 
 
-def _part_designs(model: ModelSpec, points) -> list[Design]:
-    """The design of each model part: ``points`` for every part, or, when
-    ``points`` is a dict keyed by basis, the entry of the part's basis."""
-    if isinstance(points, dict):
-        return [Design.of(points[basis]) for basis, *_ in series.PARTS[model.n]]
-    return [Design.of(points)] * len(series.PARTS[model.n])
-
-
-def _design(model: ModelSpec, designs: list[Design], shots,
-            chis: list[np.ndarray] | None = None) -> list[_Subproblem]:
-    """One subproblem per part, on that part's design.
-
-    With ``chis`` given, one per part, the frequencies are their exact
-    probabilities (the infinite-shot limit); otherwise they are left at zero.
-    """
-    return [_subproblem(model, part, design, _coerce_allocation(shots, len(design), basis),
-                        None if chis is None else np.clip(_born(chis[part], part), 0.0, 1.0))
-            for part, ((basis, *_), design) in enumerate(zip(series.PARTS[model.n], designs))]
-
-
-def _born(chi: np.ndarray, part: int) -> np.ndarray:
-    """p(+1) of the part's basis: (1 + Re chi)/2 in x, (1 + Im chi)/2 in y."""
-    return 0.5 * (1.0 + (np.real(chi) if part == 0 else np.imag(chi)))
+def _per_part(model: ModelSpec, value) -> list:
+    """Each model part's entry: the value of the part's basis when ``value``
+    is a dict keyed by basis, else ``value`` itself."""
+    return [value[basis] if isinstance(value, dict) else value
+            for basis, *_ in series.PARTS[model.n]]
 
 
 def _pack_theta(model: ModelSpec, theta, c_h: float = 0.0) -> list[np.ndarray]:
@@ -388,17 +377,6 @@ def _safe_inverse(info: np.ndarray) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_allocation(shots, n_points: int, basis: str | None = None) -> np.ndarray:
-    if isinstance(shots, dict):
-        shots = shots[basis]
-    arr = np.asarray(shots)
-    if arr.ndim == 0:
-        return np.full(n_points, int(arr), dtype=int)
-    if len(arr) != n_points:
-        raise InvalidParameterError("shot allocation length does not match grid")
-    return arr.astype(int)
-
-
 def _fisher_parts(subs: list[_Subproblem], packed: list[np.ndarray]):
     """Per part (p, Fisher-weighted dp), and the total information I = sum_k N_k I_k."""
     size = len(packed[0])
@@ -422,8 +400,9 @@ def fisher_information(theta: CoefficientVector, points: Design | Sequence[Measu
     RankDeficiencyError naming the flat direction when singular.
     """
     model = ModelSpec(theta.n, theta.n_bar)
-    _, info = _fisher_parts(_design(model, _part_designs(model, points), shots),
-                            _pack_theta(model, theta))
+    subs = [_subproblem(model, part, Design.of(rows), alloc) for part, (rows, alloc)
+            in enumerate(zip(_per_part(model, points), _per_part(model, shots)))]
+    _, info = _fisher_parts(subs, _pack_theta(model, theta))
     _checked_eigh(info)
     return info
 
@@ -438,29 +417,27 @@ def systematic_bias(theta_star: CoefficientVector, points: Design | Sequence[Mea
     part its own rows; parts on equal designs share one exact chi.
     """
     model = ModelSpec(theta_star.n, theta_star.n_bar)
-    designs = _part_designs(model, points)
-
-    def exact_chi():
-        first = sampler.analytic_chi_grid(designs[0], model.n, cutoff)
-        return [first if design == designs[0] else
-                sampler.analytic_chi_grid(design, model.n, cutoff) for design in designs]
-
-    return _bias_and_information(theta_star, _design(model, designs, shots), exact_chi)[0]
+    designs = [Design.of(rows) for rows in _per_part(model, points)]
+    first = sampler.analytic_chi_grid(designs[0], model.n, cutoff)
+    subs, exact = [], []
+    for part, (design, alloc) in enumerate(zip(designs, _per_part(model, shots))):
+        subs.append(_subproblem(model, part, design, alloc))
+        chi = first if design == designs[0] else sampler.analytic_chi_grid(design, model.n, cutoff)
+        exact.append(sampler.born_probabilities(chi)[part])
+    return _bias_and_information(theta_star, subs, exact)[0]
 
 
 def _bias_and_information(theta_star: CoefficientVector, subs: list[_Subproblem],
-                          exact_chi) -> tuple[np.ndarray, np.ndarray]:
+                          exact: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """`systematic_bias` on the parts' subproblems, and the Fisher information I.
 
-    ``exact_chi()`` returns the untruncated chi of each part's rows; it is
-    called only once I has passed the rank check, so a singular design
-    raises RankDeficiencyError before any exact chi is computed.
+    ``exact`` holds each part's p(+1) under the untruncated chi of its rows.
+    A singular design raises RankDeficiencyError.
     """
     model = ModelSpec(theta_star.n, theta_star.n_bar)
     parts, info = _fisher_parts(subs, _pack_theta(model, theta_star))
     _checked_eigh(info)
-    rhs = np.concatenate([dp_w.T @ (_born(chi, part) - p)
-                          for part, ((p, dp_w), chi) in enumerate(zip(parts, exact_chi()))])
+    rhs = np.concatenate([dp_w.T @ (p_exact - p) for (p, dp_w), p_exact in zip(parts, exact)])
     delta = np.linalg.solve(info, rhs)
     if model.n == 2:
         return delta.astype(complex), info
@@ -528,16 +505,15 @@ class SweepResult:
 
 
 def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots: int,
-               d_xi: float = 0.02, d_r: float = 0.02, n_bar: float = 0.0,
-               cutoff: int = fockspace.DEFAULT_CUTOFF) -> SweepResult:
+               d_xi: float = 0.02, d_r: float = 0.02, n_bar: float = 0.0) -> SweepResult:
     """Expected total error of order-2 designs at a fixed shot budget.
 
     Each cell is the `build_grid` design at (xi_max, r_max), scored as
     rmse = sqrt(mean_j(bias_j^2 + var_j)) from the linearized systematic
     bias and the Fisher covariance; a rank-deficient cell scores inf.  Every
     cell is a prefix block [:n_r, :n_xi] of the lattice of the largest
-    maxima, so that lattice and its exact chi are built once and each cell
-    reads slices of them.
+    maxima, so that lattice and its exact probabilities are built once and
+    each cell reads slices of them.
     """
     theta_star = series.truth_coefficients(2, n_bar)
     model = ModelSpec(2, n_bar)
@@ -545,17 +521,18 @@ def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots:
     r_maxes = np.asarray(list(r_maxes), dtype=float)
     xi_axis, r_axis = grid_axes(xi_maxes.max(), r_maxes.max(), d_xi, d_r)
     xi_axis = xi_axis.astype(complex)
-    chi = np.stack([charfunc.chi_reference(xi_axis, charfunc.SqueezeSpec(n=2, r=float(r)),
-                                           n_bar, cutoff) for r in r_axis])
+    chi = np.stack([charfunc.chi_reference(xi_axis, charfunc.SqueezeSpec(n=2, r=float(r)), n_bar)
+                    for r in r_axis])
+    p_exact = sampler.born_probabilities(chi)[0]
     out = np.empty((len(r_maxes), len(xi_maxes)))
     for i, r_max in enumerate(r_maxes):
         for j, xi_max in enumerate(xi_maxes):
             n_xi, n_r = map(len, grid_axes(xi_max, r_max, d_xi, d_r))
             design = Design(np.tile(xi_axis[:n_xi], n_r), np.repeat(r_axis[:n_r], n_xi))
-            alloc = sampler.allocate_shots(n_xi * n_r, total_shots)
+            sub = _subproblem(model, 0, design, sampler.allocate_shots(n_xi * n_r, total_shots))
             try:
-                bias, info = _bias_and_information(theta_star, _design(model, [design], alloc),
-                                                   lambda: [chi[:n_r, :n_xi].ravel()])
+                bias, info = _bias_and_information(theta_star, [sub],
+                                                   [p_exact[:n_r, :n_xi].ravel()])
             except RankDeficiencyError:
                 # single-r designs leave c1 and c2 exactly collinear;
                 # the expected error along the flat direction is unbounded
@@ -632,9 +609,10 @@ def fit_exact_frequencies(points: Design | Sequence[MeasurementPoint], model: Mo
     design = Design.of(points)
     if chi_values is None:
         chi_values = sampler.analytic_chi_grid(design, model.n)
-    n_parts = len(series.PARTS[model.n])
-    coeffs, c_h, _ = _fit(model, _design(model, [design] * n_parts, shots,
-                                         [chi_values] * n_parts), cost)
+    probs = sampler.born_probabilities(chi_values)
+    subs = [_subproblem(model, part, design, alloc, probs[part])
+            for part, alloc in enumerate(_per_part(model, shots))]
+    coeffs, c_h, _ = _fit(model, subs, cost)
     return coeffs, c_h
 
 
@@ -654,7 +632,7 @@ def monte_carlo_recovery(points: Design | Sequence[MeasurementPoint], model: Mod
         chi_values = sampler.analytic_chi_grid(design, model.n)
     n_parts = len(series.PARTS[model.n])
     alloc = sampler.allocate_shots(len(design) * n_parts, total_shots).reshape(n_parts, -1)
-    probs = [np.clip(_born(chi_values, part), 0.0, 1.0) for part in range(n_parts)]
+    probs = sampler.born_probabilities(chi_values)
     thetas = np.empty((repeats, model.n_coeffs), dtype=complex)
     c_hs = np.empty(repeats) if model.heating else None
     for m in range(repeats):

@@ -275,8 +275,8 @@ class TestEstimate:
         ({}, "analytic", ("b5b91af661ca7de491331b1cd2a6b882e9e286f3e707005f621116f4ea9532b8",
                           "8a85ad70b202c2cded26e36f68a290742c3d0e42d466ef36fede6578046f7077")),
         ({"model": {"n": 3}}, "analytic",
-         ("026e0739c1b87b15ff740b6024b4a987654ddb284e69defb64d78e6778c44721",
-          "87500cc0f56eceeb449d89b83ec98192db86196a3fb518b0d0f1bf2f006d266b")),
+         ("aa0c8b7423ec227606eb7dd97848acdd6c97bccda042cd5f694c8dc9500795dd",
+          "9cd853ba8615dfe6abd7ccb8c350f58081897a13153e60f6ea39d2b220aa591c")),
         ({"grid": {"d_r": 0.39}}, "protocol",
          ("e6be1945096eb7c9f964b3e49d33d172d0e5f7d5c38596484f18d301fe5ca16d",
           "0673f2e0413a5671f5d6d3282667c7528a832107c644495656aa5107ecb77bc5")),
@@ -532,6 +532,18 @@ class TestValidate:
         failed = [name for name, status in check_statuses(output).items() if status == "FAIL"]
         assert failed == ["fock-trace-preservation", "fock-truncation", "chi-agreement",
                           "protocol-vs-analytic"]
+
+    def test_valid_dataset_passes_and_checks_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.yaml")
+        good = tmp_path / "good.csv"
+        good.write_text("re_xi,im_xi,r,theta,n_B,basis,shots,plus_count,seed\n"
+                        "0.5,0.,0.1,0.,0.,x,10,4,7\n")
+        assert cli.run(["--config", str(cfg), "validate", "--dataset", str(good)]) == 0
+        output = capsys.readouterr().out
+        assert f"dataset {good}: OK" in output.splitlines()
+        statuses = check_statuses(output)
+        assert list(statuses) == CHECKS
+        assert set(statuses.values()) == {"PASS"}
 
     def test_zero_shot_dataset_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml")

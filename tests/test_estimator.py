@@ -307,6 +307,12 @@ class TestFisher:
         with pytest.raises(RankDeficiencyError):
             est.fisher_information(theta, [point], 1000)
 
+    def test_allocation_of_the_wrong_length_is_rejected(self):
+        points = est.build_grid(1.0, 0.3, 0.2, 0.1)
+        with pytest.raises(InvalidParameterError, match="shot allocation length"):
+            est.fisher_information(dg.truth_coefficients(2), points,
+                                   np.full(len(points) - 1, 1000))
+
     def test_covariance_matches_monte_carlo(self):
         # well-specified data from the model itself, so the asymptotic
         # covariance applies cleanly
@@ -339,6 +345,31 @@ class TestAsymptoticConsistency:
             se = np.real(thetas).std(axis=0, ddof=1) / np.sqrt(200)
             gap = np.abs(mean - (TRUTH2 + bias))
             assert np.all(gap <= 3.0 * se)
+
+
+class TestMonteCarloRecovery:
+    def test_sign_of_a_roundoff_chi_does_not_pick_the_draw(self):
+        # chi = +-1e-15 is p = 0.5 either way; the binomial draw must not see the sign
+        points = est.build_grid(2.0, 0.78, 0.1, 0.1)
+        chis = sp.analytic_chi_grid(points, 2)
+        thetas = []
+        for sign in (1.0, -1.0):
+            chis[[3, 40, 80, 120, 150]] = sign * 1e-15
+            thetas.append(est.monte_carlo_recovery(points, est.ModelSpec(2), 400_000,
+                                                   repeats=2, seed=5, chi_values=chis)[0])
+        assert np.array_equal(thetas[0], thetas[1])
+
+    def test_heated_fits_recover_c_h(self):
+        points = est.build_grid(2.0, 0.78, 0.1, 0.1, n_bar=0.1)
+        theta = dg.truth_coefficients(2, 0.1)
+        chis = np.array([dg.eval_model(2, theta, p.xi, p.r, n_bar=0.1, c_h=0.05)
+                         for p in points], dtype=complex)
+        _, c_hs = est.monte_carlo_recovery(points, est.ModelSpec(2, 0.1, heating=True),
+                                           400_000, repeats=8, seed=3, chi_values=chis)
+        assert c_hs.shape == (8,)
+        assert np.all(np.isfinite(c_hs))
+        # 8 repeats of spread about 0.009: the mean sits within 0.01 of the truth
+        assert abs(float(np.mean(c_hs)) - 0.05) <= 0.01
 
 
 class TestSystematicBias:
