@@ -7,13 +7,12 @@ phase-space argument.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fockspace
-from .errors import InvalidParameterError, TruncationWarning, UnsupportedOrderError
+from .errors import InvalidParameterError, UnsupportedOrderError
 
 TWO_PI = 2.0 * np.pi
 
@@ -38,11 +37,6 @@ class SqueezeSpec:
     @property
     def zeta(self) -> complex:
         return self.r * np.exp(1j * self.theta)
-
-
-def chi_vacuum(xi):
-    """Ground-state value exp(-|xi|^2 / 2)."""
-    return np.exp(-0.5 * np.abs(xi) ** 2)
 
 
 def chi_squeezed_exact(xi, spec: SqueezeSpec):
@@ -77,9 +71,7 @@ def chi_reference(xi, spec: SqueezeSpec, n_bar: float = 0.0,
     this is the oracle the truncated series models are measured against.
     """
     if spec.n == 2:
-        if n_bar > 0:
-            return chi_thermal_squeezed_exact(xi, spec, n_bar)
-        return chi_squeezed_exact(xi, spec)
+        return chi_thermal_squeezed_exact(xi, spec, n_bar)  # chi ** 1.0 is chi at n_bar = 0
     return chi_numeric_grid(fockspace.thermal_state(n_bar, cutoff), spec, xi)
 
 
@@ -87,23 +79,14 @@ def chi_numeric_grid(rho: np.ndarray, spec: SqueezeSpec, xis: np.ndarray) -> np.
     """Tr{S_n(zeta) rho S_n(zeta)^dag D(xi)} over an array of displacements.
 
     Computed on the truncated space by `fockspace.weyl_expectation`, with
-    the cached `fockspace.squeeze_unitary` at any |zeta|, as the protocol
-    uses it.  Emits one TruncationWarning when the squeezed state leans on
-    the top Fock levels or some |xi|^2 exceeds cutoff/10; that guard is the
+    `fockspace.squeeze_unitary` at any |zeta|, as the protocol uses it.
+    `fockspace.truncation_guard` warns when the squeezed state leans on the
+    top Fock levels or some |xi|^2 exceeds cutoff/10; that guard is the
     only limit on zeta.
     """
-    cutoff = rho.shape[0]
-    s = fockspace.squeeze_unitary(spec.n, complex(spec.zeta), cutoff)
+    s = fockspace.squeeze_unitary(spec.n, complex(spec.zeta), rho.shape[0])
     sigma = s @ rho @ s.conj().T
-    tail = fockspace.tail_population(sigma)
-    max_xi2 = np.abs(np.asarray(xis, dtype=complex)).max(initial=0.0) ** 2
-    if tail > fockspace.TAIL_TOLERANCE or max_xi2 > cutoff / 10.0:
-        warnings.warn(
-            f"truncation guard tripped (tail population {tail:.2e}, "
-            f"max |xi|^2 = {max_xi2:.2f})",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    fockspace.truncation_guard(sigma, xis)
     return fockspace.weyl_expectation(sigma, xis)
 
 

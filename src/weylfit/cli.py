@@ -19,7 +19,6 @@ import yaml
 
 from . import charfunc, config as config_mod, estimator, fockspace, sampler, series
 from .errors import ConfigError, DatasetError, WeylfitError
-from .sampler import _fmt_column
 
 
 @contextmanager
@@ -47,16 +46,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-# Rows formatted together by `_fmt_rows`; bounds the text a CSV holds in memory.
-_ROW_BLOCK = 4096
-
-
-def _fmt_rows(*columns: np.ndarray):
-    """Rows of `_fmt` texts of equal-length float arrays, formatted a block of rows at a time."""
-    for start in range(0, len(columns[0]), _ROW_BLOCK):
-        yield from zip(*(_fmt_column(c[start : start + _ROW_BLOCK]) for c in columns))
 
 
 def _float_list(text: str, option: str) -> list[float]:
@@ -125,8 +114,7 @@ def _load_report(path: Path) -> tuple[estimator.EstimationReport, float | None]:
         raise DatasetError(f"malformed report {path}: {exc!r}") from exc
     coeffs = series.CoefficientVector(model.n, np.array(values), n_bar=model.n_bar)
     report = estimator.EstimationReport(
-        model=model, coefficients=coeffs, covariance=np.diag(np.array(stds) ** 2),
-        std=np.array(stds), c_h=c_h, c_h_std=c_h_std,
+        model=model, coefficients=coeffs, std=np.array(stds), c_h=c_h, c_h_std=c_h_std,
         diagnostics=meta.get("diagnostics", {}),
     )
     return report, data_n_bar
@@ -162,7 +150,7 @@ def cmd_charfunc(cfg: config_mod.RunConfig, args) -> int:
     out = cfg.out_dir / "charfunc.csv"
     xis, chi = xis.ravel(), chi.ravel()
     _write_csv(out, ["re_xi", "im_xi", "re_chi", "im_chi"],
-               _fmt_rows(xis.real, xis.imag, chi.real, chi.imag))
+               sampler.format_rows(xis.real, xis.imag, chi.real, chi.imag))
     _write_resolved(cfg, "charfunc")
     print(f"wrote {out}")
     return 0
@@ -189,19 +177,8 @@ def cmd_estimate(cfg: config_mod.RunConfig, args) -> int:
     with open(args.dataset, newline="") as fh:
         dataset = sampler.dataset_from_csv(fh)
     model = estimator.ModelSpec(cfg.model["n"], cfg.model["n_B"], cfg.model["heating"])
-    report = estimator.minimize(estimator.FitProblem(model, dataset, cost=args.cost))
-
-    if not model.heating:
-        # each part's bias on the rows of its own basis
-        parts = {b: dataset.in_basis(b) for b in sampler.bases_for_order(model.n)}
-        theta_star = series.truth_coefficients(model.n, model.n_bar)
-        bias = estimator.systematic_bias(theta_star, {b: p.points for b, p in parts.items()},
-                                         {b: p.shots for b, p in parts.items()},
-                                         cutoff=cfg.protocol["cutoff"])
-        report.bias_sys = bias
-        report.mse = np.abs(bias) ** 2 + report.std**2
-        report.rmse = float(np.sqrt(np.mean(report.mse)))
-
+    report = estimator.minimize(estimator.FitProblem(model, dataset, cost=args.cost),
+                                cfg.protocol["cutoff"])
     out = cfg.out_dir / "report.csv"
     _save_report(report, cfg, out, extra_meta={"dataset": str(args.dataset),
                                                "seed": cfg.seed})
@@ -222,8 +199,8 @@ def cmd_sweep(cfg: config_mod.RunConfig, args) -> int:
     out = cfg.out_dir / "rmse_sweep.csv"
     n_r, n_xi = result.rmse.shape  # rows run over r_max, then xi_max
     _write_csv(out, ["xi_max", "r_max", "rmse"],
-               _fmt_rows(np.tile(result.xi_maxes, n_r), np.repeat(result.r_maxes, n_xi),
-                         result.rmse.ravel()))
+               sampler.format_rows(np.tile(result.xi_maxes, n_r),
+                                   np.repeat(result.r_maxes, n_xi), result.rmse.ravel()))
     _write_resolved(cfg, "rmse_sweep")
     print(f"wrote {out}")
     xi_axis, r_axis = estimator.grid_axes(max(xi_maxes), max(r_maxes),
@@ -246,9 +223,10 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, args) -> int:
         if rep.model.heating or rep.c_h is not None:
             raise DatasetError(f"report {path} is a heated fit with a c_h row; extrapolation "
                                "has no heating model and would drop c_h")
+        if data_n_bar is None and not args.n_bars:
+            raise ConfigError(f"report {path} does not record its occupation; "
+                              "give the occupations with --n-bars")
         reports.append(rep)
-        if data_n_bar is None:
-            raise ConfigError(f"report {path} does not record its occupation")
         n_bars.append(data_n_bar)
     if args.n_bars:
         n_bars = _float_list(args.n_bars, "--n-bars")
@@ -300,7 +278,9 @@ def _validate_checks(cfg: config_mod.RunConfig):
     def truncation():
         xi = 1.0
         err = abs(fockspace.weyl_expectation(vacuum, xi).real - np.exp(-0.5))
-        flagged = abs(xi) ** 2 > cutoff / 10.0  # the displacement guard of chi_numeric_grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            flagged = fockspace.truncation_guard(vacuum, xi)
         ok = err <= 1e-6 and not flagged
         return ok, f"<0|D(1)|0> error {err:.2e} (tol 1e-6), guard flag {flagged}"
 

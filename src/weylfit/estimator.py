@@ -109,20 +109,17 @@ class FitProblem:
 
     def subproblems(self) -> list[_Subproblem]:
         """One subproblem per model part, from the rows of its basis."""
-        subs = []
-        for part, (basis, *_) in enumerate(series.PARTS[self.model.n]):
-            rows = self.dataset.in_basis(basis)
-            subs.append(_subproblem(self.model, part, rows.points, rows.shots, rows.frequency))
-        return subs
+        parts = map(self.dataset.in_basis, sampler.bases_for_order(self.model.n))
+        return [_subproblem(self.model, part, rows.points, rows.shots, rows.frequency)
+                for part, rows in enumerate(parts)]
 
 
 @dataclass
 class EstimationReport:
-    """Fit outcome: coefficients, covariance, error budget, diagnostics."""
+    """Fit outcome: coefficients, std, error budget, diagnostics."""
 
     model: ModelSpec
     coefficients: CoefficientVector
-    covariance: np.ndarray
     std: np.ndarray
     c_h: float | None = None
     c_h_std: float | None = None
@@ -149,17 +146,16 @@ class _Subproblem:
     part: int
     nu: float
     heated: bool
-    xi: np.ndarray           # complex displacements
-    r: np.ndarray
-    phase: np.ndarray        # squeeze phase per row
+    design: Design
     shots: np.ndarray
     freq: np.ndarray         # empirical +1 frequency per row
 
     def probability(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """p(+1) and its Jacobian over the packed parameters x."""
         theta, c_h = (x[:-1], float(x[-1])) if self.heated else (x, 0.0)
-        value, dvalue, dvalue_ch = series.part_model(self.n, self.part, theta, self.xi, self.r,
-                                                     self.phase, self.nu, c_h, self.heated)
+        d = self.design
+        value, dvalue, dvalue_ch = series.part_model(self.n, self.part, theta, d.xi, d.r, d.theta,
+                                                     self.nu, c_h, self.heated)
         jac = dvalue if dvalue_ch is None else np.hstack([dvalue, dvalue_ch[:, None]])
         return 0.5 * (1.0 + value), 0.5 * jac
 
@@ -178,8 +174,8 @@ def _subproblem(model: ModelSpec, part: int, design: Design, shots, freq=None) -
     elif len(shots) != len(design):
         raise InvalidParameterError("shot allocation length does not match grid")
     return _Subproblem(
-        n=model.n, part=part, nu=model.nu, heated=model.heating, xi=design.xi, r=design.r,
-        phase=design.theta, shots=shots.astype(int),
+        n=model.n, part=part, nu=model.nu, heated=model.heating, design=design,
+        shots=shots.astype(int),
         freq=np.zeros(len(design)) if freq is None else np.asarray(freq, dtype=float),
     )
 
@@ -202,6 +198,14 @@ def _pack_theta(model: ModelSpec, theta, c_h: float = 0.0) -> list[np.ndarray]:
         return [np.append(vec, c_h) if model.heating else vec]
     vals = np.asarray(values, dtype=complex)
     return [vals.real.copy(), vals.imag.copy()]
+
+
+def _unpack(model: ModelSpec, flat: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """`_pack_theta`'s parts, concatenated, as complex coefficients and c_h (None if unheated)."""
+    size = model.n_coeffs
+    if model.n == 2:
+        return flat[:size].astype(complex), float(flat[size]) if model.heating else None
+    return flat[:size] + 1j * flat[size:], None
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +318,21 @@ def _fit(model: ModelSpec, subs: list[_Subproblem], cost: str):
     """
     centers = _pack_theta(model, np.real(series.truth_coefficients(model.n, model.n_bar).values))
     xs, diags = zip(*(_solve_subproblem(sub, cost, center) for sub, center in zip(subs, centers)))
-    n_coeffs = model.n_coeffs
-    theta = xs[0][:n_coeffs] if model.n == 2 else xs[0][:n_coeffs] + 1j * xs[1][:n_coeffs]
-    c_h = float(xs[0][n_coeffs]) if model.heating else None
+    theta, c_h = _unpack(model, np.concatenate(xs))
     return CoefficientVector(model.n, theta, n_bar=model.n_bar), c_h, list(diags)
 
 
-def minimize(problem: FitProblem) -> EstimationReport:
-    """Fit the model coefficients to the dataset.
+def minimize(problem: FitProblem, cutoff: int = fockspace.DEFAULT_CUTOFF) -> EstimationReport:
+    """Fit the model coefficients to the dataset, with their error budget.
 
     Order-3 problems are solved as independent real and imaginary
-    subproblems.  The report covariance is the inverse Fisher information
-    at the fitted parameters under the dataset's shot allocation.  When
-    its condition number exceeds MAX_FISHER_CONDITION the diagnostics
-    mark the fit not ``identifiable`` and an IdentifiabilityWarning is
-    emitted; the fit is still returned.
+    subproblems.  The std comes from the inverse Fisher information at the
+    fitted parameters under the dataset's shot allocation.  When its
+    condition number exceeds MAX_FISHER_CONDITION the diagnostics mark the
+    fit not ``identifiable`` and an IdentifiabilityWarning is emitted; the
+    fit is still returned.  An unheated model's report also carries
+    `systematic_bias` on each part's rows (order 3 at Fock ``cutoff``),
+    mse = |bias|^2 + std^2 and rmse = sqrt(mean(mse)).
     """
     model = problem.model
     subs = problem.subproblems()
@@ -340,19 +344,25 @@ def minimize(problem: FitProblem) -> EstimationReport:
         warnings.warn(f"Fisher condition number {condition:.0f} exceeds {MAX_FISHER_CONDITION:g}: "
                       "the design does not identify every fitted parameter, so the estimate "
                       "can sit far from the truth", IdentifiabilityWarning, stacklevel=2)
-    var = np.diag(cov)
-    size = model.n_coeffs
-    return EstimationReport(
+    var, var_h = _unpack(model, np.diag(cov))
+    report = EstimationReport(
         model=model,
         coefficients=coeffs,
-        covariance=cov,
-        std=np.sqrt(var[:size]) if model.n == 2 else np.sqrt(var[:size] + var[size:]),
+        std=np.sqrt(var.real + var.imag),
         c_h=c_h,
-        c_h_std=float(np.sqrt(var[size])) if model.heating else None,
+        c_h_std=None if var_h is None else float(np.sqrt(var_h)),
         diagnostics={"parts": diags, "cost_kind": problem.cost,
                      "n_records": len(problem.dataset), "fisher_condition": condition,
                      "identifiable": identifiable},
     )
+    if not model.heating:
+        bases = sampler.bases_for_order(model.n)
+        report.bias_sys = systematic_bias(series.truth_coefficients(model.n, model.n_bar),
+                                          dict(zip(bases, [sub.design for sub in subs])),
+                                          dict(zip(bases, [sub.shots for sub in subs])), cutoff)
+        report.mse = np.abs(report.bias_sys) ** 2 + report.std**2
+        report.rmse = float(np.sqrt(np.mean(report.mse)))
+    return report
 
 
 def _checked_eigh(info: np.ndarray):
@@ -438,11 +448,7 @@ def _bias_and_information(theta_star: CoefficientVector, subs: list[_Subproblem]
     parts, info = _fisher_parts(subs, _pack_theta(model, theta_star))
     _checked_eigh(info)
     rhs = np.concatenate([dp_w.T @ (p_exact - p) for (p, dp_w), p_exact in zip(parts, exact)])
-    delta = np.linalg.solve(info, rhs)
-    if model.n == 2:
-        return delta.astype(complex), info
-    size = model.n_coeffs
-    return delta[:size] + 1j * delta[size:], info
+    return _unpack(model, np.linalg.solve(info, rhs))[0], info
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +575,6 @@ def zero_noise_extrapolate(reports: Sequence[EstimationReport],
         raise InvalidParameterError("occupation values must be distinct")
 
     model = reports[0].model
-    n_coeffs = model.n_coeffs
     vander = np.vander(n_bars, degree + 1, increasing=True)
     # weights of the prediction at 0: e0^T (X^T X)^-1 X^T
     gram_inv = np.linalg.inv(vander.T @ vander)
@@ -577,16 +582,10 @@ def zero_noise_extrapolate(reports: Sequence[EstimationReport],
 
     values = np.stack([rep.coefficients.values for rep in reports])      # (M, J)
     variances = np.stack([rep.std**2 for rep in reports])                # (M, J)
-    extrap = weights @ values
-    var0 = (weights**2) @ variances
-    std0 = np.sqrt(var0)
-
-    coeffs = CoefficientVector(model.n, extrap, n_bar=0.0)
     return EstimationReport(
         model=ModelSpec(model.n, 0.0),
-        coefficients=coeffs,
-        covariance=np.diag(var0),
-        std=std0,
+        coefficients=CoefficientVector(model.n, weights @ values, n_bar=0.0),
+        std=np.sqrt((weights**2) @ variances),
         diagnostics={"method": "zero-noise extrapolation", "degree": degree,
                      "n_bars": n_bars.tolist(), "weights": weights.tolist()},
     )

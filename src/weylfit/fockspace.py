@@ -13,11 +13,13 @@ tests, as their oracle.
 from __future__ import annotations
 
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidParameterError, UnsupportedOrderError
+from .errors import (InvalidDimensionError, InvalidParameterError, TruncationWarning,
+                     UnsupportedOrderError)
 
 # Fraction of top Fock levels watched by the truncation guard, and the
 # population they may carry before a TruncationWarning is emitted.
@@ -35,6 +37,21 @@ def tail_start(cutoff: int) -> int:
 def tail_population(rho: np.ndarray) -> float:
     """Population of the oscillator state rho on the watched top-10% tail."""
     return float(np.sum(np.real(np.diag(rho))[tail_start(rho.shape[0]):]))
+
+
+def truncation_guard(rho: np.ndarray, xis=()) -> bool:
+    """Whether chi read from rho at ``xis`` leans on the truncation; warns if so.
+
+    The guard trips when rho's tail population exceeds TAIL_TOLERANCE or
+    some |xi|^2 exceeds cutoff/10, and then emits one TruncationWarning.
+    """
+    tail = tail_population(rho)
+    max_xi2 = np.abs(np.asarray(xis, dtype=complex)).max(initial=0.0) ** 2
+    tripped = bool(tail > TAIL_TOLERANCE or max_xi2 > rho.shape[0] / 10.0)
+    if tripped:
+        warnings.warn(f"truncation guard tripped on a prepared state (tail population "
+                      f"{tail:.2e}, max |xi|^2 = {max_xi2:.2f})", TruncationWarning, stacklevel=3)
+    return tripped
 
 
 def annihilation(cutoff: int) -> np.ndarray:
@@ -128,17 +145,10 @@ def squeeze_eigh(n: int, zeta: complex, cutoff: int) -> tuple[np.ndarray, np.nda
     return w, v
 
 
-@lru_cache(maxsize=512)
 def squeeze_unitary(n: int, zeta: complex, cutoff: int) -> np.ndarray:
-    """Order-n squeezing unitary exp((zeta* A^n - zeta A^dag^n) / n!) at any |zeta|.
-
-    Cached per (n, zeta, cutoff) and returned read-only, so the Fock-space
-    characteristic functions and the protocol's exact pulse share one build.
-    """
+    """Order-n squeezing unitary exp((zeta* A^n - zeta A^dag^n) / n!) at any |zeta|."""
     w, v = squeeze_eigh(n, zeta, cutoff)
-    u = (v * np.exp(-1j * w)) @ v.conj().T
-    u.flags.writeable = False
-    return u
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 # Kept while the benchmark's per-layer metrics name it (ROADMAP item 4); no command calls it.

@@ -35,15 +35,13 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import charfunc, fockspace, series
-from .errors import (AccuracyError, DatasetError, InvalidChiError,
-                     InvalidParameterError, TruncationWarning)
+from .errors import AccuracyError, DatasetError, InvalidChiError, InvalidParameterError
 
 OMEGA_ETA_DEFAULT = 2.0 * np.pi * 4.7e3      # phase-space displacement rate, rad/s
 
@@ -441,8 +439,7 @@ def prepare_state(n: int, r: float, theta: float, n_bar: float,
     S_n(r e^{i theta}) from `fockspace.squeeze_unitary`, at any r.  The
     heated pulse is `_strang_pulse` at 8, 16, 32, ... steps until
     max|rho_N - rho_2N| / 3 <= PULSE_TOLERANCE, returning rho_2N; both of
-    its flows are CPTP, so the result is a density matrix.  Emits a
-    TruncationWarning when the prepared state leans on the top Fock levels.
+    its flows are CPTP, so the result is a density matrix.
     """
     cutoff = config.cutoff
     zeta = complex(charfunc.SqueezeSpec(n=n, r=r, theta=theta).zeta)
@@ -461,10 +458,6 @@ def prepare_state(n: int, r: float, theta: float, n_bar: float,
                 break
         else:
             raise AccuracyError(f"heated pulse not within {PULSE_TOLERANCE} at {n_steps} steps")
-    tail = fockspace.tail_population(x)
-    if tail > fockspace.TAIL_TOLERANCE:
-        warnings.warn(f"truncation guard tripped on a prepared state (r = {r}, "
-                      f"tail population {tail:.2e})", TruncationWarning, stacklevel=2)
     return x
 
 
@@ -474,9 +467,13 @@ def probe_coherences(rho_b: np.ndarray, config: ProtocolConfig,
 
     Tr(rho_b D(xi)) from `fockspace.weyl_expectation`, times the heating
     factor exp(-gamma |xi|^2 T / 3) of a probe of duration T = |xi| / omega_eta.
+    `fockspace.truncation_guard` warns when rho_b leans on the top Fock
+    levels or some |xi|^2 exceeds cutoff/10, as on the Fock numerics.
     """
     mags = np.asarray(xi_magnitudes, dtype=float)
-    chi = fockspace.weyl_expectation(rho_b, mags * np.exp(1j * dphis))
+    xis = mags * np.exp(1j * dphis)
+    fockspace.truncation_guard(rho_b, xis)
+    chi = fockspace.weyl_expectation(rho_b, xis)
     return chi * np.exp(-config.heating_rate * mags**3 / (3.0 * config.omega_eta))
 
 
@@ -547,27 +544,33 @@ def _fmt(value: float) -> str:
                                       fractional=False, trim="-")
 
 
-def _fmt_column(values) -> list[str]:
-    """`_fmt` of every value, formatting each distinct float once.
+# Rows formatted together by `format_rows`; bounds the text a CSV holds in memory
+_FORMAT_BLOCK = 4096
 
-    Floats are told apart by their bits: -0.0 == 0.0, but `_fmt` writes
-    them as "-0" and "0".
+
+def format_rows(*columns):
+    """Rows of the CSV texts of equal-length float columns, as tuples of str.
+
+    Every CSV float is written by `_fmt`.  Rows are formatted a block at a
+    time, and each distinct float of a block once.  Floats are told apart
+    by their bits: -0.0 == 0.0, but `_fmt` writes them as "-0" and "0".
     """
-    bits = np.asarray(values, dtype=float).view(np.int64).tolist()
-    distinct = list(dict.fromkeys(bits))
-    texts = dict(zip(distinct, map(_fmt, np.array(distinct, dtype=np.int64).view(float))))
-    return list(map(texts.__getitem__, bits))
+    for start in range(0, len(columns[0]), _FORMAT_BLOCK):
+        bits = [np.asarray(c[start : start + _FORMAT_BLOCK], dtype=float).view(np.int64).tolist()
+                for c in columns]
+        distinct = list(dict.fromkeys(itertools.chain(*bits)))
+        texts = dict(zip(distinct, map(_fmt, np.array(distinct, dtype=np.int64).view(float))))
+        yield from zip(*(map(texts.__getitem__, column) for column in bits))
 
 
 def dataset_to_csv(records: Dataset, stream) -> None:
     points = records.points
-    floats = [_fmt_column(c) for c in (points.xi.real, points.xi.imag, points.r, points.theta,
-                                       points.n_bar)]
+    floats = format_rows(points.xi.real, points.xi.imag, points.r, points.theta, points.n_bar)
     writer = csv.writer(stream)
     writer.writerow(CSV_FIELDS)
-    writer.writerows(zip(*floats, [BASES[c] for c in records.basis.tolist()],
-                         records.shots.tolist(), records.plus_count.tolist(),
-                         records.seed.tolist()))
+    writer.writerows(row + rest for row, rest in zip(
+        floats, zip([BASES[c] for c in records.basis.tolist()], records.shots.tolist(),
+                    records.plus_count.tolist(), records.seed.tolist())))
 
 
 def dataset_to_string(records: Dataset) -> str:

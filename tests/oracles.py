@@ -31,6 +31,11 @@ class InvalidStepError(WeylfitError):
     """Integrator step too coarse for the Hamiltonian scale."""
 
 
+def chi_vacuum(xi):
+    """Ground-state value exp(-|xi|^2 / 2)."""
+    return np.exp(-0.5 * np.abs(xi) ** 2)
+
+
 def qubit_kron(qubit_matrix: np.ndarray, osc_matrix: np.ndarray) -> np.ndarray:
     """Operator on the joint qubit (x) oscillator space, qubit factor first."""
     return np.kron(qubit_matrix, osc_matrix)

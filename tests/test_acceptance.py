@@ -142,7 +142,6 @@ def test_criterion_08_zero_noise_extrapolation():
         reports.append(est.EstimationReport(
             model=model0,
             coefficients=dg.CoefficientVector(2, mean_fit),
-            covariance=cov,
             std=np.sqrt(np.diag(cov)),
         ))
     naive = reports[0]

@@ -360,8 +360,9 @@ class TestCharfunc:
 
 
 @pytest.mark.parametrize("args", [("charfunc", "--r", "0.25"),
-                                  ("sweep", "--xi-max-list", "1.0,2.0", "--r-max-list", "0.3,0.78")],
-                         ids=["charfunc", "sweep"])
+                                  ("sweep", "--xi-max-list", "1.0,2.0", "--r-max-list", "0.3,0.78"),
+                                  ("simulate",)],
+                         ids=["charfunc", "sweep", "simulate"])
 def test_csv_values_are_written_as_fmt_writes_each_one(tmp_path, monkeypatch, args):
     cfg = write_config(tmp_path / "run.yaml", model={"n": 3 if args[0] == "charfunc" else 2},
                        grid={"xi_max": 0.9, "r_max": 0.3, "d_xi": 0.1, "d_r": 0.1})
@@ -369,7 +370,8 @@ def test_csv_values_are_written_as_fmt_writes_each_one(tmp_path, monkeypatch, ar
     for out in ("columns", "per-value"):
         assert cli.run(["--config", str(cfg), "--out", str(tmp_path / out), *args]) == 0
         texts.append(next((tmp_path / out).glob("*.csv")).read_bytes())
-        monkeypatch.setattr(cli, "_fmt_column", lambda values: [sampler._fmt(v) for v in values])
+        monkeypatch.setattr(sampler, "format_rows", lambda *columns: zip(
+            *([sampler._fmt(v) for v in column] for column in columns)))
     assert texts[0] == texts[1]
 
 
@@ -430,7 +432,6 @@ class TestSweepAndExtrapolate:
             report = est.EstimationReport(
                 model=est.ModelSpec(n, 0.0, heating=heated),
                 coefficients=dg.CoefficientVector(n, values),
-                covariance=np.eye(1 + n) * 1e-4,
                 std=np.full(1 + n, 1e-2),
                 c_h=0.05 * nb if heated else None,
                 c_h_std=1e-2 if heated else None,
@@ -449,6 +450,22 @@ class TestSweepAndExtrapolate:
         assert float(rows["c1"]["re"]) == pytest.approx(1.0, abs=1e-9)
         assert float(rows["c2"]["re"]) == pytest.approx(-1.0, abs=1e-9)
         assert float(rows["c1"]["std"]) > 1e-2  # propagated variance inflated
+
+    def test_extrapolate_takes_n_bars_for_reports_without_an_occupation(self, tmp_path, capsys):
+        paths = self.affine_reports(tmp_path)
+        for path in paths:
+            meta_path = Path(path).with_suffix(".meta.yaml")
+            meta = yaml.safe_load(meta_path.read_text())
+            del meta["config"], meta["data_n_B"]
+            meta_path.write_text(yaml.safe_dump(meta))
+        assert cli.run(["--out", str(tmp_path), "extrapolate", *paths]) == 2
+        assert "does not record its occupation" in capsys.readouterr().err
+        assert cli.run(["--out", str(tmp_path), "extrapolate", *paths,
+                        "--n-bars", "0.1,0.2,0.3"]) == 0
+        with open(tmp_path / "report_extrapolated.csv", newline="") as fh:
+            rows = {row["name"]: row for row in csv.DictReader(fh)}
+        assert float(rows["c1"]["re"]) == pytest.approx(1.0, abs=1e-9)
+        assert float(rows["c2"]["re"]) == pytest.approx(-1.0, abs=1e-9)
 
     def test_extrapolate_refuses_heated_reports(self, tmp_path, capsys):
         # zero-noise extrapolation has no c_h, so a heated report's c_h row would be dropped

@@ -1,0 +1,47 @@
+"""Each weylfit module uses only the public names of the others.
+
+An underscore-prefixed name is private to the module that defines it, so
+that module alone owns the rule behind it.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "weylfit"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_uses(path: Path) -> list[str]:
+    """Each `from .x import _y`, and each `x._y` on a sibling module x, in one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    siblings, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(
+                "weylfit")):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                elif node.module in (None, "weylfit"):  # `from . import x` binds a module
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and _private(node.attr)):
+            found.append(f"{path.name}:{node.lineno} uses {node.value.id}.{node.attr}")
+    return found
+
+
+def test_the_check_finds_both_forms(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from . import sampler as sp, series\n"
+                    "from .sampler import Design, _fmt_column\n"
+                    "x = sp._fmt(series.__name__)\n")
+    assert private_uses(path) == ["mod.py:2 imports _fmt_column", "mod.py:3 uses sp._fmt"]
+
+
+def test_no_module_uses_another_modules_private_names():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 8
+    assert [use for path in paths for use in private_uses(path)] == []

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 
@@ -177,6 +178,12 @@ class TestCsvRoundTrip:
         records = sp.generate_dataset(points, np.full(3, 0.5), 300, 2, seed=2)
         rows = list(csv.reader(io.StringIO(sp.dataset_to_string(records))))[1:]
         assert [row[1] for row in rows] == ["0", "-0", "0"] == [sp._fmt(p.xi.imag) for p in points]
+
+    def test_format_rows_writes_each_value_as_fmt_across_blocks(self):
+        # 6000 rows span two formatting blocks; signed zeros share one block
+        values = np.tile([0.0, -0.0, 1.5, 1e-300, np.inf, 0.1 + 0.2], 1000)
+        rows = list(sp.format_rows(values, values[::-1]))
+        assert rows == [(sp._fmt(a), sp._fmt(b)) for a, b in zip(values, values[::-1])]
 
     def test_bad_header_rejected(self):
         with pytest.raises(DatasetError):
@@ -473,6 +480,18 @@ class TestProtocol:
         cfg = sp.ProtocolConfig(cutoff=20)
         with pytest.warns(TruncationWarning, match="prepared state"):
             protocol_chi(sp.MeasurementPoint(xi=0.3 + 0j, r=0.78), 2, cfg)
+
+    def test_both_chi_paths_flag_a_large_displacement(self):
+        # |xi|^2 = 4 exceeds cutoff/10 = 3 on a state whose tail holds 6e-16:
+        # the displacement half of the guard trips on both chi sources, and
+        # neither chi moves (digest of both arrays, equal before the guard was shared)
+        points = sp.Design(np.linspace(0.2, 2.0, 10), 0.1)
+        for chi_grid in (lambda: sp.analytic_chi_grid(points, 3, 30),
+                         lambda: sp.simulate_chi_grid(points, 3, sp.ProtocolConfig(cutoff=30))):
+            with pytest.warns(TruncationWarning, match=r"prepared state .* = 4\.00\)"):
+                chi = chi_grid()
+            assert hashlib.sha256(chi.tobytes()).hexdigest() == (
+                "0ccc98f3bc4c06bb5e1a27758a3b5a04a278027c6cd4047e093bded341fbaeb3")
 
     def test_worker_threads_do_not_change_results(self):
         # the heated config has the threads share the cached propagators
