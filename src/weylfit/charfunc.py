@@ -39,28 +39,21 @@ class SqueezeSpec:
         return self.r * np.exp(1j * self.theta)
 
 
-def chi_squeezed_exact(xi, spec: SqueezeSpec):
-    """Closed-form Weyl function of the order-2 squeezed vacuum.
+def chi_squeezed_exact(xi, spec: SqueezeSpec, n_bar: float = 0.0):
+    """Closed-form Weyl function of the order-2 squeezed thermal state.
 
     Evaluates the vacuum Gaussian at the Bogoliubov-rotated argument pair
-    (xi* ch r + xi sh r e^{-i theta}, xi ch r + xi* sh r e^{i theta});
-    the result is real and in (0, 1].
+    (xi* ch r + xi sh r e^{-i theta}, xi ch r + xi* sh r e^{i theta}) and
+    raises it to 1 + 2 n_bar; the result is real and in (0, 1].
     """
-    if spec.n != 2:
-        raise UnsupportedOrderError("closed form available for order n=2 only")
-    ch, sh = np.cosh(spec.r), np.sinh(spec.r)
-    u = np.conj(xi) * ch + xi * sh * np.exp(-1j * spec.theta)
-    v = xi * ch + np.conj(xi) * sh * np.exp(1j * spec.theta)
-    return np.real(np.exp(-0.5 * u * v))
-
-
-def chi_thermal_squeezed_exact(xi, spec: SqueezeSpec, n_bar: float):
-    """Squeezed thermal state: zero-T closed form raised to (1 + 2 n_bar)."""
     if spec.n != 2:
         raise UnsupportedOrderError("closed form available for order n=2 only")
     if n_bar < 0:
         raise InvalidParameterError("mean occupation must be non-negative")
-    return chi_squeezed_exact(xi, spec) ** (1.0 + 2.0 * n_bar)
+    ch, sh = np.cosh(spec.r), np.sinh(spec.r)
+    u = np.conj(xi) * ch + xi * sh * np.exp(-1j * spec.theta)
+    v = xi * ch + np.conj(xi) * sh * np.exp(1j * spec.theta)
+    return np.real(np.exp(-0.5 * u * v)) ** (1.0 + 2.0 * n_bar)  # chi ** 1.0 is chi
 
 
 def chi_reference(xi, spec: SqueezeSpec, n_bar: float = 0.0,
@@ -71,7 +64,7 @@ def chi_reference(xi, spec: SqueezeSpec, n_bar: float = 0.0,
     this is the oracle the truncated series models are measured against.
     """
     if spec.n == 2:
-        return chi_thermal_squeezed_exact(xi, spec, n_bar)  # chi ** 1.0 is chi at n_bar = 0
+        return chi_squeezed_exact(xi, spec, n_bar)
     return chi_numeric_grid(fockspace.thermal_state(n_bar, cutoff), spec, xi)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 import warnings
 from contextlib import contextmanager
@@ -70,8 +71,8 @@ def _grid_points(cfg: config_mod.RunConfig) -> sampler.Design:
                                         n_bar=m["n_B"])
 
 
-def _save_report(report: estimator.EstimationReport, cfg: config_mod.RunConfig,
-                 path: Path, extra_meta: dict | None = None) -> None:
+def _save_report(report: estimator.EstimationReport, path: Path, extra_meta: dict) -> None:
+    """The report CSV and its ``.meta.yaml``: model, rmse, diagnostics and `extra_meta`."""
     rows = estimator.report_rows(report)
     header = ["name", "re", "im", "std", "bias_sys", "mse"]
     _write_csv(path, header, ([r[h] for h in header] for r in rows))
@@ -80,44 +81,35 @@ def _save_report(report: estimator.EstimationReport, cfg: config_mod.RunConfig,
                   "heating": report.model.heating},
         "rmse": report.rmse,
         "diagnostics": report.diagnostics,
-        "config": cfg.as_dict(),
+        **extra_meta,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     _atomic_write(path.with_suffix(".meta.yaml"), yaml.safe_dump(meta, sort_keys=True))
 
 
-def _load_report(path: Path) -> tuple[estimator.EstimationReport, float | None]:
+def _load_report(path: Path) -> tuple[estimator.EstimationReport, float]:
     """A report CSV with its ``.meta.yaml``, and the occupation its data was taken at.
 
-    The occupation is the sidecar's ``data_n_B``, else its config's
-    ``model.n_B``, else None.  Malformed content raises DatasetError.
+    The occupation is the sidecar's ``data_n_B``, else its ``model.n_B``.
+    Malformed content raises DatasetError naming the report.
     """
     try:
         meta = yaml.safe_load(path.with_suffix(".meta.yaml").read_text())
         model = estimator.ModelSpec(int(meta["model"]["n"]), float(meta["model"]["n_B"]),
                                     bool(meta["model"]["heating"]))
-        data_n_bar = meta.get("data_n_B")
-        if data_n_bar is None:
-            data_n_bar = meta.get("config", {}).get("model", {}).get("n_B")
-        data_n_bar = None if data_n_bar is None else float(data_n_bar)
-        values, stds, c_h, c_h_std = [], [], None, None
+        data_n_bar = float(meta.get("data_n_B", model.n_bar))
+        values, stds, c_h = [], [], None
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
                 if row["name"] == "c_h":
                     c_h = float(row["re"])
-                    c_h_std = float(row["std"])
                 else:
                     values.append(complex(float(row["re"]), float(row["im"])))
                     stds.append(float(row["std"]))
-    except (yaml.YAMLError, csv.Error, AttributeError, KeyError, TypeError, ValueError) as exc:
+        coeffs = series.CoefficientVector(model.n, np.array(values), n_bar=model.n_bar)
+    except (WeylfitError, yaml.YAMLError, csv.Error, AttributeError, KeyError, TypeError,
+            ValueError) as exc:
         raise DatasetError(f"malformed report {path}: {exc!r}") from exc
-    coeffs = series.CoefficientVector(model.n, np.array(values), n_bar=model.n_bar)
-    report = estimator.EstimationReport(
-        model=model, coefficients=coeffs, std=np.array(stds), c_h=c_h, c_h_std=c_h_std,
-        diagnostics=meta.get("diagnostics", {}),
-    )
-    return report, data_n_bar
+    return estimator.EstimationReport(model, coeffs, np.array(stds), c_h=c_h), data_n_bar
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +172,7 @@ def cmd_estimate(cfg: config_mod.RunConfig, args) -> int:
     report = estimator.minimize(estimator.FitProblem(model, dataset, cost=args.cost),
                                 cfg.protocol["cutoff"])
     out = cfg.out_dir / "report.csv"
-    _save_report(report, cfg, out, extra_meta={"dataset": str(args.dataset),
-                                               "seed": cfg.seed})
+    _save_report(report, out, {"dataset": str(args.dataset)})
     _write_resolved(cfg, "report")
     print(f"wrote {out}")
     for row in estimator.report_rows(report):
@@ -223,17 +214,13 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, args) -> int:
         if rep.model.heating or rep.c_h is not None:
             raise DatasetError(f"report {path} is a heated fit with a c_h row; extrapolation "
                                "has no heating model and would drop c_h")
-        if data_n_bar is None and not args.n_bars:
-            raise ConfigError(f"report {path} does not record its occupation; "
-                              "give the occupations with --n-bars")
         reports.append(rep)
         n_bars.append(data_n_bar)
     if args.n_bars:
         n_bars = _float_list(args.n_bars, "--n-bars")
     extrapolated = estimator.zero_noise_extrapolate(reports, n_bars, degree=args.degree)
     out = cfg.out_dir / "report_extrapolated.csv"
-    _save_report(extrapolated, cfg, out, extra_meta={"inputs": list(args.reports),
-                                                     "n_bars": n_bars})
+    _save_report(extrapolated, out, {"inputs": list(args.reports), "n_bars": n_bars})
     _write_resolved(cfg, "report_extrapolated")
     print(f"wrote {out}")
     return 0
@@ -338,7 +325,8 @@ def _validate_checks(cfg: config_mod.RunConfig):
         return worst <= 2e-3, f"order-3 series residual {worst:.2e} (tol 2e-3)"
 
     def protocol_analytic():
-        pcfg = cfg.protocol_config()
+        # the analytic source serves only the unheated state
+        pcfg = dataclasses.replace(cfg.protocol_config(), heating_rate=0.0)
         worst = 0.0
         for r in (0.1, 0.25):
             points = sampler.Design([0.5, 1.0, 1.5], r)

@@ -98,8 +98,8 @@ class FitProblem:
         # sets of the distinct values: a plain np.unique would import numpy.ma (about 20 ms)
         bases = {sampler.BASES[code] for code in set(self.dataset.basis.tolist())}
         needed = set(sampler.bases_for_order(self.model.n))
-        if not needed <= bases:
-            raise DatasetError(f"model order {self.model.n} needs bases {sorted(needed)}, "
+        if needed != bases:
+            raise DatasetError(f"model order {self.model.n} fits bases {sorted(needed)} only, "
                                f"dataset has {sorted(bases)}")
         n_bars = set(self.dataset.points.n_bar.tolist())
         if any(not math.isclose(nb, self.model.n_bar, rel_tol=1e-9, abs_tol=1e-12)

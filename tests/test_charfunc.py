@@ -4,7 +4,7 @@ from oracles import chi_vacuum
 
 from weylfit import charfunc as cf
 from weylfit import fockspace as fs
-from weylfit.errors import TruncationWarning, UnsupportedOrderError
+from weylfit.errors import InvalidParameterError, TruncationWarning, UnsupportedOrderError
 
 OMEGA_ETA = 2 * np.pi * 4.7e3
 
@@ -39,21 +39,25 @@ class TestClosedForms:
         spec = cf.SqueezeSpec(2, 0.25, 0.0)
         xi = 0.5
         base = cf.chi_squeezed_exact(xi, spec)
-        assert cf.chi_thermal_squeezed_exact(xi, spec, 0.1) == pytest.approx(base**1.2, rel=1e-12)
+        assert cf.chi_squeezed_exact(xi, spec, 0.1) == pytest.approx(base**1.2, rel=1e-12)
 
     def test_thermal_reduces_to_vacuum_form_at_zero_r(self):
         spec = cf.SqueezeSpec(2, 0.0)
         xi = 0.7 + 0.1j
         n_bar = 0.3
         expected = np.exp(-0.5 * (1 + 2 * n_bar) * abs(xi) ** 2)
-        assert cf.chi_thermal_squeezed_exact(xi, spec, n_bar) == pytest.approx(expected, rel=1e-12)
+        assert cf.chi_squeezed_exact(xi, spec, n_bar) == pytest.approx(expected, rel=1e-12)
 
     def test_closed_forms_reject_other_orders(self):
         spec = cf.SqueezeSpec(3, 0.2)
         with pytest.raises(UnsupportedOrderError):
             cf.chi_squeezed_exact(0.5, spec)
         with pytest.raises(UnsupportedOrderError):
-            cf.chi_thermal_squeezed_exact(0.5, spec, 0.1)
+            cf.chi_squeezed_exact(0.5, spec, 0.1)
+
+    def test_closed_form_rejects_negative_occupation(self):
+        with pytest.raises(InvalidParameterError, match="non-negative"):
+            cf.chi_squeezed_exact(0.5, cf.SqueezeSpec(2, 0.2), -0.1)
 
 
 class TestChiNumeric:
@@ -79,7 +83,7 @@ class TestChiNumeric:
         spec = cf.SqueezeSpec(2, 0.25, 0.0)
         rho = fs.thermal_state(0.1, 100)
         val = cf.chi_numeric_grid(rho, spec, np.array([0.5]))[0]
-        expected = cf.chi_thermal_squeezed_exact(0.5, spec, 0.1)
+        expected = cf.chi_squeezed_exact(0.5, spec, 0.1)
         assert val.real == pytest.approx(expected, abs=1e-8)
         assert abs(val.imag) <= 1e-10
 

@@ -50,6 +50,16 @@ class TestSimulate:
         cli.run(["--config", str(cfg), "simulate"])
         assert file_hash(tmp_path / "out" / "dataset.csv") == first
 
+    def test_config_sidecar_reproduces_the_dataset(self, tmp_path):
+        # dataset.config.yaml is the whole recipe, --seed override included
+        cfg = write_config(tmp_path / "run.yaml")
+        out = tmp_path / "out"
+        assert cli.run(["--config", str(cfg), "--seed", "5", "simulate"]) == 0
+        assert cli.run(["--config", str(out / "dataset.config.yaml"),
+                        "--out", str(tmp_path / "again"), "simulate"]) == 0
+        assert (tmp_path / "again" / "dataset.csv").read_bytes() == (
+            out / "dataset.csv").read_bytes()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml")
         cli.run(["--config", str(cfg), "simulate"])
@@ -193,6 +203,31 @@ class TestEstimate:
         diagnostics = yaml.safe_load((out / "report.meta.yaml").read_text())["diagnostics"]
         assert diagnostics["identifiable"] is not heated
         assert (diagnostics["fisher_condition"] > estimator.MAX_FISHER_CONDITION) is heated
+
+    def test_report_sidecar_states_each_fact_once(self, tmp_path):
+        # the config lives in report.config.yaml alone, and estimate draws no random numbers
+        cfg = write_config(tmp_path / "run.yaml")
+        out = tmp_path / "out"
+        assert cli.run(["--config", str(cfg), "simulate"]) == 0
+        assert cli.run(["--config", str(cfg), "estimate", str(out / "dataset.csv")]) == 0
+        meta = yaml.safe_load((out / "report.meta.yaml").read_text())
+        assert set(meta) == {"model", "rmse", "diagnostics", "dataset"}
+        assert meta["model"] == {"n": 2, "n_B": 0.0, "heating": False}
+        [part] = meta["diagnostics"]["parts"]  # one x-basis part, as bench/gates.py reads it
+        assert {"starts", "iterations", "exit"} <= set(part)
+        resolved = yaml.safe_load((out / "report.config.yaml").read_text())
+        assert resolved["rng"]["seed"] == 123
+
+    def test_model_refuses_data_of_another_order(self, tmp_path, capsys):
+        # an order-2 model would otherwise fit the x rows of the order-3 grid alone
+        data_cfg = write_config(tmp_path / "o3.yaml", model={"n": 3},
+                                grid={"n_re": 4, "n_im": 4})
+        assert cli.run(["--config", str(data_cfg), "simulate"]) == 0
+        cfg = write_config(tmp_path / "run.yaml")
+        assert cli.run(["--config", str(cfg), "estimate",
+                        str(tmp_path / "out" / "dataset.csv")]) == 2
+        assert "model order 2 fits bases ['x'] only" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.csv").exists()
 
     def test_non_convergence_is_input_error(self, tmp_path, capsys, monkeypatch):
         def stuck(sub, x, cost):
@@ -421,11 +456,9 @@ class TestSweepAndExtrapolate:
 
     @staticmethod
     def affine_reports(tmp_path, heated=False, orders=(2, 2, 2)):
-        from weylfit import config as config_mod
         from weylfit import series as dg
         from weylfit import estimator as est
 
-        cfg = config_mod.load_config(None, {"output": {"directory": str(tmp_path)}})
         paths = []
         for nb, n in zip((0.1, 0.2, 0.3), orders):
             values = np.array([1 + 2 * nb, -1 - 2 * nb, 0.5, 0.25][: 1 + n], dtype=complex)
@@ -437,7 +470,7 @@ class TestSweepAndExtrapolate:
                 c_h_std=1e-2 if heated else None,
             )
             path = tmp_path / f"rep{int(nb * 10)}.csv"
-            cli._save_report(report, cfg, path, extra_meta={"data_n_B": nb})
+            cli._save_report(report, path, {"data_n_B": nb})
             paths.append(str(path))
         return paths
 
@@ -451,21 +484,27 @@ class TestSweepAndExtrapolate:
         assert float(rows["c2"]["re"]) == pytest.approx(-1.0, abs=1e-9)
         assert float(rows["c1"]["std"]) > 1e-2  # propagated variance inflated
 
-    def test_extrapolate_takes_n_bars_for_reports_without_an_occupation(self, tmp_path, capsys):
+    def test_n_bars_override_the_recorded_occupations(self, tmp_path):
+        # recorded at 0.1, 0.2, 0.3, the affine values 1 + 2 nb and -1 - 2 nb
+        # read at 0.0, 0.1, 0.2 extrapolate to their value at nb = 0.1
         paths = self.affine_reports(tmp_path)
-        for path in paths:
-            meta_path = Path(path).with_suffix(".meta.yaml")
-            meta = yaml.safe_load(meta_path.read_text())
-            del meta["config"], meta["data_n_B"]
-            meta_path.write_text(yaml.safe_dump(meta))
-        assert cli.run(["--out", str(tmp_path), "extrapolate", *paths]) == 2
-        assert "does not record its occupation" in capsys.readouterr().err
         assert cli.run(["--out", str(tmp_path), "extrapolate", *paths,
-                        "--n-bars", "0.1,0.2,0.3"]) == 0
+                        "--n-bars", "0,0.1,0.2"]) == 0
         with open(tmp_path / "report_extrapolated.csv", newline="") as fh:
             rows = {row["name"]: row for row in csv.DictReader(fh)}
-        assert float(rows["c1"]["re"]) == pytest.approx(1.0, abs=1e-9)
-        assert float(rows["c2"]["re"]) == pytest.approx(-1.0, abs=1e-9)
+        assert float(rows["c1"]["re"]) == pytest.approx(1.2, abs=1e-9)
+        assert float(rows["c2"]["re"]) == pytest.approx(-1.2, abs=1e-9)
+        meta = yaml.safe_load((tmp_path / "report_extrapolated.meta.yaml").read_text())
+        assert meta["n_bars"] == [0.0, 0.1, 0.2]
+
+    def test_extrapolated_report_records_zero_occupation(self, tmp_path):
+        # the extrapolate config's own model.n_B says nothing about the result
+        cfg = write_config(tmp_path / "run.yaml", model={"n_B": 0.2},
+                           output={"directory": str(tmp_path)})
+        paths = self.affine_reports(tmp_path)
+        assert cli.run(["--config", str(cfg), "extrapolate", *paths]) == 0
+        _, n_bar = cli._load_report(tmp_path / "report_extrapolated.csv")
+        assert n_bar == 0.0
 
     def test_extrapolate_refuses_heated_reports(self, tmp_path, capsys):
         # zero-noise extrapolation has no c_h, so a heated report's c_h row would be dropped
@@ -490,16 +529,16 @@ class TestSweepAndExtrapolate:
         (yaml.safe_dump({"data_n_B": 0.1}), "c1,1.0,0.0,0.01,,"),
         ("model: [n: 2\n", "c1,1.0,0.0,0.01,,"),
         (yaml.safe_dump({"model": {"n": 2, "n_B": 0.0, "heating": False}}), "c1,one,0.0,0.01,,"),
-        (yaml.safe_dump({"model": {"n": 2, "n_B": 0.0, "heating": False}, "config": 3}),
+        (yaml.safe_dump({"model": {"n": 2, "n_B": 0.0, "heating": False}}),
          "c1,1.0,0.0,0.01,,"),
-    ], ids=["meta-without-model", "meta-not-yaml", "non-numeric-field", "config-not-a-mapping"])
+    ], ids=["meta-without-model", "meta-not-yaml", "non-numeric-field", "too-few-coefficients"])
     def test_malformed_report_is_input_error(self, tmp_path, capsys, meta, row):
         path = tmp_path / "rep.csv"
         path.write_text("name,re,im,std,bias_sys,mse\n" + row + "\n")
         path.with_suffix(".meta.yaml").write_text(meta)
         code = cli.run(["--out", str(tmp_path), "extrapolate", *[str(path)] * 3])
         assert code == 2
-        assert "malformed report" in capsys.readouterr().err
+        assert f"malformed report {path}" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("command, option, value", [
@@ -549,6 +588,13 @@ class TestValidate:
         failed = [name for name, status in check_statuses(output).items() if status == "FAIL"]
         assert failed == ["fock-trace-preservation", "fock-truncation", "chi-agreement",
                           "protocol-vs-analytic"]
+
+    def test_protocol_check_holds_on_a_heated_config(self, tmp_path):
+        # the analytic source has no heating, so the check compares unheated states
+        cfg = config.load_config(write_config(tmp_path / "run.yaml",
+                                              protocol={"heating_rate": 300.0}))
+        ok, detail = dict(cli._validate_checks(cfg))["protocol-vs-analytic"]()
+        assert ok, detail
 
     def test_valid_dataset_passes_and_checks_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml")

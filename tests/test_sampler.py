@@ -408,7 +408,7 @@ class TestProtocol:
         xis = np.linspace(0.05, 2.0, 40) * np.exp(0.4j)
         points = [sp.MeasurementPoint(xi=xi, r=0.78, theta=0.7, n_bar=0.1) for xi in xis]
         chi = sp.simulate_chi_grid(points, 2, cfg)
-        exact = cf.chi_thermal_squeezed_exact(xis, cf.SqueezeSpec(2, 0.78, 0.7), 0.1)
+        exact = cf.chi_squeezed_exact(xis, cf.SqueezeSpec(2, 0.78, 0.7), 0.1)
         assert np.max(np.abs(chi - exact)) <= 1e-9
 
     def test_squeezing_above_one_is_accepted(self):
@@ -435,7 +435,7 @@ class TestProtocol:
         spec = cf.SqueezeSpec(2, 0.15, 0.0)
         point = sp.MeasurementPoint(xi=0.9 + 0j, r=0.15, n_bar=0.2)
         chi = protocol_chi(point, 2, cfg)
-        assert abs(chi - cf.chi_thermal_squeezed_exact(0.9, spec, 0.2)) <= 1e-3
+        assert abs(chi - cf.chi_squeezed_exact(0.9, spec, 0.2)) <= 1e-3
 
     def test_grid_batching_matches_single_points(self):
         cfg = sp.ProtocolConfig(cutoff=60)
