@@ -44,16 +44,22 @@ def chi_squeezed_exact(xi, spec: SqueezeSpec, n_bar: float = 0.0):
 
     Evaluates the vacuum Gaussian at the Bogoliubov-rotated argument pair
     (xi* ch r + xi sh r e^{-i theta}, xi ch r + xi* sh r e^{i theta}) and
-    raises it to 1 + 2 n_bar; the result is real and in (0, 1].
+    raises it to 1 + 2 n_bar; the result is real and in (0, 1].  A large r
+    overflows cosh and sinh; any non-finite value raises
+    InvalidParameterError naming r.
     """
     if spec.n != 2:
         raise UnsupportedOrderError("closed form available for order n=2 only")
     if n_bar < 0:
         raise InvalidParameterError("mean occupation must be non-negative")
-    ch, sh = np.cosh(spec.r), np.sinh(spec.r)
-    u = np.conj(xi) * ch + xi * sh * np.exp(-1j * spec.theta)
-    v = xi * ch + np.conj(xi) * sh * np.exp(1j * spec.theta)
-    return np.real(np.exp(-0.5 * u * v)) ** (1.0 + 2.0 * n_bar)  # chi ** 1.0 is chi
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch, sh = np.cosh(spec.r), np.sinh(spec.r)
+        u = np.conj(xi) * ch + xi * sh * np.exp(-1j * spec.theta)
+        v = xi * ch + np.conj(xi) * sh * np.exp(1j * spec.theta)
+        chi = np.real(np.exp(-0.5 * u * v)) ** (1.0 + 2.0 * n_bar)  # chi ** 1.0 is chi
+    if not np.isfinite(chi).all():
+        raise InvalidParameterError(f"squeezing amplitude r = {spec.r} overflows the closed form")
+    return chi
 
 
 def chi_reference(xi, spec: SqueezeSpec, n_bar: float = 0.0,

@@ -134,7 +134,8 @@ def cmd_charfunc(cfg: config_mod.RunConfig, args) -> int:
     g = cfg.grid
     if not g["xi_max"] >= 0:
         raise ConfigError(f"charfunc needs grid.xi_max >= 0, got {g['xi_max']}")
-    axis = np.arange(-g["xi_max"], g["xi_max"] + 0.5 * g["d_xi"], g["d_xi"])
+    k = round(g["xi_max"] / g["d_xi"])  # the rounding of `estimator.grid_axes`
+    axis = g["d_xi"] * np.arange(-k, k + 1)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     xis = re + 1j * im
     chi = np.asarray(charfunc.chi_reference(xis, spec, cfg.model["n_B"], cfg.protocol["cutoff"]),
@@ -184,24 +185,24 @@ def cmd_sweep(cfg: config_mod.RunConfig, args) -> int:
     _refuse_heating(cfg, "sweep", ("protocol.heating_rate", "model.heating"))
     xi_maxes = _float_list(args.xi_max_list, "--xi-max-list")
     r_maxes = _float_list(args.r_max_list, "--r-max-list")
-    result = estimator.rmse_sweep(xi_maxes, r_maxes, cfg.shots["total"],
-                                  d_xi=cfg.grid["d_xi"], d_r=cfg.grid["d_r"],
-                                  n_bar=cfg.model["n_B"])
+    rmse = estimator.rmse_sweep(xi_maxes, r_maxes, cfg.shots["total"],
+                                d_xi=cfg.grid["d_xi"], d_r=cfg.grid["d_r"],
+                                n_bar=cfg.model["n_B"])
     out = cfg.out_dir / "rmse_sweep.csv"
-    n_r, n_xi = result.rmse.shape  # rows run over r_max, then xi_max
+    # rows run over r_max, then xi_max
     _write_csv(out, ["xi_max", "r_max", "rmse"],
-               sampler.format_rows(np.tile(result.xi_maxes, n_r),
-                                   np.repeat(result.r_maxes, n_xi), result.rmse.ravel()))
+               sampler.format_rows(np.tile(xi_maxes, len(r_maxes)),
+                                   np.repeat(r_maxes, len(xi_maxes)), rmse.ravel()))
     _write_resolved(cfg, "rmse_sweep")
     print(f"wrote {out}")
     xi_axis, r_axis = estimator.grid_axes(max(xi_maxes), max(r_maxes),
                                           cfg.grid["d_xi"], cfg.grid["d_r"])
-    deficient = int(np.count_nonzero(np.isinf(result.rmse)))
-    print(f"{result.rmse.size} designs, {deficient} rank-deficient, on a "
+    deficient = int(np.count_nonzero(np.isinf(rmse)))
+    print(f"{rmse.size} designs, {deficient} rank-deficient, on a "
           f"{len(xi_axis)} x {len(r_axis)} (xi x r) lattice of {len(xi_axis) * len(r_axis)} points")
-    if np.isfinite(result.best_rmse):
-        print(f"minimum rmse {result.best_rmse:.4f} at xi_max={result.best_xi_max}, "
-              f"r_max={result.best_r_max}")
+    i, j = np.unravel_index(np.argmin(rmse), rmse.shape)
+    if np.isfinite(rmse[i, j]):
+        print(f"minimum rmse {rmse[i, j]:.4f} at xi_max={xi_maxes[j]}, r_max={r_maxes[i]}")
     else:
         print("no design in the sweep has a finite rmse")
     return 0

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import charfunc, fockspace, sampler, series
+from . import fockspace, sampler, series
 from .series import CoefficientVector
 from .errors import (
     DatasetError,
@@ -64,14 +64,9 @@ class ModelSpec:
     heating: bool = False
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise UnsupportedOrderError(f"estimation supports orders 2 and 3, got {self.n}")
-        if self.n_bar < 0:
-            raise InvalidParameterError("mean occupation must be non-negative")
+        series.truth_coefficients(self.n, self.n_bar)  # the order and occupation rules
         if self.heating and self.n != 2:
             raise UnsupportedOrderError("heated model is only defined for order 2")
-        if self.n_bar > 0 and self.n != 2:
-            raise UnsupportedOrderError("thermal model is only defined for order 2")
 
     @property
     def nu(self) -> float:
@@ -79,7 +74,7 @@ class ModelSpec:
 
     @property
     def n_coeffs(self) -> int:
-        return 3 if self.n == 2 else 4
+        return len(series.TruthTable[self.n])
 
 
 @dataclass
@@ -190,14 +185,13 @@ def _per_part(model: ModelSpec, value) -> list:
 def _pack_theta(model: ModelSpec, theta, c_h: float = 0.0) -> list[np.ndarray]:
     """Split a CoefficientVector / complex array into per-part packed parameters.
 
-    A heated model's one part carries ``c_h`` after its coefficients.
+    Each part takes (Re, Im) in `series.PARTS` order; a heated model's one
+    part carries ``c_h`` after its coefficients.
     """
-    values = theta.values if isinstance(theta, CoefficientVector) else np.asarray(theta)
-    if model.n == 2:
-        vec = np.real(values).astype(float)
-        return [np.append(vec, c_h) if model.heating else vec]
-    vals = np.asarray(values, dtype=complex)
-    return [vals.real.copy(), vals.imag.copy()]
+    values = np.asarray(theta.values if isinstance(theta, CoefficientVector) else theta,
+                        dtype=complex)
+    return [np.append(part, c_h) if model.heating else part.copy()
+            for part in (values.real, values.imag)[:len(series.PARTS[model.n])]]
 
 
 def _unpack(model: ModelSpec, flat: np.ndarray) -> tuple[np.ndarray, float | None]:
@@ -500,45 +494,31 @@ def build_grid_complex(re_max: float, im_max: float, r_max: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SweepResult:
-    xi_maxes: np.ndarray
-    r_maxes: np.ndarray
-    rmse: np.ndarray              # shape (len(r_maxes), len(xi_maxes))
-    best_xi_max: float
-    best_r_max: float
-    best_rmse: float
-
-
 def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots: int,
-               d_xi: float = 0.02, d_r: float = 0.02, n_bar: float = 0.0) -> SweepResult:
+               d_xi: float = 0.02, d_r: float = 0.02, n_bar: float = 0.0) -> np.ndarray:
     """Expected total error of order-2 designs at a fixed shot budget.
 
-    Each cell is the `build_grid` design at (xi_max, r_max), scored as
-    rmse = sqrt(mean_j(bias_j^2 + var_j)) from the linearized systematic
-    bias and the Fisher covariance; a rank-deficient cell scores inf.  Every
-    cell is a prefix block [:n_r, :n_xi] of the lattice of the largest
-    maxima, so that lattice and its exact probabilities are built once and
-    each cell reads slices of them.
+    Returns rmse[i, j] of the `build_grid` design at (xi_maxes[j],
+    r_maxes[i]): sqrt(mean_j(bias_j^2 + var_j)) from the linearized
+    systematic bias and the Fisher covariance, inf if rank-deficient.  Each
+    cell selects a prefix block [:n_r, :n_xi] of the `build_grid` lattice of
+    the largest maxima, whose exact probabilities are computed once.
     """
     theta_star = series.truth_coefficients(2, n_bar)
     model = ModelSpec(2, n_bar)
-    xi_maxes = np.asarray(list(xi_maxes), dtype=float)
-    r_maxes = np.asarray(list(r_maxes), dtype=float)
-    xi_axis, r_axis = grid_axes(xi_maxes.max(), r_maxes.max(), d_xi, d_r)
-    xi_axis = xi_axis.astype(complex)
-    chi = np.stack([charfunc.chi_reference(xi_axis, charfunc.SqueezeSpec(n=2, r=float(r)), n_bar)
-                    for r in r_axis])
-    p_exact = sampler.born_probabilities(chi)[0]
+    xi_axis, r_axis = grid_axes(max(xi_maxes), max(r_maxes), d_xi, d_r)
+    lattice = build_grid(max(xi_maxes), max(r_maxes), d_xi, d_r, n_bar)
+    p_exact = sampler.born_probabilities(sampler.analytic_chi_grid(lattice, 2))[0]
+    rows = np.arange(len(lattice)).reshape(len(r_axis), len(xi_axis))  # r-major
     out = np.empty((len(r_maxes), len(xi_maxes)))
     for i, r_max in enumerate(r_maxes):
         for j, xi_max in enumerate(xi_maxes):
             n_xi, n_r = map(len, grid_axes(xi_max, r_max, d_xi, d_r))
-            design = Design(np.tile(xi_axis[:n_xi], n_r), np.repeat(r_axis[:n_r], n_xi))
-            sub = _subproblem(model, 0, design, sampler.allocate_shots(n_xi * n_r, total_shots))
+            cell = rows[:n_r, :n_xi].ravel()
+            sub = _subproblem(model, 0, lattice.select(cell),
+                              sampler.allocate_shots(len(cell), total_shots))
             try:
-                bias, info = _bias_and_information(theta_star, [sub],
-                                                   [p_exact[:n_r, :n_xi].ravel()])
+                bias, info = _bias_and_information(theta_star, [sub], [p_exact[cell]])
             except RankDeficiencyError:
                 # single-r designs leave c1 and c2 exactly collinear;
                 # the expected error along the flat direction is unbounded
@@ -546,10 +526,7 @@ def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots:
                 continue
             mse = np.abs(bias) ** 2 + np.diag(np.linalg.inv(info))
             out[i, j] = math.sqrt(float(np.mean(mse)))
-    k = np.unravel_index(np.argmin(out), out.shape)
-    return SweepResult(xi_maxes=xi_maxes, r_maxes=r_maxes, rmse=out,
-                       best_xi_max=float(xi_maxes[k[1]]), best_r_max=float(r_maxes[k[0]]),
-                       best_rmse=float(out[k]))
+    return out
 
 
 def zero_noise_extrapolate(reports: Sequence[EstimationReport],
@@ -559,7 +536,7 @@ def zero_noise_extrapolate(reports: Sequence[EstimationReport],
     Fits one degree-`degree` polynomial per coefficient over the supplied
     occupations and evaluates it at zero; the reported variance follows
     from propagating the per-report variances through the evaluation
-    weights, so it always exceeds the inputs.
+    weights, so it always exceeds the inputs.  Every input must be finite.
     """
     n_bars = np.asarray(list(n_bars), dtype=float)
     if degree < 0:
@@ -574,14 +551,16 @@ def zero_noise_extrapolate(reports: Sequence[EstimationReport],
     if len(set(np.round(n_bars, 12))) != len(n_bars):
         raise InvalidParameterError("occupation values must be distinct")
 
+    values = np.stack([rep.coefficients.values for rep in reports])      # (M, J)
+    variances = np.stack([rep.std**2 for rep in reports])                # (M, J)
+    if not all(np.isfinite(a).all() for a in (n_bars, values, variances)):
+        raise InvalidParameterError("coefficients, stds and occupations must be finite")
+
     model = reports[0].model
     vander = np.vander(n_bars, degree + 1, increasing=True)
     # weights of the prediction at 0: e0^T (X^T X)^-1 X^T
     gram_inv = np.linalg.inv(vander.T @ vander)
     weights = gram_inv[0] @ vander.T
-
-    values = np.stack([rep.coefficients.values for rep in reports])      # (M, J)
-    variances = np.stack([rep.std**2 for rep in reports])                # (M, J)
     return EstimationReport(
         model=ModelSpec(model.n, 0.0),
         coefficients=CoefficientVector(model.n, weights @ values, n_bar=0.0),

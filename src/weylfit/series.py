@@ -42,7 +42,9 @@ class CoefficientVector:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
-        expected = 3 if self.n == 2 else 4
+        if self.n not in TruthTable:
+            raise UnsupportedOrderError(f"no coefficients for order {self.n}")
+        expected = len(TruthTable[self.n])
         if vals.shape != (expected,):
             raise InvalidParameterError(
                 f"order {self.n} takes {expected} coefficients, got shape {vals.shape}"
@@ -105,11 +107,12 @@ def part_model(n: int, part: int, theta: np.ndarray, xi: np.ndarray, r, phase,
 
 
 def truth_coefficients(n: int, n_bar: float = 0.0) -> CoefficientVector:
-    """Exact coefficient values; thermal scaling implemented for n=2 only."""
+    """Exact coefficient values, and the model's order and occupation rules:
+    order 2 or 3, a finite n_bar >= 0, and n_bar > 0 (thermal) at order 2 only."""
     if n not in TruthTable:
         raise UnsupportedOrderError(f"no exact coefficients for order {n}")
-    if n_bar < 0:
-        raise InvalidParameterError("mean occupation must be non-negative")
+    if not 0 <= n_bar < np.inf:  # also refuses NaN
+        raise InvalidParameterError(f"mean occupation {n_bar} must be finite and >= 0")
     if n_bar > 0:
         if n != 2:
             raise UnsupportedOrderError("thermal coefficients only derived for order 2")

@@ -14,6 +14,16 @@ from weylfit import cli, config, estimator, sampler
 from weylfit.errors import IdentifiabilityWarning, TruncationWarning
 
 
+def set_csv_cells(path, rows, column, value):
+    """Set ``column`` of the given data rows (1 is the first after the header)."""
+    with open(path, newline="") as fh:
+        table = list(csv.reader(fh))
+    for row in rows:
+        table[row][table[0].index(column)] = value
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(table)
+
+
 def write_config(path, **overrides):
     base = {
         "model": {"n": 2, "n_B": 0.0},
@@ -204,6 +214,18 @@ class TestEstimate:
         assert diagnostics["identifiable"] is not heated
         assert (diagnostics["fisher_condition"] > estimator.MAX_FISHER_CONDITION) is heated
 
+    def test_overflowing_squeezing_is_input_error(self, tmp_path, capsys):
+        # at r = 800 cosh r overflows: the bias must not be written as nan
+        cfg = write_config(tmp_path / "run.yaml", rng={"seed": 7})
+        out = tmp_path / "out"
+        assert cli.run(["--config", str(cfg), "simulate"]) == 0
+        set_csv_cells(out / "dataset.csv", (1, 2), "r", "800")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IdentifiabilityWarning)  # the fit runs first
+            assert cli.run(["--config", str(cfg), "estimate", str(out / "dataset.csv")]) == 2
+        assert "r = 800" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     def test_report_sidecar_states_each_fact_once(self, tmp_path):
         # the config lives in report.config.yaml alone, and estimate draws no random numbers
         cfg = write_config(tmp_path / "run.yaml")
@@ -386,6 +408,27 @@ class TestCharfunc:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "charfunc.csv").exists()
 
+    def test_overflowing_squeezing_is_input_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.yaml")
+        assert cli.run(["--config", str(cfg), "charfunc", "--r", "800"]) == 2
+        assert "r = 800" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "charfunc.csv").exists()
+
+    @pytest.mark.parametrize("xi_max, d_xi, axis", [
+        (1.0, 0.3, [-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9]),
+        (2.0, 0.02, 0.02 * np.arange(-100, 101)),
+    ], ids=["off-lattice-max", "default"])
+    def test_axis_is_the_square_of_the_spacing_multiples(self, tmp_path, xi_max, d_xi, axis):
+        # the axis holds d_xi * k for |k| <= round(xi_max / d_xi), zero written as 0
+        cfg = write_config(tmp_path / "run.yaml", grid={"xi_max": xi_max, "d_xi": d_xi})
+        assert cli.run(["--config", str(cfg), "charfunc", "--r", "0.25"]) == 0
+        with open(tmp_path / "out" / "charfunc.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = [sampler._fmt(v) for v in axis]
+        assert [row["re_xi"] for row in rows[:: len(axis)]] == expected
+        assert [row["im_xi"] for row in rows[: len(axis)]] == expected
+        assert expected[len(axis) // 2] == "0"
+
     def test_negative_xi_max_is_input_error(self, tmp_path, capsys):
         # the axis -xi_max..xi_max is empty, so the CSV held only its header
         cfg = write_config(tmp_path / "run.yaml", grid={"xi_max": -0.5})
@@ -539,6 +582,23 @@ class TestSweepAndExtrapolate:
         code = cli.run(["--out", str(tmp_path), "extrapolate", *[str(path)] * 3])
         assert code == 2
         assert f"malformed report {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["model-n_B", "data_n_B", "re", "std"])
+    def test_non_finite_report_is_input_error(self, tmp_path, capsys, field):
+        # a nan occupation, coefficient or std must not become a nan report
+        paths = self.affine_reports(tmp_path)
+        meta_path = Path(paths[1]).with_suffix(".meta.yaml")
+        meta = yaml.safe_load(meta_path.read_text())
+        if field == "model-n_B":
+            meta["model"]["n_B"] = float("nan")
+        elif field == "data_n_B":
+            meta["data_n_B"] = float("nan")
+        else:
+            set_csv_cells(Path(paths[1]), (1,), field, "nan")
+        meta_path.write_text(yaml.safe_dump(meta))
+        assert cli.run(["--out", str(tmp_path), "extrapolate", *paths]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "report_extrapolated.csv").exists()
 
 
     @pytest.mark.parametrize("command, option, value", [

@@ -450,9 +450,9 @@ class TestSweep:
     ], ids=["unsorted-offlattice-odd", "thermal", "protocol-rays"])
     def test_lattice_sweep_equals_per_cell_designs(self, xi_maxes, r_maxes, total,
                                                    d_xi, d_r, n_bar):
-        result = est.rmse_sweep(xi_maxes, r_maxes, total, d_xi=d_xi, d_r=d_r, n_bar=n_bar)
+        rmse = est.rmse_sweep(xi_maxes, r_maxes, total, d_xi=d_xi, d_r=d_r, n_bar=n_bar)
         expected = reference_sweep(xi_maxes, r_maxes, total, d_xi, d_r, n_bar)
-        assert np.array_equal(result.rmse, expected)
+        assert np.array_equal(rmse, expected)
 
     @settings(max_examples=20, deadline=None)
     @given(d_xi=st.floats(0.05, 0.4), d_r=st.floats(0.02, 0.4),
@@ -463,8 +463,8 @@ class TestSweep:
                                                             r_steps, total):
         xi_maxes = [d_xi * s for s in xi_steps]
         r_maxes = [d_r * s for s in r_steps]
-        result = est.rmse_sweep(xi_maxes, r_maxes, total, d_xi=d_xi, d_r=d_r)
-        assert np.array_equal(result.rmse, reference_sweep(xi_maxes, r_maxes, total, d_xi, d_r))
+        rmse = est.rmse_sweep(xi_maxes, r_maxes, total, d_xi=d_xi, d_r=d_r)
+        assert np.array_equal(rmse, reference_sweep(xi_maxes, r_maxes, total, d_xi, d_r))
 
     @pytest.mark.parametrize("xi_maxes, r_maxes, d_xi, d_r", [
         ([0.01, 1.0], [0.5], 0.02, 0.02),
@@ -476,25 +476,24 @@ class TestSweep:
             est.rmse_sweep(xi_maxes, r_maxes, 100_000, d_xi=d_xi, d_r=d_r)
 
     def test_small_grid_dominated_by_stochastic_error(self):
-        result = est.rmse_sweep([0.3, 2.0], [0.02, 0.78], 100_000,
-                                d_xi=0.05, d_r=0.02)
+        rmse = est.rmse_sweep([0.3, 2.0], [0.02, 0.78], 100_000, d_xi=0.05, d_r=0.02)
         # a single-r design cannot separate c1 from c2 at all, and the
         # richest design beats every degenerate one
-        assert np.isinf(result.rmse[0, 0])
-        assert result.rmse[0, 0] > result.rmse[-1, -1]
-        assert (result.best_xi_max, result.best_r_max) == (2.0, 0.78)
+        assert np.isinf(rmse[0, 0])
+        assert rmse[0, 0] > rmse[-1, -1]
+        assert np.argmin(rmse) == rmse.size - 1  # (xi_max, r_max) = (2.0, 0.78)
 
     def test_monotone_in_shot_budget(self):
         lean = est.rmse_sweep([2.0], [0.78], 200_000, d_xi=0.05, d_r=0.05)
         rich = est.rmse_sweep([2.0], [0.78], 3_200_000, d_xi=0.05, d_r=0.05)
-        assert rich.rmse[0, 0] < lean.rmse[0, 0]
+        assert rich[0, 0] < lean[0, 0]
 
     def test_minimum_sits_at_reference_design(self):
         # interior optimum of the bias/variance trade-off at 1.6M shots
-        result = est.rmse_sweep([1.0, 1.4, 1.8, 2.0, 2.4],
-                                [0.3, 0.5, 0.7, 0.78, 0.9], 1_600_000)
-        assert (result.best_xi_max, result.best_r_max) == (2.0, 0.78)
-        assert result.best_rmse <= 0.1
+        rmse = est.rmse_sweep([1.0, 1.4, 1.8, 2.0, 2.4], [0.3, 0.5, 0.7, 0.78, 0.9], 1_600_000)
+        # rows run over r_max, columns over xi_max
+        assert np.unravel_index(np.argmin(rmse), rmse.shape) == (3, 3)  # r 0.78, xi 2.0
+        assert rmse.min() <= 0.1
 
 
 class TestZeroNoiseExtrapolation:
@@ -525,6 +524,14 @@ class TestZeroNoiseExtrapolation:
         # Lagrange weights (3, -3, 1): variance factor 19
         assert out.std[2] == pytest.approx(np.sqrt(19) * 0.01, rel=1e-9)
 
+    @pytest.mark.parametrize("bad", ["coefficient", "std", "occupation"])
+    def test_non_finite_input_is_refused(self, bad):
+        n_bars = [0.1, 0.2, np.nan if bad == "occupation" else 0.3]
+        reports = [self._report([1.0, np.nan if bad == "coefficient" else 1.0, 1.0],
+                                [0.1, np.nan if bad == "std" else 0.1, 0.1]) for _ in n_bars]
+        with pytest.raises(InvalidParameterError, match="finite"):
+            est.zero_noise_extrapolate(reports, n_bars, degree=2)
+
     def test_needs_enough_points(self):
         reports = [self._report([1, 1, 1], [0.1, 0.1, 0.1])] * 2
         with pytest.raises(InvalidParameterError):
@@ -545,6 +552,11 @@ class TestThermalAndHeating:
     def test_thermal_fit_rejects_order3(self):
         with pytest.raises(UnsupportedOrderError):
             est.ModelSpec(3, 0.1)
+
+    @pytest.mark.parametrize("n_bar", [np.nan, np.inf])
+    def test_model_rejects_non_finite_occupation(self, n_bar):
+        with pytest.raises(InvalidParameterError):
+            est.ModelSpec(2, n_bar)
 
     def test_heated_fit_recovers_injected_distortion(self):
         # generate data from the heated model itself with known c_h

@@ -45,3 +45,13 @@ def test_no_module_uses_another_modules_private_names():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 8
     assert [use for path in paths for use in private_uses(path)] == []
+
+
+def test_estimator_reads_exact_chi_through_the_sampler():
+    # every exact chi of a fit, bias or sweep comes from `sampler.analytic_chi_grid`
+    tree = ast.parse((SRC / "estimator.py").read_text())
+    imported = {alias.name.split(".")[-1] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    imported |= {node.module.split(".")[-1] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert "charfunc" not in imported

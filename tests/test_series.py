@@ -55,9 +55,19 @@ class TestTruthCoefficients:
         with pytest.raises(UnsupportedOrderError):
             dg.truth_coefficients(3, 0.1)
 
+    @pytest.mark.parametrize("n_bar", [-0.1, np.nan, np.inf])
+    def test_rejects_occupation_outside_zero_to_infinity(self, n_bar):
+        # at n_bar = nan the zero-temperature coefficients came back
+        with pytest.raises(InvalidParameterError, match="finite"):
+            dg.truth_coefficients(2, n_bar)
+
     def test_coefficient_vector_length_check(self):
         with pytest.raises(InvalidParameterError):
             dg.CoefficientVector(2, np.array([1.0, 2.0]))
+
+    def test_coefficient_vector_refuses_unknown_order(self):
+        with pytest.raises(UnsupportedOrderError):
+            dg.CoefficientVector(7, np.zeros(4))
 
 
 class TestEvalModel:
