@@ -98,10 +98,9 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     raw: dict = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            loaded = yaml.load(Path(path).read_text(), Loader=_Loader)
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        loaded = yaml.load(text, Loader=_Loader)
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

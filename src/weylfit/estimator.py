@@ -103,10 +103,12 @@ class FitProblem:
                                f"model's n_B = {self.model.n_bar}")
 
     def subproblems(self) -> list[_Subproblem]:
-        """One subproblem per model part, from the rows of its basis."""
-        parts = map(self.dataset.in_basis, sampler.bases_for_order(self.model.n))
-        return [_subproblem(self.model, part, rows.points, rows.shots, rows.frequency)
-                for part, rows in enumerate(parts)]
+        """One subproblem per model part, from the rows of its basis in dataset order."""
+        data, freq = self.dataset, self.dataset.frequency
+        masks = (data.basis == sampler.BASIS_CODES[basis]
+                 for basis in sampler.bases_for_order(self.model.n))
+        return [_subproblem(self.model, part, data.points.select(rows), data.shots[rows],
+                            freq[rows]) for part, rows in enumerate(masks)]
 
 
 @dataclass
@@ -143,7 +145,7 @@ class _Subproblem:
     heated: bool
     design: Design
     shots: np.ndarray
-    freq: np.ndarray         # empirical +1 frequency per row
+    freq: np.ndarray         # +1 frequency per row: observed, or the exact p(+1)
 
     def probability(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """p(+1) and its Jacobian over the packed parameters x."""
@@ -423,25 +425,24 @@ def systematic_bias(theta_star: CoefficientVector, points: Design | Sequence[Mea
     model = ModelSpec(theta_star.n, theta_star.n_bar)
     designs = [Design.of(rows) for rows in _per_part(model, points)]
     first = sampler.analytic_chi_grid(designs[0], model.n, cutoff)
-    subs, exact = [], []
+    subs = []
     for part, (design, alloc) in enumerate(zip(designs, _per_part(model, shots))):
-        subs.append(_subproblem(model, part, design, alloc))
         chi = first if design == designs[0] else sampler.analytic_chi_grid(design, model.n, cutoff)
-        exact.append(sampler.born_probabilities(chi)[part])
-    return _bias_and_information(theta_star, subs, exact)[0]
+        subs.append(_subproblem(model, part, design, alloc, sampler.born_probabilities(chi)[part]))
+    return _bias_and_information(theta_star, subs)[0]
 
 
-def _bias_and_information(theta_star: CoefficientVector, subs: list[_Subproblem],
-                          exact: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _bias_and_information(theta_star: CoefficientVector,
+                          subs: list[_Subproblem]) -> tuple[np.ndarray, np.ndarray]:
     """`systematic_bias` on the parts' subproblems, and the Fisher information I.
 
-    ``exact`` holds each part's p(+1) under the untruncated chi of its rows.
-    A singular design raises RankDeficiencyError.
+    Each subproblem's ``freq`` holds its part's p(+1) under the untruncated
+    chi of its rows.  A singular design raises RankDeficiencyError.
     """
     model = ModelSpec(theta_star.n, theta_star.n_bar)
     parts, info = _fisher_parts(subs, _pack_theta(model, theta_star))
     _checked_eigh(info)
-    rhs = np.concatenate([dp_w.T @ (p_exact - p) for (p, dp_w), p_exact in zip(parts, exact)])
+    rhs = np.concatenate([dp_w.T @ (sub.freq - p) for (p, dp_w), sub in zip(parts, subs)])
     return _unpack(model, np.linalg.solve(info, rhs))[0], info
 
 
@@ -516,9 +517,9 @@ def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots:
             n_xi, n_r = map(len, grid_axes(xi_max, r_max, d_xi, d_r))
             cell = rows[:n_r, :n_xi].ravel()
             sub = _subproblem(model, 0, lattice.select(cell),
-                              sampler.allocate_shots(len(cell), total_shots))
+                              sampler.allocate_shots(len(cell), total_shots), p_exact[cell])
             try:
-                bias, info = _bias_and_information(theta_star, [sub], [p_exact[cell]])
+                bias, info = _bias_and_information(theta_star, [sub])
             except RankDeficiencyError:
                 # single-r designs leave c1 and c2 exactly collinear;
                 # the expected error along the flat direction is unbounded

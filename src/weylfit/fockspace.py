@@ -129,9 +129,8 @@ def weyl_expectation(rho: np.ndarray, xis) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-@lru_cache(maxsize=512)
 def squeeze_eigh(n: int, zeta: complex, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, V) of i (zeta* A^n - zeta A^dag^n) / n!, read-only.
+    """Eigendecomposition (w, V) of i (zeta* A^n - zeta A^dag^n) / n!.
 
     exp(f (zeta* A^n - zeta A^dag^n) / n!) = V e^{-i f w} V^dag for every
     real f, so a pulse splits into exact unitary steps of any area.
@@ -139,10 +138,7 @@ def squeeze_eigh(n: int, zeta: complex, cutoff: int) -> tuple[np.ndarray, np.nda
     if not 2 <= n <= 4:
         raise UnsupportedOrderError(f"squeezing order must be 2, 3 or 4, got {n}")
     an = np.linalg.matrix_power(annihilation(cutoff), n)
-    w, v = np.linalg.eigh(1j * ((np.conj(zeta) * an - zeta * an.conj().T) / math.factorial(n)))
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return w, v
+    return np.linalg.eigh(1j * ((np.conj(zeta) * an - zeta * an.conj().T) / math.factorial(n)))
 
 
 def squeeze_unitary(n: int, zeta: complex, cutoff: int) -> np.ndarray:

@@ -172,12 +172,6 @@ class Dataset:
     def frequency(self) -> np.ndarray:
         return self.plus_count / self.shots
 
-    def in_basis(self, basis: str) -> Dataset:
-        """The records measured in ``basis``, in dataset order."""
-        rows = self.basis == BASIS_CODES[basis]
-        return Dataset(self.points.select(rows), self.basis[rows], self.shots[rows],
-                       self.plus_count[rows], self.seed[rows])
-
     def __len__(self) -> int:
         return len(self.basis)
 
@@ -343,16 +337,31 @@ def _group_states(design: Design) -> list[tuple[tuple[float, float, float], np.n
             for idx in np.split(order, np.flatnonzero(starts))[1:]]
 
 
+def _per_state(design: Design, chi_of_state, jobs: int = 1) -> np.ndarray:
+    """chi per point: ``chi_of_state(r, theta, n_bar, xis)`` once per prepared state, at
+    all of its points; ``jobs`` > 1 runs the states on that many worker threads."""
+    out = np.empty(len(design), dtype=complex)
+
+    def run_state(item):
+        (r, theta, n_bar), idx = item
+        out[idx] = chi_of_state(r, theta, n_bar, design.xi[idx])
+
+    items = _group_states(design)
+    if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(run_state, items))
+    else:
+        list(map(run_state, items))
+    return out
+
+
 def analytic_chi_grid(points: Design | Sequence[MeasurementPoint], n: int,
                       cutoff: int = fockspace.DEFAULT_CUTOFF) -> np.ndarray:
     """Reference chi per point (`charfunc.chi_reference`), one call per state."""
-    design = Design.of(points)
-    out = np.empty(len(design), dtype=complex)
-    for (r, theta, n_bar), idx in _group_states(design):
-        out[idx] = charfunc.chi_reference(design.xi[idx],
-                                          charfunc.SqueezeSpec(n=n, r=r, theta=theta),
-                                          n_bar, cutoff)
-    return out
+    return _per_state(Design.of(points), lambda r, theta, n_bar, xis: charfunc.chi_reference(
+        xis, charfunc.SqueezeSpec(n=n, r=r, theta=theta), n_bar, cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +419,16 @@ def _pulse_area(t: np.ndarray, ramp: float, hold: float) -> np.ndarray:
     return (up**2 + 2.0 * ramp * down - down**2) / scale + flat
 
 
-def _strang_pulse(x: np.ndarray, n: int, zeta: complex, config: ProtocolConfig,
+def _strang_pulse(x: np.ndarray, eigh: tuple[np.ndarray, np.ndarray], config: ProtocolConfig,
                   n_steps: int) -> np.ndarray:
     """Heated squeezing pulse as n_steps Strang steps H(tau/2) U_k H(tau/2).
 
-    U_k is the exact pulse unitary over step k, from the exact envelope
-    area of the step; H is `fockspace.heating_flow`, and the two half steps
-    between consecutive U_k run as one.
+    U_k is the exact pulse unitary over step k, from the pulse's ``eigh``
+    (`fockspace.squeeze_eigh`) and the step's envelope area; H is
+    `fockspace.heating_flow`, and the two half steps between consecutive
+    U_k run as one.
     """
-    w, v = fockspace.squeeze_eigh(n, zeta, config.cutoff)
+    w, v = eigh
     edges = np.linspace(0.0, config.prep_duration, n_steps + 1)
     areas = np.diff(_pulse_area(edges, config.ramp_time, config.prep_hold)) / config.prep_area
     step = config.heating_rate * config.prep_duration / n_steps
@@ -437,9 +447,9 @@ def prepare_state(n: int, r: float, theta: float, n_bar: float,
     state at the grown occupation.  Without heating the pulse Hamiltonian
     commutes with itself at all times, so the pulse is exactly
     S_n(r e^{i theta}) from `fockspace.squeeze_unitary`, at any r.  The
-    heated pulse is `_strang_pulse` at 8, 16, 32, ... steps until
-    max|rho_N - rho_2N| / 3 <= PULSE_TOLERANCE, returning rho_2N; both of
-    its flows are CPTP, so the result is a density matrix.
+    heated pulse is `_strang_pulse` at 8, 16, 32, ... steps of one
+    `fockspace.squeeze_eigh` until max|rho_N - rho_2N| / 3 <= PULSE_TOLERANCE,
+    returning rho_2N; both of its flows are CPTP, so the result is a density matrix.
     """
     cutoff = config.cutoff
     zeta = complex(charfunc.SqueezeSpec(n=n, r=r, theta=theta).zeta)
@@ -451,9 +461,10 @@ def prepare_state(n: int, r: float, theta: float, n_bar: float,
         x = s @ fockspace.thermal_state(n_bar, cutoff) @ s.conj().T
     else:
         x0 = fockspace.thermal_state(n_bar + config.heating_rate * config.idle_time, cutoff)
-        x = _strang_pulse(x0, n, zeta, config, 8)
+        eigh = fockspace.squeeze_eigh(n, zeta, cutoff)
+        x = _strang_pulse(x0, eigh, config, 8)
         for n_steps in (2**k for k in range(4, 13)):  # 16, 32, ..., 4096 steps
-            coarse, x = x, _strang_pulse(x0, n, zeta, config, n_steps)
+            coarse, x = x, _strang_pulse(x0, eigh, config, n_steps)
             if np.max(np.abs(x - coarse)) / 3.0 <= PULSE_TOLERANCE:
                 break
         else:
@@ -485,25 +496,11 @@ def simulate_chi_grid(points: Design | Sequence[MeasurementPoint], n: int,
     fans the independent preparations out over worker threads (BLAS
     releases the GIL during the matmuls).
     """
-    design = Design.of(points)
-    out = np.empty(len(design), dtype=complex)
-
-    def run_state(key_idx):
-        (r, theta, n_bar), idx = key_idx
+    def probe_state(r, theta, n_bar, xis):
         rho_b = prepare_state(n, r, theta, n_bar, config)
-        xis = design.xi[idx]
-        out[idx] = probe_coherences(rho_b, config, np.angle(xis), np.abs(xis))
+        return probe_coherences(rho_b, config, np.angle(xis), np.abs(xis))
 
-    items = _group_states(design)
-    if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_state, items))
-    else:
-        for item in items:
-            run_state(item)
-    return out
+    return _per_state(Design.of(points), probe_state, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -632,16 +629,20 @@ def dataset_from_csv(stream) -> Dataset:
     must be finite, each row must pass the checks of `Design` and
     `Dataset`, and a seed must lie in [0, 2**64).  The rows are parsed and
     checked as columns, `_ROW_BLOCK` rows at a time; a malformed row raises
-    a DatasetError that names the earliest bad row and its line.
+    a DatasetError that names the earliest bad row and its line, and
+    undecodable bytes or an over-long field one that names the lines read.
     """
     reader = csv.reader(stream)
-    header = next(reader, None)
-    if header != CSV_FIELDS:
-        raise DatasetError(f"dataset header {header} does not match {CSV_FIELDS}")
-    numbered = ((reader.line_num, row) for row in reader if row)
-    blocks = []
-    while block := list(itertools.islice(numbered, _ROW_BLOCK)):
-        blocks.append(_parse_block(block))
+    try:
+        header = next(reader, None)
+        if header != CSV_FIELDS:
+            raise DatasetError(f"dataset header {header} does not match {CSV_FIELDS}")
+        numbered = ((reader.line_num, row) for row in reader if row)
+        blocks = []
+        while block := list(itertools.islice(numbered, _ROW_BLOCK)):
+            blocks.append(_parse_block(block))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"unreadable dataset after {reader.line_num} lines: {exc}") from exc
     if not blocks:
         raise DatasetError("dataset contains no records")
     points = Design(*(np.concatenate([getattr(b.points, k) for b in blocks])

@@ -688,6 +688,42 @@ def test_module_entry_point_runs_cli():
     assert "simulate" in done.stdout
 
 
+def test_bad_input_exits_2_with_one_error_line_and_no_traceback(tmp_path):
+    # exit 1 belongs to a failed validate; unreadable bytes are bad input too
+    configs = {"unclosed-flow": b"model: {n: 2\n",
+               "python-tag": b"model: !!python/object:os.system {}\n",
+               "not-utf8": b"model:\n  n: \xff\xfe\n"}
+    header = ",".join(sampler.CSV_FIELDS) + "\n"
+    long_row = '"' + "9" * 200_000 + '",0,0.1,0,0,x,10,5,1\n'  # over the csv field limit
+    datasets = {"not-utf8": (header + "0.1,0,0.1,0,0,x,10,5,1\n").encode() + b"0.1,\xff\n",
+                "over-long-field": (header + long_row).encode()}
+    cfg = write_config(tmp_path / "cfg.yaml")
+    runs = {}
+    for name, text in configs.items():
+        path = tmp_path / f"{name}.yaml"
+        path.write_bytes(text)
+        runs[f"config-{name}"] = ["--config", str(path), "validate"]
+    for name, text in datasets.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text)
+        runs[f"estimate-{name}"] = ["--config", str(cfg), "estimate", str(path)]
+        runs[f"validate-{name}"] = ["--config", str(cfg), "validate", "--dataset", str(path)]
+    report = tmp_path / "rep.csv"
+    report.write_text("name,re,im,std,bias_sys,mse\nc1,1.0,0.0,0.01,,\n")
+    report.with_suffix(".meta.yaml").write_text("model: [n: 2\n")
+    runs["extrapolate-meta-not-yaml"] = ["--config", str(cfg), "extrapolate", *[str(report)] * 3]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outcomes = {}
+    for name, argv in runs.items():
+        done = subprocess.run([sys.executable, "-m", "weylfit", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+        outcomes[name] = (done.returncode, len(errors), "Traceback" in done.stderr)
+    assert outcomes == dict.fromkeys(runs, (2, 1, False))
+
+
 def test_estimate_and_sweep_never_load_numpy_random(tmp_path):
     # numpy.random costs about 6 MB of peak RSS; only sampling commands import it
     commands = []

@@ -209,6 +209,20 @@ class TestMinimize:
         # of the two starts, zero and the exact coefficients, the lower-cost one is kept
         assert report["best_parameters"] == TRUTH2.tolist()
 
+    def test_each_part_fits_the_rows_of_its_basis_in_dataset_order(self):
+        # x and y rows interleave: each part gets its own basis's rows, in order
+        xi = np.array([0.1, 0.2 + 0.1j, 0.3, 0.4 - 0.2j, 0.5j, 0.6])
+        codes = [0, 1, 1, 0, 1, 0]
+        shots = [10, 20, 30, 40, 50, 60]
+        plus = [1, 2, 3, 4, 5, 6]
+        dataset = sp.Dataset(sp.Design(xi, np.arange(6) / 10), codes, shots, plus, 7)
+        subs = est.FitProblem(est.ModelSpec(3), dataset).subproblems()
+        assert [sub.part for sub in subs] == [0, 1]
+        for sub, rows in zip(subs, ([0, 3, 5], [1, 2, 4])):
+            assert sub.design == sp.Design(xi[rows], np.array(rows) / 10)
+            np.testing.assert_array_equal(sub.shots, np.take(shots, rows))
+            np.testing.assert_array_equal(sub.freq, np.take(plus, rows) / np.take(shots, rows))
+
     def test_requires_matching_bases(self):
         points = [sp.MeasurementPoint(xi=0.5 + 0j, r=0.2)]
         records = sp.generate_dataset(points, sp.analytic_chi_grid(points, 2), 100, 2, seed=0)

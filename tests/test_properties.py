@@ -156,3 +156,24 @@ def test_readme_config_block_lists_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
     assert yaml.safe_load(block) == config.DEFAULTS
+
+
+def test_a_failing_property_test_hides_no_later_result(pytester):
+    # hypothesis's failure report imports libcst, which warns a
+    # DeprecationWarning that the suite's settings turn into an error
+    root = Path(__file__).resolve().parents[1]
+    pytester.makeconftest((root / "conftest.py").read_text())
+    pytester.makefile(".toml", pyproject=(root / "pyproject.toml").read_text())
+    pytester.makepyfile(test_order="""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 5
+
+        def test_passes():
+            pass
+    """)
+    result = pytester.runpytest_subprocess("test_order.py", "-p", "no:cacheprovider")
+    assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
+    result.assert_outcomes(failed=1, passed=1)
