@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -139,20 +139,18 @@ class _Subproblem:
     c_h when the model is heated.
     """
 
-    n: int
+    model: ModelSpec
     part: int
-    nu: float
-    heated: bool
     design: Design
     shots: np.ndarray
     freq: np.ndarray         # +1 frequency per row: observed, or the exact p(+1)
 
     def probability(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """p(+1) and its Jacobian over the packed parameters x."""
-        theta, c_h = (x[:-1], float(x[-1])) if self.heated else (x, 0.0)
-        d = self.design
-        value, dvalue, dvalue_ch = series.part_model(self.n, self.part, theta, d.xi, d.r, d.theta,
-                                                     self.nu, c_h, self.heated)
+        model, d = self.model, self.design
+        theta, c_h = (x[:-1], float(x[-1])) if model.heating else (x, 0.0)
+        value, dvalue, dvalue_ch = series.part_model(model.n, self.part, theta, d.xi, d.r, d.theta,
+                                                     model.nu, c_h, model.heating)
         jac = dvalue if dvalue_ch is None else np.hstack([dvalue, dvalue_ch[:, None]])
         return 0.5 * (1.0 + value), 0.5 * jac
 
@@ -165,16 +163,33 @@ class _Subproblem:
 def _subproblem(model: ModelSpec, part: int, design: Design, shots, freq=None) -> _Subproblem:
     """The part's subproblem on ``design``: a scalar ``shots`` fills every row,
     and ``freq`` (zero when None) is each row's +1 frequency."""
+    if not len(design):
+        raise DatasetError("every model part needs at least one measurement row")
     shots = np.asarray(shots)
     if shots.ndim == 0:
         shots = np.full(len(design), int(shots))
     elif len(shots) != len(design):
         raise InvalidParameterError("shot allocation length does not match grid")
-    return _Subproblem(
-        n=model.n, part=part, nu=model.nu, heated=model.heating, design=design,
-        shots=shots.astype(int),
-        freq=np.zeros(len(design)) if freq is None else np.asarray(freq, dtype=float),
-    )
+    freq = np.zeros(len(design)) if freq is None else np.asarray(freq, dtype=float)
+    if freq.shape != (len(design),):
+        raise InvalidParameterError("frequency (or chi) array shape does not match grid")
+    return _Subproblem(model, part, design, shots.astype(int), freq)
+
+
+def _exact_subproblems(model: ModelSpec, points, shots, cutoff: int = fockspace.DEFAULT_CUTOFF,
+                       chi=None) -> list[_Subproblem]:
+    """Each model part's subproblem with its exact p(+1) as ``freq``.
+
+    ``points`` and ``shots`` may each be a dict keyed by basis.  The first
+    part's rows read ``chi``, else `sampler.analytic_chi_grid` at Fock
+    ``cutoff``; parts on equal designs share it, a part on other rows reads its own.
+    """
+    designs = [Design.of(rows) for rows in _per_part(model, points)]
+    chi = sampler.analytic_chi_grid(designs[0], model.n, cutoff) if chi is None else chi
+    chis = [chi if d == designs[0] else sampler.analytic_chi_grid(d, model.n, cutoff)
+            for d in designs]
+    return [_subproblem(model, part, d, alloc, sampler.born_probabilities(own)[part])
+            for part, (d, alloc, own) in enumerate(zip(designs, _per_part(model, shots), chis))]
 
 
 def _per_part(model: ModelSpec, value) -> list:
@@ -423,13 +438,7 @@ def systematic_bias(theta_star: CoefficientVector, points: Design | Sequence[Mea
     part its own rows; parts on equal designs share one exact chi.
     """
     model = ModelSpec(theta_star.n, theta_star.n_bar)
-    designs = [Design.of(rows) for rows in _per_part(model, points)]
-    first = sampler.analytic_chi_grid(designs[0], model.n, cutoff)
-    subs = []
-    for part, (design, alloc) in enumerate(zip(designs, _per_part(model, shots))):
-        chi = first if design == designs[0] else sampler.analytic_chi_grid(design, model.n, cutoff)
-        subs.append(_subproblem(model, part, design, alloc, sampler.born_probabilities(chi)[part]))
-    return _bias_and_information(theta_star, subs)[0]
+    return _bias_and_information(theta_star, _exact_subproblems(model, points, shots, cutoff))[0]
 
 
 def _bias_and_information(theta_star: CoefficientVector,
@@ -439,7 +448,7 @@ def _bias_and_information(theta_star: CoefficientVector,
     Each subproblem's ``freq`` holds its part's p(+1) under the untruncated
     chi of its rows.  A singular design raises RankDeficiencyError.
     """
-    model = ModelSpec(theta_star.n, theta_star.n_bar)
+    model = subs[0].model
     parts, info = _fisher_parts(subs, _pack_theta(model, theta_star))
     _checked_eigh(info)
     rhs = np.concatenate([dp_w.T @ (sub.freq - p) for (p, dp_w), sub in zip(parts, subs)])
@@ -585,13 +594,7 @@ def fit_exact_frequencies(points: Design | Sequence[MeasurementPoint], model: Mo
     Isolates the systematic (truncation) part of the estimate: the result
     should sit at theta_star plus the linearized bias.
     """
-    design = Design.of(points)
-    if chi_values is None:
-        chi_values = sampler.analytic_chi_grid(design, model.n)
-    probs = sampler.born_probabilities(chi_values)
-    subs = [_subproblem(model, part, design, alloc, probs[part])
-            for part, alloc in enumerate(_per_part(model, shots))]
-    coeffs, c_h, _ = _fit(model, subs, cost)
+    coeffs, c_h, _ = _fit(model, _exact_subproblems(model, points, shots, chi=chi_values), cost)
     return coeffs, c_h
 
 
@@ -606,19 +609,14 @@ def monte_carlo_recovery(points: Design | Sequence[MeasurementPoint], model: Mod
     faster than the per-point streams of `generate_dataset` and equally
     reproducible.
     """
-    design = Design.of(points)
-    if chi_values is None:
-        chi_values = sampler.analytic_chi_grid(design, model.n)
-    n_parts = len(series.PARTS[model.n])
-    alloc = sampler.allocate_shots(len(design) * n_parts, total_shots).reshape(n_parts, -1)
-    probs = sampler.born_probabilities(chi_values)
+    bases = sampler.bases_for_order(model.n)
+    alloc = sampler.allocate_shots(len(points) * len(bases), total_shots).reshape(len(bases), -1)
+    exact = _exact_subproblems(model, points, dict(zip(bases, alloc)), chi=chi_values)
     thetas = np.empty((repeats, model.n_coeffs), dtype=complex)
     c_hs = np.empty(repeats) if model.heating else None
     for m in range(repeats):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
-        subs = [_subproblem(model, part, design, alloc[part],
-                            rng.binomial(alloc[part], probs[part]) / alloc[part])
-                for part in range(n_parts)]
+        subs = [replace(sub, freq=rng.binomial(sub.shots, sub.freq) / sub.shots) for sub in exact]
         coeffs, c_h, _ = _fit(model, subs, cost)
         thetas[m] = coeffs.values
         if model.heating:

@@ -407,6 +407,52 @@ class TestMonteCarloRecovery:
         # 8 repeats of spread about 0.009: the mean sits within 0.01 of the truth
         assert abs(float(np.mean(c_hs)) - 0.05) <= 0.01
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("cost", ["ls", "ml"])
+    def test_each_repeat_fits_the_counts_of_its_own_stream(self, n, cost):
+        # repeat m draws every part's counts in part order from child stream m of the seed
+        points = (est.build_grid(1.0, 0.3, 0.1, 0.1) if n == 2
+                  else est.build_grid_complex(1.0, 1.0, 0.3, 4, 4, 3))
+        model, total, seed = est.ModelSpec(n), 300_001, 12
+        bases = sp.bases_for_order(n)
+        alloc = sp.allocate_shots(len(points) * len(bases), total).reshape(len(bases), -1)
+        probs = sp.born_probabilities(sp.analytic_chi_grid(points, n))
+        records = sp.Design(*(np.tile(getattr(points, k), len(bases))
+                              for k in ("xi", "r", "theta", "n_bar")))
+        codes = np.repeat([sp.BASIS_CODES[b] for b in bases], len(points))
+        thetas, _ = est.monte_carlo_recovery(points, model, total, 3, seed, cost=cost)
+        for m in range(3):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
+            counts = np.concatenate([rng.binomial(alloc[k], probs[k]) for k in range(len(bases))])
+            dataset = sp.Dataset(records, codes, alloc.ravel(), counts, np.zeros(len(counts)))
+            report = est.minimize(est.FitProblem(model, dataset, cost))
+            assert np.array_equal(report.coefficients.values, thetas[m])
+
+
+class TestExactFrequencies:
+    @pytest.mark.parametrize("chi_of", [lambda chis: chis[:-1], lambda chis: chis[:, None]],
+                             ids=["short", "column"])
+    @pytest.mark.parametrize("call", [
+        lambda points, chis: est.fit_exact_frequencies(points, est.ModelSpec(2), 1000,
+                                                       chi_values=chis),
+        lambda points, chis: est.monte_carlo_recovery(points, est.ModelSpec(2), 100_000, 2, 1,
+                                                      chi_values=chis)],
+        ids=["fit_exact_frequencies", "monte_carlo_recovery"])
+    def test_chi_of_another_shape_than_the_grid_is_refused(self, call, chi_of):
+        points = est.build_grid(0.8, 0.3, 0.2, 0.1)
+        chis = sp.analytic_chi_grid(points, 2)
+        with pytest.raises(InvalidParameterError, match="does not match grid"):
+            call(points, chi_of(chis))
+
+    @pytest.mark.parametrize("call", [
+        lambda: est.fit_exact_frequencies([], est.ModelSpec(2), 100),
+        lambda: est.fisher_information(dg.truth_coefficients(2), [], 100),
+        lambda: est.systematic_bias(dg.truth_coefficients(2), [], 100)],
+        ids=["fit_exact_frequencies", "fisher_information", "systematic_bias"])
+    def test_empty_design_is_refused(self, call):
+        with pytest.raises(DatasetError, match="at least one measurement row"):
+            call()
+
 
 class TestSystematicBias:
     def test_zero_in_well_specified_limit(self):

@@ -55,3 +55,13 @@ def test_estimator_reads_exact_chi_through_the_sampler():
     imported |= {node.module.split(".")[-1] for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module}
     assert "charfunc" not in imported
+
+
+def test_only_the_exact_builder_and_the_sweep_apply_the_born_rule():
+    # one path from a design to exact frequencies: the sweep slices its lattice's instead
+    tree = ast.parse((SRC / "estimator.py").read_text())
+    callers = {top.name for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "sampler"
+               and node.attr in ("analytic_chi_grid", "born_probabilities")}
+    assert callers == {"_exact_subproblems", "rmse_sweep"}

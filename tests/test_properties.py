@@ -4,6 +4,7 @@ matrices, and Tr(rho D(xi)) on Hermitian rho."""
 
 import csv
 import io
+import re
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dataset_from_records, record_seed_sequence
-from weylfit import config
+from weylfit import cli, config
 from weylfit import fockspace as fs
 from weylfit import sampler as sp
 from weylfit import series as dg
@@ -156,6 +157,14 @@ def test_readme_config_block_lists_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
     assert yaml.safe_load(block) == config.DEFAULTS
+
+
+def test_readme_validate_table_names_the_registered_checks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("`validate` prints one PASS/FAIL line", 1)[1].split("\n\n", 2)[1]
+    named = [name for row in table.splitlines()[2:]
+             for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert named == [name for name, _ in cli._validate_checks(config.load_config())]
 
 
 def test_a_failing_property_test_hides_no_later_result(pytester):
