@@ -119,7 +119,7 @@ def _load_report(path: Path) -> tuple[estimator.EstimationReport, float]:
 
 def _refuse_heating(cfg: config_mod.RunConfig, command: str, keys: tuple[str, ...]) -> None:
     """ConfigError naming the first of `keys` that asks an unheated command for heating."""
-    values = {"protocol.heating_rate": cfg.protocol["heating_rate"],
+    values = {"protocol.heating_rate": cfg.protocol.heating_rate,
               "model.heating": cfg.model["heating"]}
     for key in keys:
         if values[key]:
@@ -138,7 +138,7 @@ def cmd_charfunc(cfg: config_mod.RunConfig, args) -> int:
     axis = g["d_xi"] * np.arange(-k, k + 1)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     xis = re + 1j * im
-    chi = np.asarray(charfunc.chi_reference(xis, spec, cfg.model["n_B"], cfg.protocol["cutoff"]),
+    chi = np.asarray(charfunc.chi_reference(xis, spec, cfg.model["n_B"], cfg.protocol.cutoff),
                      dtype=complex)
     out = cfg.out_dir / "charfunc.csv"
     xis, chi = xis.ravel(), chi.ravel()
@@ -152,12 +152,12 @@ def cmd_charfunc(cfg: config_mod.RunConfig, args) -> int:
 def cmd_simulate(cfg: config_mod.RunConfig, args) -> int:
     points, n = _grid_points(cfg), cfg.model["n"]
     if args.source == "protocol":
-        chis = sampler.simulate_chi_grid(points, n, cfg.protocol_config(), jobs=args.jobs)
-    elif cfg.protocol["heating_rate"]:
+        chis = sampler.simulate_chi_grid(points, n, cfg.protocol, jobs=args.jobs)
+    elif cfg.protocol.heating_rate:
         raise ConfigError("the analytic chi source has no heating model; "
                           "use --source protocol for heating_rate > 0")
     else:
-        chis = sampler.analytic_chi_grid(points, n, cfg.protocol["cutoff"])
+        chis = sampler.analytic_chi_grid(points, n, cfg.protocol.cutoff)
     dataset = sampler.generate_dataset(points, chis, cfg.shots["total"], n, cfg.seed)
     out = cfg.out_dir / "dataset.csv"
     _atomic_write(out, sampler.dataset_to_string(dataset))
@@ -171,7 +171,7 @@ def cmd_estimate(cfg: config_mod.RunConfig, args) -> int:
         dataset = sampler.dataset_from_csv(fh)
     model = estimator.ModelSpec(cfg.model["n"], cfg.model["n_B"], cfg.model["heating"])
     report = estimator.minimize(estimator.FitProblem(model, dataset, cost=args.cost),
-                                cfg.protocol["cutoff"])
+                                cfg.protocol.cutoff)
     out = cfg.out_dir / "report.csv"
     _save_report(report, out, {"dataset": str(args.dataset)})
     _write_resolved(cfg, "report")
@@ -233,7 +233,7 @@ def cmd_extrapolate(cfg: config_mod.RunConfig, args) -> int:
 
 
 def _validate_checks(cfg: config_mod.RunConfig):
-    cutoff = int(cfg.protocol["cutoff"])
+    cutoff = cfg.protocol.cutoff
     vacuum = fockspace.thermal_state(0.0, cutoff)
     rng = np.random.default_rng(17)
     checks = []
@@ -327,7 +327,7 @@ def _validate_checks(cfg: config_mod.RunConfig):
 
     def protocol_analytic():
         # the analytic source serves only the unheated state
-        pcfg = dataclasses.replace(cfg.protocol_config(), heating_rate=0.0)
+        pcfg = dataclasses.replace(cfg.protocol, heating_rate=0.0)
         worst = 0.0
         for r in (0.1, 0.25):
             points = sampler.Design([0.5, 1.0, 1.5], r)

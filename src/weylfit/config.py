@@ -59,21 +59,14 @@ _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved configuration for one command invocation."""
+    """Resolved configuration of one command; ``protocol`` is the checked `ProtocolConfig`."""
 
     model: dict
     grid: dict
     shots: dict
-    protocol: dict
+    protocol: ProtocolConfig
     rng: dict
     output: dict
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(**{key: int(value) if key == "cutoff" else float(value)
-                                 for key, value in self.protocol.items()})
 
     @property
     def seed(self) -> int:
@@ -122,9 +115,12 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         for name, entries in overrides.items():
             sections[name] = _merge_section(name, sections[name], entries)
 
-    cfg = RunConfig(**sections)
-    _validate(cfg)
-    return cfg
+    _validate(sections)
+    try:
+        protocol = ProtocolConfig(**sections.pop("protocol"))
+    except InvalidParameterError as exc:
+        raise ConfigError(f"protocol: {exc}") from exc
+    return RunConfig(protocol=protocol, **sections)
 
 
 def _type_ok(value, default) -> bool:
@@ -136,29 +132,26 @@ def _type_ok(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(sections: dict) -> None:
     for name, defaults in DEFAULTS.items():
         for key, default in defaults.items():
-            value = getattr(cfg, name)[key]
+            value = sections[name][key]
             if not _type_ok(value, default):
                 kind = "a finite number" if isinstance(default, float) else type(default).__name__
                 raise ConfigError(f"{name}.{key} must be {kind}, got {value!r}")
-    if cfg.model["n"] not in (2, 3):
-        raise ConfigError(f"model.n must be 2 or 3, got {cfg.model['n']}")
-    if cfg.model["n_B"] < 0:
+    model, shots, rng, grid = (sections[name] for name in ("model", "shots", "rng", "grid"))
+    if model["n"] not in (2, 3):
+        raise ConfigError(f"model.n must be 2 or 3, got {model['n']}")
+    if model["n_B"] < 0:
         raise ConfigError("model.n_B must be non-negative")
-    if cfg.shots["total"] < 1:
+    if shots["total"] < 1:
         raise ConfigError("shots.total must be positive")
-    if not 0 <= cfg.rng["seed"] < 2**64:
-        raise ConfigError(f"rng.seed must lie in [0, 2**64), got {cfg.rng['seed']}")
+    if not 0 <= rng["seed"] < 2**64:
+        raise ConfigError(f"rng.seed must lie in [0, 2**64), got {rng['seed']}")
     for key in ("d_xi", "d_r"):
-        if cfg.grid[key] <= 0:
+        if grid[key] <= 0:
             raise ConfigError(f"grid.{key} must be positive")
-    try:
-        cfg.protocol_config()
-    except InvalidParameterError as exc:
-        raise ConfigError(f"protocol: {exc}") from exc
 
 
 def resolved_yaml(cfg: RunConfig) -> str:
-    return yaml.safe_dump(cfg.as_dict(), sort_keys=True)
+    return yaml.safe_dump(asdict(cfg), sort_keys=True)

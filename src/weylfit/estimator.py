@@ -88,8 +88,6 @@ class FitProblem:
     def __post_init__(self):
         if not len(self.dataset):
             raise DatasetError("fit problem needs a non-empty dataset")
-        if self.cost not in ("ls", "ml"):
-            raise InvalidParameterError(f"cost must be 'ls' or 'ml', got {self.cost!r}")
         # sets of the distinct values: a plain np.unique would import numpy.ma (about 20 ms)
         bases = {sampler.BASES[code] for code in set(self.dataset.basis.tolist())}
         needed = set(sampler.bases_for_order(self.model.n))
@@ -232,6 +230,8 @@ def _cost_grad_curvature(sub: _Subproblem, x: np.ndarray, cost: str):
     theta inside the clip, so either curvature is the exact Hessian there;
     for c_h it is the Gauss-Newton part.
     """
+    if cost not in ("ls", "ml"):
+        raise InvalidParameterError(f"cost must be 'ls' or 'ml', got {cost!r}")
     p, jac = sub.probability(x)
     if cost == "ls":
         sigma = np.sqrt(sub.sigma2())
@@ -514,6 +514,8 @@ def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots:
     cell selects a prefix block [:n_r, :n_xi] of the `build_grid` lattice of
     the largest maxima, whose exact probabilities are computed once.
     """
+    if not (len(xi_maxes) and len(r_maxes)):
+        raise InvalidParameterError("the sweep needs at least one xi_max and one r_max")
     theta_star = series.truth_coefficients(2, n_bar)
     model = ModelSpec(2, n_bar)
     xi_axis, r_axis = grid_axes(max(xi_maxes), max(r_maxes), d_xi, d_r)
@@ -592,7 +594,8 @@ def fit_exact_frequencies(points: Design | Sequence[MeasurementPoint], model: Mo
     probabilities of the untruncated characteristic function.
 
     Isolates the systematic (truncation) part of the estimate: the result
-    should sit at theta_star plus the linearized bias.
+    should sit at theta_star plus the linearized bias.  ``points`` and
+    ``shots`` may each be a dict keyed by basis, giving each part its own rows.
     """
     coeffs, c_h, _ = _fit(model, _exact_subproblems(model, points, shots, chi=chi_values), cost)
     return coeffs, c_h
@@ -609,6 +612,8 @@ def monte_carlo_recovery(points: Design | Sequence[MeasurementPoint], model: Mod
     faster than the per-point streams of `generate_dataset` and equally
     reproducible.
     """
+    if repeats < 0 or seed < 0:
+        raise InvalidParameterError(f"repeats and seed must be non-negative, got {repeats}, {seed}")
     bases = sampler.bases_for_order(model.n)
     alloc = sampler.allocate_shots(len(points) * len(bases), total_shots).reshape(len(bases), -1)
     exact = _exact_subproblems(model, points, dict(zip(bases, alloc)), chi=chi_values)

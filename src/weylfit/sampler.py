@@ -41,7 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from . import charfunc, fockspace, series
-from .errors import AccuracyError, DatasetError, InvalidChiError, InvalidParameterError
+from .errors import (AccuracyError, DatasetError, InvalidChiError, InvalidParameterError,
+                     UnsupportedOrderError)
 
 OMEGA_ETA_DEFAULT = 2.0 * np.pi * 4.7e3      # phase-space displacement rate, rad/s
 
@@ -269,21 +270,17 @@ def record_state_words(master_seed: int, point_indices: np.ndarray,
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def _draw_counts(seed: int, chis: np.ndarray, bases: Sequence[str],
-                 shots: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(+1 counts, CSV seed words) of the records as arrays, basis-major:
-    every point in the first basis, then every point in the next.
+def _draw_counts(seed: int, p_plus: np.ndarray, rows: np.ndarray, codes: np.ndarray,
+                 shots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(+1 counts, CSV seed words) of the records (point rows[k], basis codes[k]).
 
-    Record k draws B(shots[k], p) from Generator(PCG64) seeded with its
-    `record_state_words` row.
+    Record k draws B(shots[k], p_plus[k]) from Generator(PCG64) seeded with
+    its `record_state_words` row.
     """
-    p_x, p_y = born_probabilities(chis)
-    p_plus = np.concatenate([p_x if basis == "x" else p_y for basis in bases])
     outside = ~((p_plus >= 0.0) & (p_plus <= 1.0))  # NaN included
     if outside.any():
         raise InvalidParameterError(f"probability {p_plus[outside][0]} outside [0, 1]")
-    words = record_state_words(seed, np.tile(np.arange(len(chis)), len(bases)),
-                               np.repeat([BASIS_CODES[b] for b in bases], len(chis)))
+    words = record_state_words(seed, rows, codes)
     # numpy.random loads here, not with this module: commands that never
     # sample do not pay its import time and memory
     from numpy.random import PCG64, Generator
@@ -299,7 +296,7 @@ def _draw_counts(seed: int, chis: np.ndarray, bases: Sequence[str],
             return self.state
 
     counts = [int(Generator(PCG64(StateWords(state))).binomial(n, p))
-              for state, n, p in zip(words, shots, p_plus.tolist(), strict=True)]
+              for state, n, p in zip(words, shots.tolist(), p_plus.tolist(), strict=True)]
     return np.array(counts, dtype=np.int64), words[:, 0]
 
 
@@ -510,6 +507,8 @@ def simulate_chi_grid(points: Design | Sequence[MeasurementPoint], n: int,
 
 def bases_for_order(n: int) -> tuple[str, ...]:
     """Measurement bases carrying information: x only for n=2, x and y for n=3."""
+    if n not in series.PARTS:
+        raise UnsupportedOrderError(f"no measurement bases for order {n}")
     return tuple(basis for basis, *_ in series.PARTS[n])
 
 
@@ -529,11 +528,12 @@ def generate_dataset(points: Design | Sequence[MeasurementPoint], chis: np.ndarr
     chis = np.asarray(chis, dtype=complex)
     if chis.shape != (len(points),):
         raise InvalidParameterError(f"{chis.shape} chi values for {len(points)} points")
-    alloc = allocate_shots(len(points) * len(bases), total_shots)
-    counts, seeds = _draw_counts(seed, chis, bases, alloc.tolist())
     rows = np.tile(np.arange(len(points)), len(bases))
-    return Dataset(points.select(rows), np.repeat([BASIS_CODES[b] for b in bases], len(points)),
-                   alloc, counts, seeds)
+    codes = np.repeat([BASIS_CODES[b] for b in bases], len(points))
+    alloc = allocate_shots(len(rows), total_shots)
+    p_plus = np.stack(born_probabilities(chis))[codes, rows]
+    counts, seeds = _draw_counts(seed, p_plus, rows, codes, alloc)
+    return Dataset(points.select(rows), codes, alloc, counts, seeds)
 
 
 def _fmt(value: float) -> str:

@@ -162,8 +162,26 @@ class TestSimulate:
         cfg.write_text(f"model: {{n_B: {n_b}}}\nprotocol: {{ramp_time: {ramp_time}}}\n"
                        "grid: {xi_max: 0.5, r_max: 0.2, d_xi: 0.1, d_r: 0.1}\n")
         loaded = config.load_config(cfg)
-        assert loaded.protocol["ramp_time"] == 4e-5 and loaded.model["n_B"] == 0.1
+        assert loaded.protocol.ramp_time == 4e-5 and loaded.model["n_B"] == 0.1
         assert cli.run(["--config", str(cfg), "--out", str(tmp_path), "simulate"]) == 0
+
+    @pytest.mark.parametrize("overrides, command, digest", [
+        ({}, ["charfunc"], "7d0ed392aadb1e5c07b276d332c2e88183bac75f8362a9ff78de02a7ca214718"),
+        ({"grid": {"xi_max": 0.2, "r_max": 0.1, "d_xi": 0.1, "d_r": 0.1},
+          "protocol": {"heating_rate": 300, "idle_time": 0, "omega_eta": 30000}},
+         ["simulate", "--source", "protocol"],
+         "60245b97434d7766d1e5d9bcfe43a6a3e0b3e6e7bef9679ca1c14c513f9e6211"),
+    ], ids=["default", "integer-floats"])
+    def test_sidecar_loads_back_to_the_config_that_wrote_it(self, tmp_path, monkeypatch,
+                                                           overrides, command, digest):
+        # the sidecar keeps each value as the config gave it: heating_rate 300 stays 300
+        monkeypatch.chdir(tmp_path)
+        Path("run.yaml").write_text(yaml.safe_dump(overrides))
+        written = config.load_config("run.yaml")
+        assert cli.run(["--config", "run.yaml", *command]) == 0
+        sidecar = next(Path("out").glob("*.config.yaml"))
+        assert config.load_config(sidecar) == written
+        assert file_hash(sidecar) == digest
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml")

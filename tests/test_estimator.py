@@ -223,6 +223,21 @@ class TestMinimize:
             np.testing.assert_array_equal(sub.shots, np.take(shots, rows))
             np.testing.assert_array_equal(sub.freq, np.take(plus, rows) / np.take(shots, rows))
 
+    @pytest.mark.parametrize("call", [
+        lambda points, data: est.minimize(est.FitProblem(est.ModelSpec(2), data, cost="LS")),
+        lambda points, data: est.cost(TRUTH2, est.FitProblem(est.ModelSpec(2), data, cost="LS")),
+        lambda points, data: est.fit_exact_frequencies(points, est.ModelSpec(2), 1000,
+                                                       cost="LS"),
+        lambda points, data: est.monte_carlo_recovery(points, est.ModelSpec(2), 100_000, 1, 1,
+                                                      cost="LS")],
+        ids=["minimize", "cost", "fit_exact_frequencies", "monte_carlo_recovery"])
+    def test_unknown_cost_is_refused(self, call):
+        # any cost but "ls" used to fit ML without complaint
+        points = est.build_grid(1.0, 0.3, 0.1, 0.1)
+        records = model_dataset(points, dg.truth_coefficients(2), 100_000, seed=2)
+        with pytest.raises(InvalidParameterError, match="cost must be 'ls' or 'ml', got 'LS'"):
+            call(points, records)
+
     def test_requires_matching_bases(self):
         points = [sp.MeasurementPoint(xi=0.5 + 0j, r=0.2)]
         records = sp.generate_dataset(points, sp.analytic_chi_grid(points, 2), 100, 2, seed=0)
@@ -429,6 +444,13 @@ class TestMonteCarloRecovery:
             assert np.array_equal(report.coefficients.values, thetas[m])
 
 
+    @pytest.mark.parametrize("repeats, seed", [(-1, 1), (2, -3)])
+    def test_negative_repeats_or_seed_is_refused(self, repeats, seed):
+        points = est.build_grid(0.3, 0.2, 0.1, 0.1)
+        with pytest.raises(InvalidParameterError, match="must be non-negative"):
+            est.monte_carlo_recovery(points, est.ModelSpec(2), 10_000, repeats, seed)
+
+
 class TestExactFrequencies:
     @pytest.mark.parametrize("chi_of", [lambda chis: chis[:-1], lambda chis: chis[:, None]],
                              ids=["short", "column"])
@@ -534,6 +556,11 @@ class TestSweep:
     def test_cell_below_one_spacing_is_rejected(self, xi_maxes, r_maxes, d_xi, d_r):
         with pytest.raises(InvalidParameterError):
             est.rmse_sweep(xi_maxes, r_maxes, 100_000, d_xi=d_xi, d_r=d_r)
+
+    @pytest.mark.parametrize("xi_maxes, r_maxes", [([], [0.3]), ([1.0], [])])
+    def test_empty_list_of_maxima_is_rejected(self, xi_maxes, r_maxes):
+        with pytest.raises(InvalidParameterError, match="at least one"):
+            est.rmse_sweep(xi_maxes, r_maxes, 1000)
 
     def test_small_grid_dominated_by_stochastic_error(self):
         rmse = est.rmse_sweep([0.3, 2.0], [0.02, 0.78], 100_000, d_xi=0.05, d_r=0.02)

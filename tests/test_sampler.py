@@ -15,7 +15,7 @@ from weylfit import estimator as est
 from weylfit import fockspace as fs
 from weylfit import sampler as sp
 from weylfit.errors import (AccuracyError, DatasetError, InvalidChiError,
-                            InvalidParameterError, TruncationWarning)
+                            InvalidParameterError, TruncationWarning, UnsupportedOrderError)
 
 
 class TestBornProbabilities:
@@ -134,6 +134,14 @@ class TestGenerateDataset:
     def test_empty_grid_rejected(self):
         with pytest.raises(DatasetError):
             sp.generate_dataset([], [], 100, 2, seed=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: sp.generate_dataset(sp.Design([0.5, 1.0], 0.1), [0.5, 0.5], 100, 4, 1),
+        lambda: sp.bases_for_order(5)], ids=["generate_dataset", "bases_for_order"])
+    def test_order_without_bases_is_refused(self, call):
+        # a bare KeyError used to escape
+        with pytest.raises(UnsupportedOrderError, match="no measurement bases for order"):
+            call()
 
     def test_fig3_grid_shape(self):
         from weylfit import estimator as est
