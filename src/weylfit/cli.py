@@ -8,8 +8,10 @@ are 0 (success), 1 (validation failure), 2 (bad input), 3 (I/O error).
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import dataclasses
+import gc
 import sys
 import warnings
 from contextlib import contextmanager
@@ -439,6 +441,14 @@ COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
+    # At exit the interpreter's final collections walk every object numpy,
+    # PyYAML and weylfit loaded, a large share of a short command's time.
+    # Freezing them first skips that walk; every output is closed before a
+    # command returns, and the hook does nothing until exit, so in-process
+    # callers keep normal collection.  Re-registering keeps one hook per
+    # process.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

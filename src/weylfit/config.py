@@ -128,7 +128,10 @@ def _type_ok(value, default) -> bool:
     if isinstance(value, bool) or isinstance(default, bool):
         return type(value) is type(default)
     if isinstance(default, float):
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
     return isinstance(value, type(default))
 
 
@@ -144,8 +147,8 @@ def _validate(sections: dict) -> None:
         raise ConfigError(f"model.n must be 2 or 3, got {model['n']}")
     if model["n_B"] < 0:
         raise ConfigError("model.n_B must be non-negative")
-    if shots["total"] < 1:
-        raise ConfigError("shots.total must be positive")
+    if not 1 <= shots["total"] < 2**63:  # a binomial draw takes at most 2**63 - 1 trials
+        raise ConfigError(f"shots.total must lie in [1, 2**63), got {shots['total']}")
     if not 0 <= rng["seed"] < 2**64:
         raise ConfigError(f"rng.seed must lie in [0, 2**64), got {rng['seed']}")
     for key in ("d_xi", "d_r"):

@@ -1,6 +1,8 @@
 import csv
+import gc
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -108,13 +110,23 @@ class TestSimulate:
         ("protocol", {"omega_eta": -5.0}),
         ("protocol", {"ramp_time": -1.0e-5, "prep_hold": 0.0}),
         ("protocol", {"ramp_time": 0.0, "prep_hold": 0.0}),
+        ("protocol", {"heating_rate": 10**400}),
+        ("model", {"n_B": 10**400}),
+        ("shots", {"total": 10**30}),
+        ("shots", {"total": 2**63}),
     ], ids=["omega_eta-text", "n_B-text", "d_r-text", "total-text", "total-float", "n_B-bool",
             "n_B-nan", "ramp_time-inf", "omega_eta-negative", "ramp_time-negative",
-            "zero-pulse-area"])
+            "zero-pulse-area", "heating_rate-beyond-float", "n_B-beyond-float",
+            "total-beyond-int64", "total-2**63"])
     def test_bad_config_value_is_input_error(self, tmp_path, capsys, section, entries):
         cfg = write_config(tmp_path / "run.yaml", **{section: entries})
         assert cli.run(["--config", str(cfg), "simulate"]) == 2
         assert section in capsys.readouterr().err
+
+    def test_shot_total_takes_every_int64_count(self, tmp_path):
+        cfg = config.load_config(write_config(tmp_path / "run.yaml",
+                                              shots={"total": 2**63 - 1}))
+        assert cfg.shots["total"] == 2**63 - 1
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_input_error(self, tmp_path, capsys, jobs):
@@ -502,6 +514,12 @@ class TestSweepAndExtrapolate:
         assert code == 2
         assert "at least one spacing" in capsys.readouterr().err
 
+    def test_sweep_refuses_a_shot_total_beyond_int64(self, tmp_path, capsys):
+        # the shot allocation holds int64 counts
+        cfg = write_config(tmp_path / "run.yaml", shots={"total": 10**30})
+        assert cli.run(["--config", str(cfg), "sweep"]) == 2
+        assert "shots.total" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, section, entries, key", [
         ("sweep", "protocol", {"heating_rate": 300.0}, "protocol.heating_rate"),
         ("sweep", "model", {"heating": True}, "model.heating"),
@@ -704,6 +722,100 @@ def test_module_entry_point_runs_cli():
     assert done.returncode == 0
     assert done.stderr == ""
     assert "simulate" in done.stdout
+
+
+def test_subprocess_commands_match_in_process_runs(tmp_path, capsys):
+    # a process that ran a command freezes its objects at exit rather than
+    # collecting them: exit codes, printed lines and output files must still
+    # be those of the same command run in process
+    out = tmp_path / "out"
+    cfg = str(write_config(tmp_path / "run.yaml", output={"directory": str(out / "o2")}))
+    low = str(write_config(tmp_path / "low.yaml", protocol={"cutoff": 5}))
+    o3 = str(write_config(tmp_path / "o3.yaml", model={"n": 3},
+                          grid={"r_max": 1.2, "n_re": 4, "n_im": 4}, protocol={"cutoff": 100},
+                          output={"directory": str(out / "o3")}))
+    dataset, report = str(out / "o2" / "dataset.csv"), str(out / "ls" / "report.csv")
+    runs = {
+        "simulate": (["--config", cfg, "simulate"], 0),
+        "estimate-ls": (["--config", cfg, "--out", str(out / "ls"), "estimate", dataset], 0),
+        "estimate-ml": (["--config", cfg, "--out", str(out / "ml"), "estimate", dataset,
+                         "--cost", "ml"], 0),
+        "sweep": (["--config", cfg, "sweep", "--xi-max-list", "0.5,1.0",
+                   "--r-max-list", "0.2,0.3"], 0),
+        "charfunc": (["--config", cfg, "charfunc"], 0),
+        "extrapolate": (["--config", cfg, "--out", str(out / "zne"), "extrapolate",
+                         *[report] * 3, "--n-bars", "0.0,0.1,0.2"], 0),
+        "validate-low-cutoff": (["--config", low, "validate"], 1),
+        "sweep-bad-list": (["--config", cfg, "sweep", "--xi-max-list", "0.5,x"], 2),
+        "estimate-missing": (["--config", cfg, "estimate", str(tmp_path / "none.csv")], 3),
+        "simulate-warns": (["--config", o3, "simulate"], 0),
+    }
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def written():
+        return {path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    child = {}
+    for name, (argv, _) in runs.items():
+        done = subprocess.run([sys.executable, "-m", "weylfit", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        child[name] = (done.returncode, done.stdout, done.stderr)
+    child_files = written()
+    shutil.rmtree(out)
+
+    capsys.readouterr()
+    warned = set()
+    for name, (argv, code) in runs.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", TruncationWarning)
+            assert cli.run(argv) == code, name
+        printed = capsys.readouterr()
+        child_code, child_out, child_err = child[name]
+        assert child_code == code, (name, child_err)
+        assert child_out == printed.out, name
+        if caught:
+            # the child prints each warning whole, with its source line
+            warned.add(name)
+            assert printed.err == "" and child_err.endswith("\n"), name
+            for w in caught:
+                assert f"{w.category.__name__}: {w.message}\n" in child_err, name
+        else:
+            assert child_err == printed.err, name
+    assert "simulate-warns" in warned
+    assert written() == child_files
+    assert {path.parts[0] for path in child_files} == {"o2", "o3", "ls", "ml", "zne"}
+
+
+def test_in_process_runs_keep_normal_collection(tmp_path):
+    # the exit hook does nothing until the interpreter exits
+    argv = ["--config", str(write_config(tmp_path / "run.yaml")), "sweep",
+            "--xi-max-list", "0.5", "--r-max-list", "0.2"]
+    assert [cli.run(argv), cli.run(argv)] == [0, 0]
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
+
+
+def test_a_process_that_ran_commands_freezes_its_objects_once_at_exit(tmp_path):
+    argv = ["--config", str(write_config(tmp_path / "run.yaml")), "sweep",
+            "--xi-max-list", "0.5", "--r-max-list", "0.2"]
+    # exit hooks run last-registered first, so the script's own hook runs
+    # after the one `run` registers through the counting gc.freeze
+    script = ("import atexit, gc, weylfit.cli\n"
+              "calls, freeze = [], gc.freeze\n"
+              "gc.freeze = lambda: calls.append(freeze())\n"
+              "atexit.register(lambda: print('hook calls', len(calls), gc.get_freeze_count() > 0))\n"
+              f"codes = [weylfit.cli.run({argv!r}) for _ in range(2)]\n"
+              "print(codes, len(calls), gc.get_freeze_count())\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["[0, 0] 0 0", "hook calls 1 True"]
 
 
 def test_bad_input_exits_2_with_one_error_line_and_no_traceback(tmp_path):
