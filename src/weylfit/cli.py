@@ -12,6 +12,7 @@ import atexit
 import csv
 import dataclasses
 import gc
+import math
 import sys
 import warnings
 from contextlib import contextmanager
@@ -64,7 +65,14 @@ def _float_list(text: str, option: str) -> list[float]:
 
 
 def _grid_points(cfg: config_mod.RunConfig) -> sampler.Design:
-    g, m = cfg.grid, cfg.model
+    """The config's grid; one with more records than shots is refused before it is built."""
+    g, m, count = cfg.grid, cfg.model, estimator.axis_count
+    shape = ((count(g["xi_max"], g["d_xi"]), count(g["r_max"], g["d_r"])) if m["n"] == 2
+             else (g["n_re"], g["n_im"], g["n_r"]))
+    records = math.prod(shape) * len(sampler.bases_for_order(m["n"]))
+    if min(shape) >= 1 and records > cfg.shots["total"]:  # else the builder refuses the axis
+        raise ConfigError(f"a grid of {records} records needs at least one shot per record, "
+                          f"but shots.total is {cfg.shots['total']}")
     if m["n"] == 2:
         return estimator.build_grid(g["xi_max"], g["r_max"], g["d_xi"], g["d_r"],
                                     n_bar=m["n_B"])
@@ -136,7 +144,7 @@ def cmd_charfunc(cfg: config_mod.RunConfig, args) -> int:
     g = cfg.grid
     if not g["xi_max"] >= 0:
         raise ConfigError(f"charfunc needs grid.xi_max >= 0, got {g['xi_max']}")
-    k = round(g["xi_max"] / g["d_xi"])  # the rounding of `estimator.grid_axes`
+    k = estimator.axis_count(g["xi_max"], g["d_xi"])
     axis = g["d_xi"] * np.arange(-k, k + 1)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     xis = re + 1j * im
@@ -197,11 +205,11 @@ def cmd_sweep(cfg: config_mod.RunConfig, args) -> int:
                                    np.repeat(r_maxes, len(xi_maxes)), rmse.ravel()))
     _write_resolved(cfg, "rmse_sweep")
     print(f"wrote {out}")
-    xi_axis, r_axis = estimator.grid_axes(max(xi_maxes), max(r_maxes),
-                                          cfg.grid["d_xi"], cfg.grid["d_r"])
+    n_xi, n_r = (estimator.axis_count(max(v), cfg.grid[k])
+                 for v, k in ((xi_maxes, "d_xi"), (r_maxes, "d_r")))
     deficient = int(np.count_nonzero(np.isinf(rmse)))
     print(f"{rmse.size} designs, {deficient} rank-deficient, on a "
-          f"{len(xi_axis)} x {len(r_axis)} (xi x r) lattice of {len(xi_axis) * len(r_axis)} points")
+          f"{n_xi} x {n_r} (xi x r) lattice of {n_xi * n_r} points")
     i, j = np.unravel_index(np.argmin(rmse), rmse.shape)
     if np.isfinite(rmse[i, j]):
         print(f"minimum rmse {rmse[i, j]:.4f} at xi_max={xi_maxes[j]}, r_max={r_maxes[i]}")

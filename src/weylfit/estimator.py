@@ -460,20 +460,28 @@ def _bias_and_information(theta_star: CoefficientVector,
 # ---------------------------------------------------------------------------
 
 
+def axis_count(maximum: float, spacing: float) -> int:
+    """The multiples of ``spacing`` up to ``maximum``, rounded to the nearest count and
+    counted before any array exists; a spacing or ratio that gives none is refused."""
+    if not spacing > 0:
+        raise InvalidParameterError("grid spacings must be positive")
+    ratio = maximum / spacing
+    if not math.isfinite(ratio):
+        raise InvalidParameterError(f"grid axis {maximum} / {spacing} has no finite point count")
+    return round(ratio)
+
+
 def grid_axes(xi_max: float, r_max: float, d_xi: float,
               d_r: float) -> tuple[np.ndarray, np.ndarray]:
     """The axes of `build_grid`: xi in d_xi..xi_max and r in d_r..r_max.
 
-    Each axis holds the multiples of its spacing up to its maximum, rounded
-    to the nearest count, so a smaller design's axes are prefixes of a
-    larger one's.
+    Each axis holds `axis_count` multiples of its spacing, so a smaller
+    design's axes are prefixes of a larger one's.
     """
-    if d_xi <= 0 or d_r <= 0:
-        raise InvalidParameterError("grid spacings must be positive")
+    n_xi, n_r = axis_count(xi_max, d_xi), axis_count(r_max, d_r)
     if xi_max < d_xi or r_max < d_r:
         raise InvalidParameterError("grid maxima must reach at least one spacing")
-    return (d_xi * np.arange(1, int(round(xi_max / d_xi)) + 1),
-            d_r * np.arange(1, int(round(r_max / d_r)) + 1))
+    return d_xi * np.arange(1, n_xi + 1), d_r * np.arange(1, n_r + 1)
 
 
 def build_grid(xi_max: float, r_max: float, d_xi: float, d_r: float,
@@ -516,12 +524,16 @@ def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots:
     """
     if not (len(xi_maxes) and len(r_maxes)):
         raise InvalidParameterError("the sweep needs at least one xi_max and one r_max")
+    # the largest design is the whole lattice: refuse it before it is built
+    n_xi, n_r = axis_count(max(xi_maxes), d_xi), axis_count(max(r_maxes), d_r)
+    if n_xi * n_r > total_shots:
+        raise InvalidParameterError(f"a sweep lattice of {n_xi * n_r} points needs at least one "
+                                    f"shot per point, but the budget is {total_shots}")
     theta_star = series.truth_coefficients(2, n_bar)
     model = ModelSpec(2, n_bar)
-    xi_axis, r_axis = grid_axes(max(xi_maxes), max(r_maxes), d_xi, d_r)
     lattice = build_grid(max(xi_maxes), max(r_maxes), d_xi, d_r, n_bar)
     p_exact = sampler.born_probabilities(sampler.analytic_chi_grid(lattice, 2))[0]
-    rows = np.arange(len(lattice)).reshape(len(r_axis), len(xi_axis))  # r-major
+    rows = np.arange(len(lattice)).reshape(n_r, n_xi)  # r-major
     out = np.empty((len(r_maxes), len(xi_maxes)))
     for i, r_max in enumerate(r_maxes):
         for j, xi_max in enumerate(xi_maxes):
@@ -608,9 +620,8 @@ def monte_carlo_recovery(points: Design | Sequence[MeasurementPoint], model: Mod
 
     Returns (thetas, c_hs): fitted coefficients of shape (repeats, J) and,
     for heated models, the fitted heating parameters (else None).  Each
-    repeat draws all its counts from one child stream of `seed`, which is
-    faster than the per-point streams of `generate_dataset` and equally
-    reproducible.
+    repeat draws all its counts from one child stream of `seed`, in part
+    order, as `sampler.generate_dataset` draws a dataset from one stream.
     """
     if repeats < 0 or seed < 0:
         raise InvalidParameterError(f"repeats and seed must be non-negative, got {repeats}, {seed}")

@@ -127,8 +127,14 @@ class Design:
                    [p.n_bar for p in points])
 
     def select(self, rows) -> Design:
-        """The design of the given rows (an index array or a boolean mask)."""
-        return Design(self.xi[rows], self.r[rows], self.theta[rows], self.n_bar[rows])
+        """The design of the given rows (an index array, a boolean mask or a slice), as
+        new arrays gathered once: rows of a checked design need no new check."""
+        if isinstance(rows, slice):
+            rows = np.arange(len(self))[rows]
+        design = object.__new__(Design)
+        for name in self.__slots__:
+            setattr(design, name, getattr(self, name)[rows])
+        return design
 
     def __len__(self) -> int:
         return len(self.xi)
@@ -147,7 +153,8 @@ class Design:
 
 class Dataset:
     """Shot records as columns: a `Design` with one point per record, and
-    each record's basis code (`BASIS_CODES`), shots, +1 count and seed word.
+    each record's basis code (`BASIS_CODES`), shots, +1 count and seed (the
+    seed of the dataset that drew it).
 
     The constructor checks every row at once: a known basis code, at least
     one shot, and a +1 count in [0, shots].  Iterating a dataset builds its
@@ -210,94 +217,6 @@ def born_probabilities(chi):
     scale = np.where(mod > 1.0, mod, 1.0)
     re, im = (np.where(np.abs(c) <= 1e-12, 0.0, c / scale) for c in (re, im))
     return 0.5 * (1.0 + re), 0.5 * (1.0 + im)
-
-
-# Constants of numpy's SeedSequence pool hash (M. O'Neill's seed_seq mix)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-
-
-def _hasher(init: int, mult: int):
-    """numpy's hashmix: each call xors in the running constant, steps it and multiplies."""
-    const = init
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        prev, const = const, const * mult & _MASK32
-        value = (value ^ prev) * const
-        return value ^ (value >> 16)
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> 16)
-
-
-def record_state_words(master_seed: int, point_indices: np.ndarray,
-                       codes: np.ndarray) -> np.ndarray:
-    """(m, 4) uint64 PCG64 seed words of the records (point_indices[k], codes[k]).
-
-    Row k defines record k's stream: it is `np.random.SeedSequence(entropy=
-    master_seed, spawn_key=(point_indices[k], codes[k])).generate_state(4,
-    np.uint64)`, which depends on no schedule, computed for all rows in one
-    pass of uint32 array arithmetic.  The entropy is the seed as
-    little-endian 32-bit words, which a seed below 2**64 fills or zero-pads
-    to exactly the 4-word pool, then the index and basis-code words of the
-    spawn key.  The seed words fill and mix the pool once; the two key
-    words are mixed into it as arrays.
-    """
-    if not 0 <= master_seed < 2**64:
-        raise InvalidParameterError(f"seed must lie in [0, 2**64), got {master_seed}")
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    seed_words = np.array([master_seed & _MASK32, master_seed >> 32, 0, 0], dtype=np.uint32)
-    pool = [hashmix(seed_words[k:k + 1]) for k in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for key_word in (np.asarray(point_indices, dtype=np.uint32),
-                     np.asarray(codes, dtype=np.uint32)):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(key_word))
-    # generate_state cycles the pool for 8 uint32 words, read as 4 little-endian uint64
-    outmix = _hasher(_INIT_B, _MULT_B)
-    state = np.stack([outmix(pool[k % _POOL_SIZE]) for k in range(8)], axis=1)
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-def _draw_counts(seed: int, p_plus: np.ndarray, rows: np.ndarray, codes: np.ndarray,
-                 shots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(+1 counts, CSV seed words) of the records (point rows[k], basis codes[k]).
-
-    Record k draws B(shots[k], p_plus[k]) from Generator(PCG64) seeded with
-    its `record_state_words` row.
-    """
-    outside = ~((p_plus >= 0.0) & (p_plus <= 1.0))  # NaN included
-    if outside.any():
-        raise InvalidParameterError(f"probability {p_plus[outside][0]} outside [0, 1]")
-    words = record_state_words(seed, rows, codes)
-    # numpy.random loads here, not with this module: commands that never
-    # sample do not pay its import time and memory
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StateWords(ISeedSequence):
-        """Hands PCG64 one record's precomputed generate_state(4, np.uint64) words."""
-
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    counts = [int(Generator(PCG64(StateWords(state))).binomial(n, p))
-              for state, n, p in zip(words, shots.tolist(), p_plus.tolist(), strict=True)]
-    return np.array(counts, dtype=np.int64), words[:, 0]
 
 
 def allocate_shots(n_points: int, total: int) -> np.ndarray:
@@ -516,14 +435,17 @@ def generate_dataset(points: Design | Sequence[MeasurementPoint], chis: np.ndarr
                      total_shots: int, n: int, seed: int) -> Dataset:
     """Draw a full shot dataset over the measurement grid from one chi per point.
 
-    The RNG stream of each record depends only on (seed, point index,
-    basis), so results are independent of evaluation order.  The records
-    run basis-major: every point in the first basis, then every point in
-    the next.
+    The records run basis-major: every point in the first basis, then every
+    point in the next.  All their +1 counts come from one numpy stream,
+    ``default_rng(SeedSequence(seed))``, in record order, and every
+    record's seed cell holds ``seed``.  The counts are drawn once every chi
+    is known, so they do not depend on how the chi were computed.
     """
     points = Design.of(points)
     if len(points) == 0:
         raise DatasetError("measurement grid is empty")
+    if not 0 <= seed < 2**64:
+        raise InvalidParameterError(f"seed must lie in [0, 2**64), got {seed}")
     bases = bases_for_order(n)
     chis = np.asarray(chis, dtype=complex)
     if chis.shape != (len(points),):
@@ -532,8 +454,15 @@ def generate_dataset(points: Design | Sequence[MeasurementPoint], chis: np.ndarr
     codes = np.repeat([BASIS_CODES[b] for b in bases], len(points))
     alloc = allocate_shots(len(rows), total_shots)
     p_plus = np.stack(born_probabilities(chis))[codes, rows]
-    counts, seeds = _draw_counts(seed, p_plus, rows, codes, alloc)
-    return Dataset(points.select(rows), codes, alloc, counts, seeds)
+    outside = ~((p_plus >= 0.0) & (p_plus <= 1.0))  # NaN included
+    if outside.any():
+        raise InvalidParameterError(f"probability {p_plus[outside][0]} outside [0, 1]")
+    # numpy.random loads here, not with this module: commands that never
+    # sample do not pay its import time and memory
+    from numpy.random import SeedSequence, default_rng
+
+    counts = default_rng(SeedSequence(seed)).binomial(alloc, p_plus)
+    return Dataset(points.select(rows), codes, alloc, counts, seed)
 
 
 def _fmt(value: float) -> str:

@@ -5,10 +5,10 @@ with fixed-step RK4 (bit-reproducible for a given step size), so that the
 exact flows of `weylfit.sampler` and `weylfit.fockspace` have an
 independent check.  Operators and states are plain numpy arrays.
 
-The per-record sampler draws each record from its own
-`record_seed_sequence` stream with one numpy Generator per record, the
-way `sampler.generate_dataset` is defined; the dataset generator
-computes all records in one array pass and must match it exactly.
+The one-stream sampler draws a dataset record by record, with one numpy
+Generator per dataset and the scalar Born rule, the way
+`sampler.generate_dataset` is defined; the dataset generator draws all
+records in one array call and must match it exactly.
 """
 
 from __future__ import annotations
@@ -194,12 +194,6 @@ def sample_shots(p_plus: float, n: int, seed) -> int:
     return int(rng.binomial(n, p_plus))
 
 
-def record_seed_sequence(master_seed: int, point_index: int, basis: str) -> np.random.SeedSequence:
-    """The stream of one record, as `sampler.record_state_words` defines it."""
-    return np.random.SeedSequence(entropy=int(master_seed),
-                                  spawn_key=(point_index, sampler.BASIS_CODES[basis]))
-
-
 def dataset_from_records(records) -> sampler.Dataset:
     """The `sampler.Dataset` of a sequence of `sampler.ShotRecord` rows, in order."""
     records = list(records)
@@ -209,19 +203,21 @@ def dataset_from_records(records) -> sampler.Dataset:
                            [rec.seed for rec in records])
 
 
-def per_record_dataset(points, total_shots: int, n: int, seed: int,
+def one_stream_dataset(points, total_shots: int, n: int, seed: int,
                        chis: np.ndarray) -> sampler.Dataset:
-    """`sampler.generate_dataset` from given chi values, one record at a time."""
+    """`sampler.generate_dataset` from given chi values, one record at a time.
+
+    One Generator seeded with `SeedSequence(seed)` draws every record's
+    count in basis-major order, each from the scalar Born rule.
+    """
     points = list(points)
     bases = sampler.bases_for_order(n)
     alloc = sampler.allocate_shots(len(points) * len(bases), total_shots)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     records = []
     for cell, (basis, i) in enumerate((b, i) for b in bases for i in range(len(points))):
         p_x, p_y = born_probabilities_scalar(chis[i])
-        ss = record_seed_sequence(seed, i, basis)
-        count = sample_shots(p_x if basis == "x" else p_y, int(alloc[cell]),
-                             np.random.default_rng(ss))
+        count = sample_shots(p_x if basis == "x" else p_y, int(alloc[cell]), rng)
         records.append(sampler.ShotRecord(point=points[i], basis=basis, shots=int(alloc[cell]),
-                                          plus_count=count,
-                                          seed=int(ss.generate_state(1, np.uint64)[0])))
+                                          plus_count=count, seed=seed))
     return dataset_from_records(records)

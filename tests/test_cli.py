@@ -145,16 +145,62 @@ class TestSimulate:
         assert cli.run(["--config", str(cfg), *flag, "simulate"]) == 2
         assert "rng.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("simulate", {"model": {"n": 3}, "grid": {"n_re": 10**30}}),
+        ("simulate", {"grid": {"d_xi": 1.0e-320}}),
+        ("sweep", {"grid": {"d_xi": 1.0e-320}}),
+        ("charfunc", {"grid": {"d_xi": 1.0e-320}}),
+        ("simulate", {"grid": {"d_xi": 1.0e-9}}),
+        ("sweep", {"grid": {"d_xi": 1.0e-9}}),
+    ], ids=["simulate-n_re-10**30", "simulate-d_xi-1e-320", "sweep-d_xi-1e-320",
+            "charfunc-d_xi-1e-320", "simulate-d_xi-1e-9", "sweep-d_xi-1e-9"])
+    def test_grid_that_cannot_be_built_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                                      command, overrides):
+        # refused from the axis counts alone, before any grid builder runs
+        def build(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        for name in ("grid_axes", "build_grid", "build_grid_complex"):
+            monkeypatch.setattr(estimator, name, build)
+        cfg = write_config(tmp_path / "run.yaml", **overrides)
+        assert cli.run(["--config", str(cfg), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"model": {"n": 3}, "grid": {"n_re": -2000, "n_im": -1000}}, "one point per axis"),
+        ({"grid": {"xi_max": -1000.0, "r_max": -300.0}}, "reach at least one spacing"),
+    ], ids=["two-negative-counts", "two-negative-maxima"])
+    def test_grid_without_points_is_refused_by_its_axes(self, tmp_path, capsys, overrides,
+                                                        message):
+        # two negative point counts multiply to a positive record count; the
+        # shot budget is not what such a grid lacks
+        cfg = write_config(tmp_path / "run.yaml", **overrides)
+        assert cli.run(["--config", str(cfg), "simulate"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_jobs_do_not_change_the_dataset(self, tmp_path):
+        # the counts are drawn from one stream once every chi is known
+        cfg = write_config(tmp_path / "run.yaml",
+                           grid={"xi_max": 0.4, "r_max": 0.3, "d_xi": 0.2, "d_r": 0.1})
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs-{jobs}"
+            assert cli.run(["--config", str(cfg), "--jobs", jobs, "--out", str(out),
+                            "simulate", "--source", "protocol"]) == 0
+            written.append((out / "dataset.csv").read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("overrides, source, digest", [
-        ({}, "analytic", "968ed0fb118acf87bef9b0d80e03e2fc4404a905d7d30fd695410d26773e80e5"),
+        ({}, "analytic", "4c7d5f4ace647c218669e648b239ea2ebe784e613c4f4d66cd4e84e6e6f7e74a"),
         ({"model": {"n": 3}}, "analytic",
-         "a6e70129f51dc89d200b3ced65a2a99aa737481aefb3ebce70008563eabab148"),
+         "80f717a51e52b306de711e6c4cfcd017ab5895decfe9368495a09c485b185ca9"),
         ({"grid": {"d_r": 0.39}}, "protocol",
-         "412d197bf29776b54b0fb3dbaca9a882f09b8b0f7041982a445e5265d601f82b"),
+         "b7981bc45d09c3c7d82b05e5e51a1ef7d0406757475094f9ffdaddd6baddc08e"),
     ], ids=["order2", "order3", "protocol"])
     def test_seed_7_dataset_is_pinned(self, tmp_path, overrides, source, digest):
         # the three reference designs at their defaults: any change to the
-        # chi values, the shot split, the record streams or the CSV format shows here
+        # chi values, the shot split, the dataset stream or the CSV format shows here
         cfg = tmp_path / "run.yaml"
         cfg.write_text(yaml.safe_dump(overrides))
         with warnings.catch_warnings():
@@ -359,14 +405,14 @@ class TestEstimate:
         assert np.all(np.isfinite(reports[2]))
 
     @pytest.mark.parametrize("overrides, source, digests", [
-        ({}, "analytic", ("b5b91af661ca7de491331b1cd2a6b882e9e286f3e707005f621116f4ea9532b8",
-                          "8a85ad70b202c2cded26e36f68a290742c3d0e42d466ef36fede6578046f7077")),
+        ({}, "analytic", ("2298b07aa5dec806c1df58d4a7f5510d40caf48b74e32fd664c0e869f05b487a",
+                          "d50ddcc8127fa44f08e22cf6bc14b0e169e1eb992bc026fab5d5791e60dc37eb")),
         ({"model": {"n": 3}}, "analytic",
-         ("aa0c8b7423ec227606eb7dd97848acdd6c97bccda042cd5f694c8dc9500795dd",
-          "9cd853ba8615dfe6abd7ccb8c350f58081897a13153e60f6ea39d2b220aa591c")),
+         ("25e7aeb53ac403ca0e67c61fa80289d98f07e18c68d1a58db3fdf6c0e61ccd70",
+          "473ba8610a73f26d0f55dc3e473c48dc1458786c9f33f5171c2f0d98611d1576")),
         ({"grid": {"d_r": 0.39}}, "protocol",
-         ("e6be1945096eb7c9f964b3e49d33d172d0e5f7d5c38596484f18d301fe5ca16d",
-          "0673f2e0413a5671f5d6d3282667c7528a832107c644495656aa5107ecb77bc5")),
+         ("70bee6bb6fba1f893eb2f58ddeb0e9456a5346f5068ec8ba220f6a716847d5ca",
+          "c9beb33df08bdbdf8ccc7095a3c87b4f26cf06de34e9f6991636ebba336c478c")),
     ], ids=["order2", "order3", "protocol"])
     def test_seed_7_reports_are_pinned(self, tmp_path, overrides, source, digests):
         # the --cost ls and ml reports of the pinned seed-7 datasets; run with

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dataset_from_records, record_seed_sequence
+from oracles import dataset_from_records
 from weylfit import cli, config
 from weylfit import fockspace as fs
 from weylfit import sampler as sp
@@ -72,16 +72,6 @@ def test_csv_floats_are_written_as_fmt_writes_them(records):
     assert [row[:5] for row in rows] == [[sp._fmt(v) for v in (p.xi.real, p.xi.imag, p.r,
                                                                 p.theta, p.n_bar)]
                                          for p in points]
-
-
-@PROPERTY
-@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
-       st.sampled_from(["x", "y"]))
-def test_record_words_are_the_seed_sequence_state(seed, indices, basis):
-    words = sp.record_state_words(seed, indices, [sp.BASIS_CODES[basis]] * len(indices))
-    np.testing.assert_array_equal(
-        words, [record_seed_sequence(seed, i, basis).generate_state(4, np.uint64)
-                for i in indices])
 
 
 @PROPERTY

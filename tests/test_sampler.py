@@ -8,8 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from oracles import (STEP_RULE, LindbladSpec, born_probabilities_scalar, dataset_from_records,
-                     dense_probe_chi, evolve_lindblad, per_record_dataset, record_seed_sequence,
-                     sample_shots)
+                     dense_probe_chi, evolve_lindblad, one_stream_dataset, sample_shots)
 from weylfit import charfunc as cf
 from weylfit import estimator as est
 from weylfit import fockspace as fs
@@ -94,8 +93,8 @@ class TestGenerateDataset:
         assert records.plus_count.tolist() == [100]  # chi = 1 at the origin
 
     def test_reproducible_and_schedule_free(self):
-        # each record's count is fully determined by (seed, index, basis),
-        # so the per-record oracle re-draws every record from its own stream
+        # the counts depend only on the seed and the chi values, so the
+        # one-stream oracle re-draws every record one at a time
         points = [sp.MeasurementPoint(xi=complex(re, im), r=r)
                   for r in (0.1, 0.3) for re in (0.2, 0.6, 1.0) for im in (-0.4, 0.0, 0.5)]
         for n in (2, 3):
@@ -103,7 +102,24 @@ class TestGenerateDataset:
             a = sp.generate_dataset(points, chis, 30_011, n, seed=42)
             assert a == sp.generate_dataset(points, chis, 30_011, n, seed=42)
             assert {r.basis for r in a} == set(sp.bases_for_order(n))
-            assert a == per_record_dataset(points, 30_011, n, 42, chis)
+            assert a == one_stream_dataset(points, 30_011, n, 42, chis)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_the_one_stream_oracle(self, n, seed):
+        # every record in basis-major order from one Generator, and the
+        # dataset's seed in every seed cell
+        design = sp.Design(np.linspace(0.1, 1.5, 40) * np.exp(0.3j), np.repeat([0.0, 0.4], 20))
+        chis = sp.analytic_chi_grid(design, n)
+        records = sp.generate_dataset(design, chis, 80_003, n, seed)
+        assert records == one_stream_dataset(design, 80_003, n, seed, chis)
+        assert records.seed.tolist() == [seed] * len(records)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        points = [sp.MeasurementPoint(xi=0.3 + 0j, r=0.1)]
+        with pytest.raises(InvalidParameterError, match="seed"):
+            sp.generate_dataset(points, [0.5], 100, 2, seed=seed)
 
     @pytest.mark.parametrize("chis, message", [([0.5, 0.5], "chi values for 3 points"),
                                                ([0.5, np.nan, 0.5], "probability nan")],
@@ -148,23 +164,6 @@ class TestGenerateDataset:
 
         points = est.build_grid(2.0, 0.78, 0.02, 0.02)
         assert len(points) == 3900
-
-
-class TestRecordStateWords:
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1])
-    @pytest.mark.parametrize("basis", ["x", "y"])
-    def test_words_are_the_seed_sequence_state(self, seed, basis):
-        index = np.arange(1024)
-        words = sp.record_state_words(seed, index, np.full(index.size, sp.BASIS_CODES[basis]))
-        want = [record_seed_sequence(seed, i, basis).generate_state(4, np.uint64)
-                for i in range(index.size)]
-        np.testing.assert_array_equal(words, want)
-
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_outside_64_bits_is_rejected(self, seed):
-        points = [sp.MeasurementPoint(xi=0.3 + 0j, r=0.1)]
-        with pytest.raises(InvalidParameterError, match="seed"):
-            sp.generate_dataset(points, [0.5], 100, 2, seed=seed)
 
 
 class TestCsvRoundTrip:
@@ -332,6 +331,19 @@ class TestColumns:
         assert dataset != dataset_from_records(records[::-1])
         np.testing.assert_array_equal(dataset.frequency,
                                       [r.plus_count / r.shots for r in records])
+
+    @pytest.mark.parametrize("rows", [np.array([3, 0, 3]), np.arange(5) % 2 == 1, slice(1, 4)],
+                             ids=["indices", "mask", "slice"])
+    def test_select_is_an_independent_copy_of_its_rows(self, rows):
+        design = sp.Design(np.arange(5) + 0.5j, np.linspace(0.1, 0.5, 5), 0.2, 0.1)
+        picked = design.select(rows)
+        want = sp.Design(design.xi[rows], design.r[rows], design.theta[rows], design.n_bar[rows])
+        assert picked == want
+        for name in sp.Design.__slots__:
+            column = getattr(picked, name)
+            assert column.dtype == getattr(want, name).dtype
+            column[:] = 9
+        assert design == sp.Design(np.arange(5) + 0.5j, np.linspace(0.1, 0.5, 5), 0.2, 0.1)
 
     def test_design_of_a_design_is_itself(self):
         design = est.build_grid(0.4, 0.2, 0.2, 0.1)
