@@ -4,10 +4,11 @@
 
 rewrites `reference_outputs.json` next to this file.  Each case is one
 config: the three benchmark workloads of `bench/run.py` (read from its
-`WORKLOADS`, not copied) and two small heated protocol designs.  A
-workload case runs its benchmark session (`simulate`, both `estimate`
-costs, `sweep`), then `charfunc` and `validate --dataset`; a heated case
-runs `simulate --source protocol --jobs 2`.  Every command runs in
+`WORKLOADS`, not copied), two small heated protocol designs and one
+thermal sweep.  A workload case runs its benchmark session (`simulate`,
+both `estimate` costs, `sweep`), then `charfunc` and `validate
+--dataset`; a heated case runs `simulate --source protocol --jobs 2`;
+the thermal case runs `sweep` alone.  Every command runs in
 process through `cli.run`, from the case's own directory with relative
 paths, into its own output directory, so no file or line holds the
 directory the run used.  The manifest keeps each command's exit code,
@@ -61,6 +62,12 @@ HEATED = {
 }
 
 
+# A thermal sweep off the default maxima, whose r_max 0.02 row is single-r
+# (every design in it rank-deficient, so inf)
+THERMAL_SWEEP = ({"model": {"n": 2, "n_B": 0.1}},
+                 ["sweep", "--xi-max-list", "0.4,1.2,2.2", "--r-max-list", "0.02,0.44,0.8"])
+
+
 def bench_workloads() -> dict:
     """`bench/run.py`'s `WORKLOADS`, loaded from its file with `bench/` on the path."""
     sys.path.insert(0, str(BENCH))
@@ -87,6 +94,8 @@ def cases() -> dict[str, tuple[dict, list[tuple[str, dict, list[str]]]]]:
     for name, config in HEATED.items():
         out[name] = (config, [("simulate", {}, ["--jobs", "2", "simulate",
                                                 "--source", "protocol"])])
+    config, argv = THERMAL_SWEEP
+    out["thermal-sweep"] = (config, [("sweep", {}, argv)])
     return out
 
 
