@@ -24,6 +24,10 @@ import yaml
 from . import charfunc, config as config_mod, estimator, fockspace, sampler, series
 from .errors import ConfigError, DatasetError, WeylfitError
 
+# charfunc's largest lattice: the order-3 chi takes about 0.5 s per default
+# 201 x 201 lattice on a 2-core x86_64 host, so about 12 s at this limit
+CHARFUNC_MAX_POINTS = 1_000_000
+
 
 @contextmanager
 def _atomic_open(path: Path):
@@ -145,6 +149,9 @@ def cmd_charfunc(cfg: config_mod.RunConfig, args) -> int:
     if not g["xi_max"] >= 0:
         raise ConfigError(f"charfunc needs grid.xi_max >= 0, got {g['xi_max']}")
     k = estimator.axis_count(g["xi_max"], g["d_xi"])
+    if (2 * k + 1) ** 2 > CHARFUNC_MAX_POINTS:
+        raise ConfigError(f"charfunc lattice of {(2 * k + 1) ** 2} points exceeds the limit "
+                          f"of {CHARFUNC_MAX_POINTS} points; raise grid.d_xi or lower grid.xi_max")
     axis = g["d_xi"] * np.arange(-k, k + 1)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     xis = re + 1j * im

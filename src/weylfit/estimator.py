@@ -376,10 +376,15 @@ def minimize(problem: FitProblem, cutoff: int = fockspace.DEFAULT_CUTOFF) -> Est
     return report
 
 
+def _singular(w: np.ndarray):
+    """The rank rule on a Fisher matrix's ascending eigenvalues (stacked along the last axis)."""
+    return w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 1.0)
+
+
 def _checked_eigh(info: np.ndarray):
     """Eigendecomposition of a Fisher matrix; raises if it is singular."""
     w, v = np.linalg.eigh(info)
-    if w[0] <= 1e-12 * max(w[-1], 1.0):
+    if _singular(w):
         raise RankDeficiencyError(
             f"Fisher information singular along direction {np.round(v[:, 0], 4)}",
             direction=v[:, 0],
@@ -404,11 +409,22 @@ def _fisher_parts(subs: list[_Subproblem], packed: list[np.ndarray]):
     parts, info = [], np.zeros((len(subs) * size,) * 2)
     for k, (sub, x) in enumerate(zip(subs, packed)):
         p, dp = sub.probability(x)
-        p_safe = np.clip(p, EPS_P, 1.0 - EPS_P)
-        dp_w = dp * (sub.shots / (p_safe * (1.0 - p_safe)))[:, None]
+        dp_w, info[k * size:(k + 1) * size, k * size:(k + 1) * size] = _weighted_information(
+            dp, sub.shots, _binomial_variance(p))
         parts.append((p, dp_w))
-        info[k * size:(k + 1) * size, k * size:(k + 1) * size] = dp_w.T @ dp
     return parts, info
+
+
+def _binomial_variance(p: np.ndarray) -> np.ndarray:
+    """p(1 - p) of each row, with p clipped to [EPS_P, 1 - EPS_P]."""
+    p_safe = np.clip(p, EPS_P, 1.0 - EPS_P)
+    return p_safe * (1.0 - p_safe)
+
+
+def _weighted_information(dp: np.ndarray, shots, var: np.ndarray):
+    """Fisher-weighted dp_w = dp N / var of each row, and the information dp_w^T dp."""
+    dp_w = dp * (shots / var)[:, None]
+    return dp_w, dp_w.T @ dp
 
 
 def fisher_information(theta: CoefficientVector, points: Design | Sequence[MeasurementPoint],
@@ -438,21 +454,11 @@ def systematic_bias(theta_star: CoefficientVector, points: Design | Sequence[Mea
     part its own rows; parts on equal designs share one exact chi.
     """
     model = ModelSpec(theta_star.n, theta_star.n_bar)
-    return _bias_and_information(theta_star, _exact_subproblems(model, points, shots, cutoff))[0]
-
-
-def _bias_and_information(theta_star: CoefficientVector,
-                          subs: list[_Subproblem]) -> tuple[np.ndarray, np.ndarray]:
-    """`systematic_bias` on the parts' subproblems, and the Fisher information I.
-
-    Each subproblem's ``freq`` holds its part's p(+1) under the untruncated
-    chi of its rows.  A singular design raises RankDeficiencyError.
-    """
-    model = subs[0].model
+    subs = _exact_subproblems(model, points, shots, cutoff)
     parts, info = _fisher_parts(subs, _pack_theta(model, theta_star))
     _checked_eigh(info)
     rhs = np.concatenate([dp_w.T @ (sub.freq - p) for (p, dp_w), sub in zip(parts, subs)])
-    return _unpack(model, np.linalg.solve(info, rhs))[0], info
+    return _unpack(model, np.linalg.solve(info, rhs))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +524,10 @@ def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots:
 
     Returns rmse[i, j] of the `build_grid` design at (xi_maxes[j],
     r_maxes[i]): sqrt(mean_j(bias_j^2 + var_j)) from the linearized
-    systematic bias and the Fisher covariance, inf if rank-deficient.  Each
-    cell selects a prefix block [:n_r, :n_xi] of the `build_grid` lattice of
-    the largest maxima, whose exact probabilities are computed once.
+    systematic bias and the Fisher covariance, inf if rank-deficient.  The
+    exact and model p, dp at theta* and p(1 - p) are evaluated once on the
+    `build_grid` lattice of the largest maxima; each cell weighs its prefix
+    block [:n_r, :n_xi], and the cells' 3x3 systems are solved in one batch.
     """
     if not (len(xi_maxes) and len(r_maxes)):
         raise InvalidParameterError("the sweep needs at least one xi_max and one r_max")
@@ -529,27 +536,28 @@ def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots:
     if n_xi * n_r > total_shots:
         raise InvalidParameterError(f"a sweep lattice of {n_xi * n_r} points needs at least one "
                                     f"shot per point, but the budget is {total_shots}")
-    theta_star = series.truth_coefficients(2, n_bar)
     model = ModelSpec(2, n_bar)
     lattice = build_grid(max(xi_maxes), max(r_maxes), d_xi, d_r, n_bar)
     p_exact = sampler.born_probabilities(sampler.analytic_chi_grid(lattice, 2))[0]
-    rows = np.arange(len(lattice)).reshape(n_r, n_xi)  # r-major
-    out = np.empty((len(r_maxes), len(xi_maxes)))
+    p, dp = _Subproblem(model, 0, lattice, None, p_exact).probability(
+        _pack_theta(model, series.truth_coefficients(2, n_bar))[0])
+    var, resid = (a.reshape(n_r, n_xi) for a in (_binomial_variance(p), p_exact - p))
+    dp = dp.reshape(n_r, n_xi, -1)  # r-major
+    info = np.empty((len(r_maxes), len(xi_maxes), 3, 3))
+    rhs = np.empty((len(r_maxes), len(xi_maxes), 3, 1))
     for i, r_max in enumerate(r_maxes):
         for j, xi_max in enumerate(xi_maxes):
             n_xi, n_r = map(len, grid_axes(xi_max, r_max, d_xi, d_r))
-            cell = rows[:n_r, :n_xi].ravel()
-            sub = _subproblem(model, 0, lattice.select(cell),
-                              sampler.allocate_shots(len(cell), total_shots), p_exact[cell])
-            try:
-                bias, info = _bias_and_information(theta_star, [sub])
-            except RankDeficiencyError:
-                # single-r designs leave c1 and c2 exactly collinear;
-                # the expected error along the flat direction is unbounded
-                out[i, j] = np.inf
-                continue
-            mse = np.abs(bias) ** 2 + np.diag(np.linalg.inv(info))
-            out[i, j] = math.sqrt(float(np.mean(mse)))
+            dp_w, info[i, j] = _weighted_information(
+                dp[:n_r, :n_xi].reshape(-1, 3), sampler.allocate_shots(n_r * n_xi, total_shots),
+                var[:n_r, :n_xi].ravel())
+            rhs[i, j, :, 0] = dp_w.T @ resid[:n_r, :n_xi].ravel()
+    # single-r designs leave c1, c2 collinear: unbounded error along that direction
+    out = np.full(info.shape[:2], np.inf)
+    ok = ~_singular(np.linalg.eigh(info).eigenvalues)
+    bias = np.linalg.solve(info[ok], rhs[ok])[..., 0]
+    mse = bias**2 + np.linalg.inv(info[ok]).diagonal(axis1=-2, axis2=-1)
+    out[ok] = np.sqrt(np.mean(mse, axis=-1))
     return out
 
 

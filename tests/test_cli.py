@@ -152,8 +152,10 @@ class TestSimulate:
         ("charfunc", {"grid": {"d_xi": 1.0e-320}}),
         ("simulate", {"grid": {"d_xi": 1.0e-9}}),
         ("sweep", {"grid": {"d_xi": 1.0e-9}}),
+        ("charfunc", {"grid": {"d_xi": 1.0e-9}}),
     ], ids=["simulate-n_re-10**30", "simulate-d_xi-1e-320", "sweep-d_xi-1e-320",
-            "charfunc-d_xi-1e-320", "simulate-d_xi-1e-9", "sweep-d_xi-1e-9"])
+            "charfunc-d_xi-1e-320", "simulate-d_xi-1e-9", "sweep-d_xi-1e-9",
+            "charfunc-d_xi-1e-9"])
     def test_grid_that_cannot_be_built_is_input_error(self, tmp_path, capsys, monkeypatch,
                                                       command, overrides):
         # refused from the axis counts alone, before any grid builder runs
@@ -162,6 +164,7 @@ class TestSimulate:
 
         for name in ("grid_axes", "build_grid", "build_grid_complex"):
             monkeypatch.setattr(estimator, name, build)
+        monkeypatch.setattr(np, "arange", build)  # charfunc's lattice axis
         cfg = write_config(tmp_path / "run.yaml", **overrides)
         assert cli.run(["--config", str(cfg), command]) == 2
         err = capsys.readouterr().err

@@ -523,18 +523,39 @@ def reference_sweep(xi_maxes, r_maxes, total, d_xi, d_r, n_bar=0.0):
     return out
 
 
+# `weylfit sweep`'s default --xi-max-list and --r-max-list
+SWEEP_XI_MAXES = [0.6, 1.0, 1.4, 1.8, 2.0, 2.4]
+SWEEP_R_MAXES = [0.1, 0.3, 0.5, 0.7, 0.78, 0.9]
+
+
 class TestSweep:
     @pytest.mark.parametrize("xi_maxes, r_maxes, total, d_xi, d_r, n_bar", [
         # unsorted maxima, a maximum off the lattice, an odd total, single-r cells
         ([2.4, 0.61, 1.0], [0.9, 0.02, 0.3], 1_600_001, 0.02, 0.02, 0.0),
         ([0.6, 2.0], [0.3, 0.78], 1_600_000, 0.02, 0.02, 0.1),
         ([0.6, 1.0, 2.0], [0.78], 1_600_000, 0.02, 0.39, 0.0),
-    ], ids=["unsorted-offlattice-odd", "thermal", "protocol-rays"])
+        # the benchmark's sweeps: the CLI's default 6x6 lists, and the protocol rays
+        (SWEEP_XI_MAXES, SWEEP_R_MAXES, 1_600_000, 0.02, 0.02, 0.0),
+        (SWEEP_XI_MAXES, SWEEP_R_MAXES, 1_600_000, 0.02, 0.02, 0.1),
+        (SWEEP_XI_MAXES, [0.78], 1_600_000, 0.02, 0.39, 0.0),
+        # every cell single-r, so every one rank-deficient: no finite cell in the batch
+        ([0.6, 2.4], [0.02, 0.029], 1_600_000, 0.02, 0.02, 0.0),
+    ], ids=["unsorted-offlattice-odd", "thermal", "protocol-rays", "default-6x6",
+            "default-6x6-thermal", "protocol-o2", "all-single-r"])
     def test_lattice_sweep_equals_per_cell_designs(self, xi_maxes, r_maxes, total,
                                                    d_xi, d_r, n_bar):
         rmse = est.rmse_sweep(xi_maxes, r_maxes, total, d_xi=d_xi, d_r=d_r, n_bar=n_bar)
         expected = reference_sweep(xi_maxes, r_maxes, total, d_xi, d_r, n_bar)
         assert np.array_equal(rmse, expected)
+
+    def test_model_is_evaluated_once_on_the_lattice(self, monkeypatch):
+        # every cell is scored from one evaluation of p and dp on the whole lattice
+        calls, part_model = [], dg.part_model
+        monkeypatch.setattr(dg, "part_model",
+                            lambda *args, **kwargs: calls.append(1) or part_model(*args, **kwargs))
+        rmse = est.rmse_sweep(SWEEP_XI_MAXES, SWEEP_R_MAXES, 1_600_000)
+        assert rmse.shape == (6, 6) and np.isfinite(rmse).all()
+        assert len(calls) == 1
 
     @settings(max_examples=20, deadline=None)
     @given(d_xi=st.floats(0.05, 0.4), d_r=st.floats(0.02, 0.4),
