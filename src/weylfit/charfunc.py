@@ -52,13 +52,20 @@ def chi_squeezed_exact(xi, spec: SqueezeSpec, n_bar: float = 0.0):
         raise UnsupportedOrderError("closed form available for order n=2 only")
     if n_bar < 0:
         raise InvalidParameterError("mean occupation must be non-negative")
+    return chi_squeezed_rows(xi, spec.r, spec.theta, n_bar)
+
+
+def chi_squeezed_rows(xi, r, theta, n_bar):
+    """`chi_squeezed_exact` at one n_bar >= 0, with r and theta (mod 2 pi) checked as
+    `SqueezeSpec` checks them and broadcast against xi; an overflow names the largest r."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ch, sh = np.cosh(spec.r), np.sinh(spec.r)
-        u = np.conj(xi) * ch + xi * sh * np.exp(-1j * spec.theta)
-        v = xi * ch + np.conj(xi) * sh * np.exp(1j * spec.theta)
+        ch, sh = np.cosh(r), np.sinh(r)
+        u = np.conj(xi) * ch + xi * sh * np.exp(-1j * theta)
+        v = xi * ch + np.conj(xi) * sh * np.exp(1j * theta)
         chi = np.real(np.exp(-0.5 * u * v)) ** (1.0 + 2.0 * n_bar)  # chi ** 1.0 is chi
     if not np.isfinite(chi).all():
-        raise InvalidParameterError(f"squeezing amplitude r = {spec.r} overflows the closed form")
+        raise InvalidParameterError(f"squeezing amplitude r = {np.max(r)} overflows the "
+                                    "closed form")
     return chi
 
 

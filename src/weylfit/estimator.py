@@ -11,12 +11,15 @@ split into independent real and imaginary subproblems, one per Pauli
 basis, which is exact because the joint cost is the sum of the two.
 
 Every subproblem is solved by one damped Newton loop on the exact cost,
-gradient and curvature.  It runs from two deterministic starts, zero and
-the subproblem's center (the exact coefficients, zero for an order-3
-imaginary part, with c_h = 0), and keeps the lower cost; there is no
-further start, so if that fit ends at the iteration limit the solve
-raises NonConvergenceError.  The ``iterations`` diagnostic counts accepted
-Newton steps over both starts.
+gradient and curvature.  A trial step costs one cost evaluation: the
+Jacobian, gradient and curvature are built only for an accepted trial, and
+the damping ladder stops once a step no longer moves x.  Unless c_h is
+fitted, the model's theta-free terms are built once per subproblem.  The
+loop runs from two deterministic starts, zero and the subproblem's center
+(the exact coefficients, zero for an order-3 imaginary part, with c_h = 0),
+and keeps the lower cost; there is no further start, so if that fit ends
+at the iteration limit the solve raises NonConvergenceError.  The
+``iterations`` diagnostic counts accepted Newton steps over both starts.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -143,19 +147,28 @@ class _Subproblem:
     shots: np.ndarray
     freq: np.ndarray         # +1 frequency per row: observed, or the exact p(+1)
 
-    def probability(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """p(+1) and its Jacobian over the packed parameters x."""
+    def __post_init__(self):  # the rows' theta-free `series.part_terms`, unless c_h moves them
+        m, d = self.model, self.design
+        self.terms = None if m.heating else series.part_terms(m.n, d.xi, d.r, d.theta, m.nu)
+
+    def probability(self, x: np.ndarray, jacobian: bool = True):
+        """p(+1) and its Jacobian over the packed parameters x (None without ``jacobian``)."""
         model, d = self.model, self.design
         theta, c_h = (x[:-1], float(x[-1])) if model.heating else (x, 0.0)
         value, dvalue, dvalue_ch = series.part_model(model.n, self.part, theta, d.xi, d.r, d.theta,
-                                                     model.nu, c_h, model.heating)
+                                                     model.nu, c_h, model.heating, self.terms,
+                                                     jacobian)
         jac = dvalue if dvalue_ch is None else np.hstack([dvalue, dvalue_ch[:, None]])
-        return 0.5 * (1.0 + value), 0.5 * jac
+        return 0.5 * (1.0 + value), None if jac is None else 0.5 * jac
 
     def sigma2(self) -> np.ndarray:
         """LS weights: empirical binomial variance with a 1/(4N^2) floor."""
         raw = self.freq * (1.0 - self.freq) / self.shots
         return np.maximum(raw, 1.0 / (4.0 * self.shots.astype(float) ** 2))
+
+    @cached_property
+    def sigma(self) -> np.ndarray:  # the LS residual scale, built once
+        return np.sqrt(self.sigma2())
 
 
 def _subproblem(model: ModelSpec, part: int, design: Design, shots, freq=None) -> _Subproblem:
@@ -222,27 +235,33 @@ def _unpack(model: ModelSpec, flat: np.ndarray) -> tuple[np.ndarray, float | Non
 # ---------------------------------------------------------------------------
 
 
-def _cost_grad_curvature(sub: _Subproblem, x: np.ndarray, cost: str):
-    """Cost, gradient and curvature at the subproblem's packed parameters x.
-
-    Computes p and dp once.  LS is the chi-square of the variance-weighted
-    residuals, ML the negative log-likelihood.  The model is linear in
-    theta inside the clip, so either curvature is the exact Hessian there;
-    for c_h it is the Gauss-Newton part.
-    """
-    if cost not in ("ls", "ml"):
-        raise InvalidParameterError(f"cost must be 'ls' or 'ml', got {cost!r}")
-    p, jac = sub.probability(x)
+def _cost(sub: _Subproblem, p: np.ndarray, cost: str) -> float:
+    """The cost at p(+1): LS is the chi-square of the variance-weighted residuals,
+    ML the negative log-likelihood."""
     if cost == "ls":
-        sigma = np.sqrt(sub.sigma2())
-        res, jac = (p - sub.freq) / sigma, jac / sigma[:, None]
-        return float(np.sum(res**2)), 2.0 * jac.T @ res, 2.0 * jac.T @ jac
-    f, shots = sub.freq, sub.shots
-    p_safe = np.clip(p, EPS_P, 1.0 - EPS_P)
-    nll = -np.sum(shots * (f * np.log(p_safe) + (1.0 - f) * np.log1p(-p_safe)))
+        return float(np.sum(((p - sub.freq) / sub.sigma) ** 2))
+    if cost != "ml":
+        raise InvalidParameterError(f"cost must be 'ls' or 'ml', got {cost!r}")
+    f, p_safe = sub.freq, np.clip(p, EPS_P, 1.0 - EPS_P)
+    return float(-np.sum(sub.shots * (f * np.log(p_safe) + (1.0 - f) * np.log1p(-p_safe))))
+
+
+def _grad_curvature(sub: _Subproblem, p: np.ndarray, jac: np.ndarray, cost: str):
+    """`_cost`'s gradient and curvature from p(+1) and its Jacobian: the exact Hessian
+    in theta, in which the model is linear inside the clip, Gauss-Newton for c_h."""
+    if cost == "ls":
+        res, jac = (p - sub.freq) / sub.sigma, jac / sub.sigma[:, None]
+        return 2.0 * jac.T @ res, 2.0 * jac.T @ jac
+    f, shots, p_safe = sub.freq, sub.shots, np.clip(p, EPS_P, 1.0 - EPS_P)
     w = -shots * (f / p_safe - (1.0 - f) / (1.0 - p_safe))
     curv_w = shots * (f / p_safe**2 + (1.0 - f) / (1.0 - p_safe) ** 2)
-    return float(nll), jac.T @ w, (jac * curv_w[:, None]).T @ jac
+    return jac.T @ w, (jac * curv_w[:, None]).T @ jac
+
+
+def _cost_grad_curvature(sub: _Subproblem, x: np.ndarray, cost: str):
+    """Cost, gradient and curvature at the packed parameters x, from one p and dp."""
+    p, jac = sub.probability(x)
+    return (_cost(sub, p, cost), *_grad_curvature(sub, p, jac, cost))
 
 
 def cost(theta, problem: FitProblem) -> float:
@@ -251,7 +270,7 @@ def cost(theta, problem: FitProblem) -> float:
     Weighted least squares when ``problem.cost`` is 'ls', the negative
     log-likelihood when it is 'ml'.  A heated model is evaluated at c_h = 0.
     """
-    return sum(_cost_grad_curvature(sub, x, problem.cost)[0]
+    return sum(_cost(sub, sub.probability(x, jacobian=False)[0], problem.cost)
                for sub, x in zip(problem.subproblems(), _pack_theta(problem.model, theta)))
 
 
@@ -263,11 +282,13 @@ def cost(theta, problem: FitProblem) -> float:
 def _newton(sub: _Subproblem, x: np.ndarray, cost: str):
     """Damped Newton from x; exits on the gradient test or stagnation.
 
-    The clipped model makes the cost piecewise smooth, so a minimum can sit
-    on an active-set boundary where the one-sided gradient stays finite.
-    Exhausting the damping ladder without any relative cost decrease then
-    certifies local optimality (the cost-stationary exit).  Returns the
-    number of accepted steps last.
+    A trial is scored by its cost alone; the Jacobian, gradient and curvature
+    are built only for an accepted one.  The clipped model makes the cost
+    piecewise smooth, so a minimum can sit on an active-set boundary where
+    the one-sided gradient stays finite.  Exhausting the damping ladder
+    without any relative cost decrease (or reaching x + step == x, which no
+    larger damping undoes) then certifies local optimality: the
+    cost-stationary exit.  Returns the number of accepted steps last.
     """
     cost_val, grad, curv = _cost_grad_curvature(sub, x, cost)
     lam = 1e-12 * (np.trace(curv) / len(x) + 1.0)
@@ -285,9 +306,13 @@ def _newton(sub: _Subproblem, x: np.ndarray, cost: str):
                 lam = max(lam * 10.0, 1e-8)
                 continue
             trial = x + step
-            trial_cost, trial_grad, trial_curv = _cost_grad_curvature(sub, trial, cost)
+            if np.array_equal(trial, x):  # no larger lam can move x
+                break
+            p = sub.probability(trial, jacobian=False)[0]
+            trial_cost = _cost(sub, p, cost)
             if trial_cost <= cost_val * (1.0 - 1e-12) - 1e-300:
-                x, cost_val, grad, curv = trial, trial_cost, trial_grad, trial_curv
+                x, cost_val = trial, trial_cost
+                grad, curv = _grad_curvature(sub, p, sub.probability(trial)[1], cost)
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
                 steps += 1

@@ -275,8 +275,17 @@ def _per_state(design: Design, chi_of_state, jobs: int = 1) -> np.ndarray:
 
 def analytic_chi_grid(points: Design | Sequence[MeasurementPoint], n: int,
                       cutoff: int = fockspace.DEFAULT_CUTOFF) -> np.ndarray:
-    """Reference chi per point (`charfunc.chi_reference`), one call per state."""
-    return _per_state(Design.of(points), lambda r, theta, n_bar, xis: charfunc.chi_reference(
+    """Reference chi per point (`charfunc.chi_reference`): one call per state, or at order 2
+    per occupation, since a design's rows pass the `SqueezeSpec` checks by construction."""
+    design = Design.of(points)
+    if n == 2:
+        out = np.empty(len(design), dtype=complex)
+        for n_bar in set(design.n_bar.tolist()):
+            rows = design.n_bar == n_bar
+            out[rows] = charfunc.chi_squeezed_rows(design.xi[rows], design.r[rows],
+                                                   design.theta[rows] % charfunc.TWO_PI, n_bar)
+        return out
+    return _per_state(design, lambda r, theta, n_bar, xis: charfunc.chi_reference(
         xis, charfunc.SqueezeSpec(n=n, r=r, theta=theta), n_bar, cutoff))
 
 

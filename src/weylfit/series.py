@@ -79,20 +79,28 @@ def _basis_ch_derivative(xi_p: np.ndarray, xi2: np.ndarray, r, phase) -> np.ndar
     return np.stack([r * dre2, r**2 * dabs2, 2.0 * r**2 * re2 * dre2], axis=-1)
 
 
+def part_terms(n: int, xi: np.ndarray, r, phase, nu: float, c_h: float = 0.0):
+    """`part_model`'s theta-free factors: xi' = xi + c_h xi^2, f_j(xi') and chi0(xi')^nu."""
+    xi_p = charfunc.heated_xi_values(xi, c_h)
+    return xi_p, basis_values(n, xi_p, r, phase), np.exp(-0.5 * nu * np.abs(xi_p) ** 2)
+
+
 def part_model(n: int, part: int, theta: np.ndarray, xi: np.ndarray, r, phase,
-               nu: float, c_h: float = 0.0, with_ch_grad: bool = False):
+               nu: float, c_h: float = 0.0, with_ch_grad: bool = False, terms=None,
+               jacobian: bool = True):
     """One clipped real part of the model and its derivatives.
 
-    ``theta`` holds that part's real coefficients and ``nu`` = 1 + 2 n_bar.
-    Returns (value, d value / d theta, d value / d c_h or None); rows where
-    the clip is active carry zero derivatives.
+    ``theta`` holds that part's real coefficients and ``nu`` = 1 + 2 n_bar;
+    ``terms``, if given, are `part_terms` of the other arguments.  Returns
+    (value, d value / d theta, d value / d c_h or None), both derivatives None
+    without ``jacobian``; rows where the clip is active carry zero derivatives.
     """
     _, offset, lo, hi = PARTS[n][part]
-    xi_p = charfunc.heated_xi_values(xi, c_h)
-    b = basis_values(n, xi_p, r, phase)
+    xi_p, b, chi0 = part_terms(n, xi, r, phase, nu, c_h) if terms is None else terms
     bracket = offset + b @ theta
-    chi0 = np.exp(-0.5 * nu * np.abs(xi_p) ** 2)
     value = bracket * chi0
+    if not jacobian:
+        return np.clip(value, lo, hi), None, None
     interior = (value > lo) & (value < hi)
     d_theta = chi0[..., None] * b * interior[..., None]
     d_ch = None

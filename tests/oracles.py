@@ -9,6 +9,10 @@ The one-stream sampler draws a dataset record by record, with one numpy
 Generator per dataset and the scalar Born rule, the way
 `sampler.generate_dataset` is defined; the dataset generator draws all
 records in one array call and must match it exactly.
+
+The reference Newton loop is `estimator._newton` as it was written first:
+one full evaluation of cost, gradient and curvature per trial step, and
+all 30 rungs of the damping ladder before a cost-stationary exit.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from weylfit import fockspace, sampler
+from weylfit import estimator, fockspace, sampler
 from weylfit.errors import (AccuracyError, InvalidChiError, InvalidDimensionError,
                             InvalidParameterError, WeylfitError)
 
@@ -221,3 +225,36 @@ def one_stream_dataset(points, total_shots: int, n: int, seed: int,
         records.append(sampler.ShotRecord(point=points[i], basis=basis, shots=int(alloc[cell]),
                                           plus_count=count, seed=seed))
     return dataset_from_records(records)
+
+
+def newton_reference(sub, x: np.ndarray, cost: str):
+    """`estimator._newton` with a full evaluation at every trial and the whole
+    30-rung damping ladder: (x, cost, gradient, exit reason, accepted steps)."""
+    cost_val, grad, curv = estimator._cost_grad_curvature(sub, x, cost)
+    lam = 1e-12 * (np.trace(curv) / len(x) + 1.0)
+    exit_reason = "max-iterations"
+    steps = 0
+    for _ in range(estimator.NEWTON_MAX_ITER):
+        if np.linalg.norm(grad) <= estimator.GRAD_RTOL * (1.0 + abs(cost_val)):
+            exit_reason = "gradient"
+            break
+        accepted = False
+        for _ in range(30):
+            try:
+                step = np.linalg.solve(curv + lam * np.eye(len(x)), -grad)
+            except np.linalg.LinAlgError:
+                lam = max(lam * 10.0, 1e-8)
+                continue
+            trial = x + step
+            trial_cost, trial_grad, trial_curv = estimator._cost_grad_curvature(sub, trial, cost)
+            if trial_cost <= cost_val * (1.0 - 1e-12) - 1e-300:
+                x, cost_val, grad, curv = trial, trial_cost, trial_grad, trial_curv
+                lam = max(lam / 3.0, 1e-14)
+                accepted = True
+                steps += 1
+                break
+            lam = max(lam * 10.0, 1e-10)
+        if not accepted:
+            exit_reason = "cost-stationary"
+            break
+    return x, cost_val, grad, exit_reason, steps

@@ -1,5 +1,9 @@
+import inspect
+import itertools
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from oracles import dataset_from_records
+from oracles import dataset_from_records, newton_reference
 from weylfit import cli
 from weylfit import series as dg
 from weylfit import estimator as est
@@ -17,6 +21,7 @@ from weylfit.errors import (
     InvalidParameterError,
     NonConvergenceError,
     RankDeficiencyError,
+    TruncationWarning,
     UnsupportedOrderError,
 )
 
@@ -309,6 +314,94 @@ class TestNewtonAgainstScipy:
             for sub, diag in zip(subs, diags):
                 assert diag["exit"] in ("gradient", "cost-stationary")
                 assert diag["cost"] <= scipy_warm_started_cost(sub, model.n_coeffs, cost) + 1e-2
+
+
+NEWTON_DESIGNS = {
+    # (order, n_B, heated, design): the 3900-point reference grid, the protocol-o2
+    # two rays, criterion 7's thermal grid, the 300-point order-3 grid, and a heated
+    # model, whose terms move with c_h and so are never built ahead
+    "o2-3900": (2, 0.0, False, lambda: est.build_grid(2.0, 0.78, 0.02, 0.02)),
+    "o2-two-rays": (2, 0.0, False, lambda: est.build_grid(2.0, 0.78, 0.02, 0.39)),
+    "o2-thermal": (2, 0.1, False, lambda: est.build_grid(1.46, 0.3, 0.02, 0.02, n_bar=0.1)),
+    "o3-complex": (3, 0.0, False, lambda: est.build_grid_complex(1.7, 1.7, 0.78)),
+    "o2-heated": (2, 0.0, True, lambda: est.build_grid(2.0, 0.78, 0.02, 0.39)),
+}
+
+
+@pytest.fixture(scope="module")
+def newton_starts():
+    """(design, shots, dataset, cost, part, start) -> (subproblem, start point) of every
+    Newton run below: 3 datasets per design and shot budget, drawn as
+    `monte_carlo_recovery` draws them, with both costs and both starts of `_fit`."""
+    runs = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)  # the order-3 grid's largest |xi|
+        for name, (n, n_bar, heated, grid) in NEWTON_DESIGNS.items():
+            model, points = est.ModelSpec(n, n_bar, heated), grid()
+            bases = sp.bases_for_order(n)
+            centers = est._pack_theta(model, np.real(dg.truth_coefficients(n, n_bar).values))
+            for total in (1_600_000, 400_000):
+                alloc = sp.allocate_shots(len(points) * len(bases), total).reshape(len(bases), -1)
+                exact = est._exact_subproblems(model, points, dict(zip(bases, alloc)))
+                for seed in range(3):
+                    rng = np.random.default_rng(np.random.SeedSequence(34, spawn_key=(seed,)))
+                    subs = [replace(sub, freq=rng.binomial(sub.shots, sub.freq) / sub.shots)
+                            for sub in exact]
+                    for cost, (part, (sub, center)) in itertools.product(
+                            ("ls", "ml"), enumerate(zip(subs, centers))):
+                        runs[name, total, seed, cost, part, "zero"] = sub, np.zeros_like(center)
+                        if center.any():
+                            runs[name, total, seed, cost, part, "center"] = sub, center
+    return runs
+
+
+@pytest.fixture(scope="module")
+def newton_outcomes(newton_starts):
+    """Each run's (x, cost, gradient, exit, accepted steps) from `_newton` and from
+    the full-evaluation reference loop, as bytes where they are arrays."""
+    def outcome(fit):
+        x, cost_val, grad, reason, steps = fit
+        return x.tobytes(), float(cost_val).hex(), grad.tobytes(), reason, steps
+
+    return {key: (outcome(est._newton(sub, x0, key[3])),
+                  outcome(newton_reference(sub, x0, key[3])))
+            for key, (sub, x0) in newton_starts.items()}
+
+
+class TestNewtonAgainstReference:
+    """`_newton` scores trials by their cost alone and stops the damping ladder once
+    a step no longer moves x; every fit must still be the full-evaluation loop's."""
+
+    @pytest.mark.parametrize("design", sorted(NEWTON_DESIGNS))
+    def test_every_run_is_bitwise_the_reference_loops(self, newton_outcomes, design):
+        runs = {key: pair for key, pair in newton_outcomes.items() if key[0] == design}
+        assert len(runs) >= 24
+        assert [key for key, (new, ref) in runs.items() if new != ref] == []
+
+    def test_a_fifth_of_the_runs_exercise_the_ladder_exit(self, newton_outcomes):
+        exits = [new[3] for new, _ in newton_outcomes.values()]
+        assert set(exits) == {"gradient", "cost-stationary"}
+        assert exits.count("cost-stationary") >= 0.2 * len(exits)
+
+    @pytest.mark.parametrize("design", ["o2-3900", "o2-heated"])
+    def test_the_jacobian_is_built_once_per_accepted_step(self, newton_starts, monkeypatch,
+                                                          design):
+        calls, part_model = [], dg.part_model
+        signature = inspect.signature(part_model)
+
+        def counting(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments.get("jacobian", True))
+            return part_model(*args, **kwargs)
+
+        monkeypatch.setattr(dg, "part_model", counting)
+        for key, (sub, x0) in newton_starts.items():
+            if key[0] == design:
+                calls.clear()
+                *_, reason, steps = est._newton(sub, x0, key[3])
+                assert calls.count(True) == steps + 1, key
+                if reason == "cost-stationary":
+                    # the last ladder's cost-only trials: it ends once the step vanishes
+                    assert calls[::-1].index(True) < 30, key
 
 
 class TestProtocolOutlier:

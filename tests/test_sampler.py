@@ -363,6 +363,48 @@ def protocol_chi(point, n, cfg):
     return complex(sp.simulate_chi_grid([point], n, cfg)[0])
 
 
+class TestAnalyticChiGrid:
+    @staticmethod
+    def per_state_chi(design):
+        """The order-2 chi of one `chi_squeezed_exact` call per (r, theta, n_bar) state."""
+        states = {}
+        for i, state in enumerate(zip(design.r.tolist(), design.theta.tolist(),
+                                      design.n_bar.tolist())):
+            states.setdefault(state, []).append(i)
+        out = np.empty(len(design), dtype=complex)
+        for (r, theta, n_bar), rows in states.items():
+            out[rows] = cf.chi_squeezed_exact(design.xi[rows], cf.SqueezeSpec(2, r, theta), n_bar)
+        return out
+
+    @pytest.mark.parametrize("n_bar", [0.0, 0.1, 0.5, "mixed"])
+    def test_order2_closed_form_pass_is_bitwise_the_per_state_calls(self, n_bar):
+        # n_B = 0.5 raises to the power 2.0, which numpy squares for a scalar exponent
+        rng = np.random.default_rng(11)
+        m = 3000
+        occupations = rng.choice([0.0, 0.1, 0.5, 2.0], m) if n_bar == "mixed" else n_bar
+        design = sp.Design(rng.normal(size=m) * 1.5 + 1j * rng.normal(size=m),
+                           rng.choice(np.linspace(0.0, 1.4, 30), m),
+                           rng.choice(np.linspace(-9.0, 9.0, 25), m), occupations)
+        chi = sp.analytic_chi_grid(design, 2)
+        assert chi.dtype == complex
+        assert chi.tobytes() == self.per_state_chi(design).tobytes()
+
+    def test_order2_takes_one_closed_form_call_per_occupation(self, monkeypatch):
+        calls, rows = [], cf.chi_squeezed_rows
+        monkeypatch.setattr(cf, "chi_squeezed_rows",
+                            lambda xi, *args: calls.append(len(xi)) or rows(xi, *args))
+        design = est.build_grid(2.4, 0.9, 0.02, 0.02, n_bar=0.1)
+        sp.analytic_chi_grid(design, 2)
+        assert calls == [len(design)] == [5400]
+        sp.analytic_chi_grid(sp.Design(np.ones(4), 0.2, n_bar=[0.0, 0.1, 0.1, 0.0]), 2)
+        assert sorted(calls[1:]) == [2, 2]
+
+    def test_overflowing_row_names_its_squeezing(self):
+        design = sp.Design([0.5, 0.5, 0.5], [0.2, 800.0, 0.3])
+        with pytest.raises(InvalidParameterError, match="r = 800.0 overflows"):
+            sp.analytic_chi_grid(design, 2)
+
+
 class TestProtocol:
     def test_vacuum_probe_matches_gaussian(self):
         cfg = sp.ProtocolConfig(cutoff=60)
