@@ -109,7 +109,7 @@ class FitProblem:
         data, freq = self.dataset, self.dataset.frequency
         masks = (data.basis == sampler.BASIS_CODES[basis]
                  for basis in sampler.bases_for_order(self.model.n))
-        return [_subproblem(self.model, part, data.points.select(rows), data.shots[rows],
+        return [_Subproblem(self.model, part, data.points.select(rows), data.shots[rows],
                             freq[rows]) for part, rows in enumerate(masks)]
 
 
@@ -138,18 +138,34 @@ class _Subproblem:
     """One part of the model (`series.PARTS`) with its measurement rows.
 
     Its packed parameters are the part's real coefficients, followed by
-    c_h when the model is heated.
+    c_h when the model is heated.  A scalar ``shots`` fills every row;
+    ``freq``, each row's +1 frequency, defaults to zeros.  ``terms``, the
+    rows' theta-free `series.part_terms`, are built unless c_h moves them,
+    and a `replace` copy keeps them, so it may change only freq or shots.
     """
 
     model: ModelSpec
     part: int
     design: Design
     shots: np.ndarray
-    freq: np.ndarray         # +1 frequency per row: observed, or the exact p(+1)
+    freq: np.ndarray | None = None
+    terms: tuple | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):  # the rows' theta-free `series.part_terms`, unless c_h moves them
+    def __post_init__(self):
         m, d = self.model, self.design
-        self.terms = None if m.heating else series.part_terms(m.n, d.xi, d.r, d.theta, m.nu)
+        if not len(d):
+            raise DatasetError("every model part needs at least one measurement row")
+        shots = np.asarray(self.shots)
+        if shots.ndim == 0:
+            shots = np.full(len(d), int(shots))
+        elif len(shots) != len(d):
+            raise InvalidParameterError("shot allocation length does not match grid")
+        freq = np.zeros(len(d)) if self.freq is None else np.asarray(self.freq, dtype=float)
+        if freq.shape != (len(d),):
+            raise InvalidParameterError("frequency (or chi) array shape does not match grid")
+        self.shots, self.freq = shots.astype(int), freq
+        if self.terms is None and not m.heating:
+            self.terms = series.part_terms(m.n, d.xi, d.r, d.theta, m.nu)
 
     def probability(self, x: np.ndarray, jacobian: bool = True):
         """p(+1) and its Jacobian over the packed parameters x (None without ``jacobian``)."""
@@ -161,30 +177,10 @@ class _Subproblem:
         jac = dvalue if dvalue_ch is None else np.hstack([dvalue, dvalue_ch[:, None]])
         return 0.5 * (1.0 + value), None if jac is None else 0.5 * jac
 
-    def sigma2(self) -> np.ndarray:
-        """LS weights: empirical binomial variance with a 1/(4N^2) floor."""
-        raw = self.freq * (1.0 - self.freq) / self.shots
-        return np.maximum(raw, 1.0 / (4.0 * self.shots.astype(float) ** 2))
-
     @cached_property
-    def sigma(self) -> np.ndarray:  # the LS residual scale, built once
-        return np.sqrt(self.sigma2())
-
-
-def _subproblem(model: ModelSpec, part: int, design: Design, shots, freq=None) -> _Subproblem:
-    """The part's subproblem on ``design``: a scalar ``shots`` fills every row,
-    and ``freq`` (zero when None) is each row's +1 frequency."""
-    if not len(design):
-        raise DatasetError("every model part needs at least one measurement row")
-    shots = np.asarray(shots)
-    if shots.ndim == 0:
-        shots = np.full(len(design), int(shots))
-    elif len(shots) != len(design):
-        raise InvalidParameterError("shot allocation length does not match grid")
-    freq = np.zeros(len(design)) if freq is None else np.asarray(freq, dtype=float)
-    if freq.shape != (len(design),):
-        raise InvalidParameterError("frequency (or chi) array shape does not match grid")
-    return _Subproblem(model, part, design, shots.astype(int), freq)
+    def sigma(self) -> np.ndarray:  # LS residual scale: the binomial std, floored at 1/(2N)
+        raw = self.freq * (1.0 - self.freq) / self.shots
+        return np.sqrt(np.maximum(raw, 1.0 / (4.0 * self.shots.astype(float) ** 2)))
 
 
 def _exact_subproblems(model: ModelSpec, points, shots, cutoff: int = fockspace.DEFAULT_CUTOFF,
@@ -193,13 +189,17 @@ def _exact_subproblems(model: ModelSpec, points, shots, cutoff: int = fockspace.
 
     ``points`` and ``shots`` may each be a dict keyed by basis.  The first
     part's rows read ``chi``, else `sampler.analytic_chi_grid` at Fock
-    ``cutoff``; parts on equal designs share it, a part on other rows reads its own.
+    ``cutoff``; parts on equal designs share it, a part on other rows reads
+    its own, and a given ``chi`` is refused if the parts' rows differ.
     """
     designs = [Design.of(rows) for rows in _per_part(model, points)]
+    if chi is not None and designs[-1] != designs[0]:
+        raise InvalidParameterError(f"the given chi covers the first basis's rows only, but the "
+                                    f"{series.PARTS[model.n][-1][0]} basis has other rows")
     chi = sampler.analytic_chi_grid(designs[0], model.n, cutoff) if chi is None else chi
     chis = [chi if d == designs[0] else sampler.analytic_chi_grid(d, model.n, cutoff)
             for d in designs]
-    return [_subproblem(model, part, d, alloc, sampler.born_probabilities(own)[part])
+    return [_Subproblem(model, part, d, alloc, sampler.born_probabilities(own)[part])
             for part, (d, alloc, own) in enumerate(zip(designs, _per_part(model, shots), chis))]
 
 
@@ -462,7 +462,7 @@ def fisher_information(theta: CoefficientVector, points: Design | Sequence[Measu
     RankDeficiencyError naming the flat direction when singular.
     """
     model = ModelSpec(theta.n, theta.n_bar)
-    subs = [_subproblem(model, part, Design.of(rows), alloc) for part, (rows, alloc)
+    subs = [_Subproblem(model, part, Design.of(rows), alloc) for part, (rows, alloc)
             in enumerate(zip(_per_part(model, points), _per_part(model, shots)))]
     _, info = _fisher_parts(subs, _pack_theta(model, theta))
     _checked_eigh(info)
@@ -563,10 +563,9 @@ def rmse_sweep(xi_maxes: Sequence[float], r_maxes: Sequence[float], total_shots:
                                     f"shot per point, but the budget is {total_shots}")
     model = ModelSpec(2, n_bar)
     lattice = build_grid(max(xi_maxes), max(r_maxes), d_xi, d_r, n_bar)
-    p_exact = sampler.born_probabilities(sampler.analytic_chi_grid(lattice, 2))[0]
-    p, dp = _Subproblem(model, 0, lattice, None, p_exact).probability(
-        _pack_theta(model, series.truth_coefficients(2, n_bar))[0])
-    var, resid = (a.reshape(n_r, n_xi) for a in (_binomial_variance(p), p_exact - p))
+    sub, = _exact_subproblems(model, lattice, 1)
+    p, dp = sub.probability(_pack_theta(model, series.truth_coefficients(2, n_bar))[0])
+    var, resid = (a.reshape(n_r, n_xi) for a in (_binomial_variance(p), sub.freq - p))
     dp = dp.reshape(n_r, n_xi, -1)  # r-major
     info = np.empty((len(r_maxes), len(xi_maxes), 3, 3))
     rhs = np.empty((len(r_maxes), len(xi_maxes), 3, 1))

@@ -142,7 +142,7 @@ def eval_model(n: int, theta, xi, r: float, phase: float = 0.0,
     xi_in = np.asarray(xi, dtype=complex)
     xi_arr = np.atleast_1d(xi_in)
     nu = 1.0 + 2.0 * n_bar
-    parts = [part_model(n, k, comp, xi_arr, r, phase, nu, c_h)[0]
+    parts = [part_model(n, k, comp, xi_arr, r, phase, nu, c_h, jacobian=False)[0]
              for k, comp in enumerate((values.real, values.imag)[: len(PARTS[n])])]
     out = parts[0] if n == 2 else parts[0] + 1j * parts[1]
     if xi_in.ndim == 0:

@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python tests/reference_outputs.py
 
-rewrites `reference_outputs.json` next to this file.  Each case is one
+prints each `case/step` whose entry moved, then rewrites
+`reference_outputs.json` next to this file.  Each case is one
 config: the three benchmark workloads of `bench/run.py` (read from its
 `WORKLOADS`, not copied), two small heated protocol designs and one
 thermal sweep.  A workload case runs its benchmark session (`simulate`,
@@ -146,11 +147,20 @@ def collect(workdir: Path) -> dict:
     return manifest
 
 
+def moved(want: dict, got: dict) -> list[str]:
+    """Each `case/step` whose entry differs between two manifests, or is in one only."""
+    return sorted(f"{case}/{step}" for case in want.keys() | got.keys()
+                  for step in want.get(case, {}).keys() | got.get(case, {}).keys()
+                  if want.get(case, {}).get(step) != got.get(case, {}).get(step))
+
+
 def main() -> None:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         manifest = collect(Path(tmp))
+    want = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    print("\n".join(f"moved: {entry}" for entry in moved(want, manifest)) or "no entry moved")
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
     print(f"wrote {MANIFEST}")
 

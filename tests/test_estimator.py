@@ -284,7 +284,7 @@ def oracle_datasets():
 
 def scipy_warm_started_cost(sub, n_coeffs, cost):
     """Cost of the former solve: scipy TRF (LS) or L-BFGS-B (ML) from zero, then Newton."""
-    x0, sigma = np.zeros(n_coeffs), np.sqrt(sub.sigma2())
+    x0, sigma = np.zeros(n_coeffs), sub.sigma
     if cost == "ls":
         x = optimize.least_squares(lambda x: (sub.probability(x)[0] - sub.freq) / sigma,
                                    x0, jac=lambda x: sub.probability(x)[1] / sigma[:, None],
@@ -543,6 +543,30 @@ class TestMonteCarloRecovery:
         with pytest.raises(InvalidParameterError, match="must be non-negative"):
             est.monte_carlo_recovery(points, est.ModelSpec(2), 10_000, repeats, seed)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_theta_free_terms_are_built_once_per_part(self, n, monkeypatch):
+        # every repeat fits copies of the exact subproblems, which keep their terms
+        points = (est.build_grid(1.0, 0.3, 0.1, 0.1) if n == 2
+                  else est.build_grid_complex(1.0, 1.0, 0.3, 4, 4, 3))
+        built, exact, fitted = [], [], []
+        part_terms, exact_subproblems, fit = dg.part_terms, est._exact_subproblems, est._fit
+        monkeypatch.setattr(dg, "part_terms", lambda *args: built.append(1) or part_terms(*args))
+        monkeypatch.setattr(est, "_exact_subproblems", lambda *args, **kwargs: exact.extend(
+            exact_subproblems(*args, **kwargs)) or exact)
+        monkeypatch.setattr(est, "_fit", lambda model, subs, cost: fitted.append(subs)
+                            or fit(model, subs, cost))
+        est.monte_carlo_recovery(points, est.ModelSpec(n), 300_001, 5, 12)
+        assert len(built) == len(exact) == len(dg.PARTS[n])
+        assert len(fitted) == 5
+        assert all(sub.terms is part.terms for subs in fitted for sub, part in zip(subs, exact))
+
+    def test_a_heated_subproblem_builds_no_terms_ahead(self):
+        # c_h moves the terms, so each evaluation builds its own
+        design = est.build_grid(0.4, 0.2, 0.2, 0.2, n_bar=0.1)
+        sub = est._Subproblem(est.ModelSpec(2, 0.1, heating=True), 0, design, 100)
+        assert sub.terms is None
+        assert replace(sub, freq=np.full(len(design), 0.5)).terms is None
+
 
 class TestExactFrequencies:
     @pytest.mark.parametrize("chi_of", [lambda chis: chis[:-1], lambda chis: chis[:, None]],
@@ -567,6 +591,19 @@ class TestExactFrequencies:
     def test_empty_design_is_refused(self, call):
         with pytest.raises(DatasetError, match="at least one measurement row"):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda points, chis: est.fit_exact_frequencies(points, est.ModelSpec(3), 1000,
+                                                       chi_values=chis),
+        lambda points, chis: est.monte_carlo_recovery(points, est.ModelSpec(3), 100_000, 2, 1,
+                                                      chi_values=chis)],
+        ids=["fit_exact_frequencies", "monte_carlo_recovery"])
+    def test_given_chi_is_refused_when_the_bases_have_other_rows(self, call):
+        # the chi covers the x rows; the y rows would silently read the analytic chi
+        points = {"x": est.build_grid_complex(1.2, 1.2, 0.4, 4, 4, 3),
+                  "y": est.build_grid_complex(1.0, 1.0, 0.4, 4, 4, 3)}
+        with pytest.raises(InvalidParameterError, match="the y basis has other rows"):
+            call(points, np.zeros(len(points["x"]), dtype=complex))
 
 
 class TestSystematicBias:

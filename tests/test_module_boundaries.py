@@ -57,11 +57,11 @@ def test_estimator_reads_exact_chi_through_the_sampler():
     assert "charfunc" not in imported
 
 
-def test_only_the_exact_builder_and_the_sweep_apply_the_born_rule():
-    # one path from a design to exact frequencies: the sweep slices its lattice's instead
+def test_only_the_exact_builder_applies_the_born_rule():
+    # one path from a design to exact frequencies, the sweep's lattice included
     tree = ast.parse((SRC / "estimator.py").read_text())
     callers = {top.name for top in tree.body for node in ast.walk(top)
                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                and node.value.id == "sampler"
                and node.attr in ("analytic_chi_grid", "born_probabilities")}
-    assert callers == {"_exact_subproblems", "rmse_sweep"}
+    assert callers == {"_exact_subproblems"}
